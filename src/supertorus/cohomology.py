@@ -8,6 +8,21 @@ an explicit matrix computation over the subset-pair monomial bases.
 
 Monomial components are always ordered the same way: the alpha index set runs
 lexicographically in the outer loop and the theta index set in the inner one.
+
+Raising sends the monomial (A, B) to the sum of (A + c, B - c) over c in
+B - A, so it keeps the union D = A | B and the intersection I = A & B fixed.
+Inside one (D, I) class the monomial is fixed by S = A - I, a subset of
+D - I of size i0 = i - |I|, and lexicographic order on A agrees with
+lexicographic order on S, since both are decided by the least element of the
+symmetric difference.  Raising is therefore block diagonal over the classes,
+and each block is the transposed Boolean inclusion matrix from the i0-subsets
+to the (i0 + 1)-subsets of a d0 = |D - I| element set.  Blocks have disjoint
+row supports, so pivots, free columns and greedy choices all split block by
+block: ``invariants_basis`` and ``coinvariants_representatives`` compute one
+cached result per block shape (d0, i0) and relabel it into each class, and
+return the same vectors, in the same order, as a reduction of the whole
+matrix.  ``raising_matrix`` still builds that whole matrix from the operator
+itself; it is the dense oracle the tests and ``verify`` compare against.
 """
 
 from __future__ import annotations
@@ -15,7 +30,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from functools import lru_cache
+from itertools import permutations, product
 from typing import Iterator, NamedTuple, Sequence
 
 from .exterior import (
@@ -29,7 +45,7 @@ from .exterior import (
     raising,
     subset_monomial,
 )
-from .linalg import Matrix, subsets_lex
+from .linalg import Matrix, boolean_incidence, subset_masks, subsets_lex
 
 
 def _comb(n: int, k: int) -> int:
@@ -135,14 +151,73 @@ class BidegreeBasis:
         )
 
 
+# Every (d0, i0) block shape the rank guard admits: d0 <= 14, i0 <= d0.
+_BLOCK_CACHE_SIZE = 128
+
+
+def _block_classes(n: int, d: tuple[int, int]) -> list[tuple[int, int, list[int]]]:
+    """The (A | B, A & B) classes of bidegree d as (d0, i0, positions): the
+    block shape and the class's positions in ``bidegree_monomials(n, d)``,
+    in monomial order."""
+    i, j = d
+    if not (0 <= i <= n and 0 <= j <= n):
+        return []
+    classes: dict[tuple[int, int], list[int]] = {}
+    for k, (a, b) in enumerate(product(subset_masks(n, i), subset_masks(n, j))):
+        classes.setdefault((a | b, a & b), []).append(k)
+    return [
+        ((union ^ meet).bit_count(), i - meet.bit_count(), cols)
+        for (union, meet), cols in classes.items()
+    ]
+
+
+@lru_cache(maxsize=_BLOCK_CACHE_SIZE)
+def _kernel_block(d0: int, i0: int) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+    """Canonical kernel basis of one raising block, from the i0-subsets of a
+    d0-set to the (i0 + 1)-subsets, as sparse (column, value) vectors.
+
+    Vectors come in free-column order, and each one's last entry sits on its
+    free column: the other entries are on earlier pivot columns.
+    """
+    # With i0 = d0 there is no larger subset: one column and no rows.
+    block = boolean_incidence(d0, i0, i0 + 1).transpose() if i0 < d0 else Matrix(0, 1)
+    return tuple(
+        tuple((c, x) for c, x in enumerate(v) if x) for v in block.kernel_basis()
+    )
+
+
+@lru_cache(maxsize=_BLOCK_CACHE_SIZE)
+def _cokernel_block(d0: int, i0: int) -> tuple[int, ...]:
+    """Greedy representatives of one block's cokernel: the positions k among
+    the i0-subsets of a d0-set whose unit vectors, taken in order, extend the
+    span of the raised (i0 - 1)-subsets.
+
+    A unit vector e_k extends that span plus e_0 .. e_{k-1} exactly when
+    column k is no pivot of the image once its columns are reversed.
+    """
+    size = math.comb(d0, i0)
+    if i0 == 0:
+        return tuple(range(size))
+    image = boolean_incidence(d0, i0 - 1, i0)
+    _, pivots = Matrix.from_rows([row[::-1] for row in image.rows()]).rref()
+    taken = {size - 1 - p for p in pivots}
+    return tuple(k for k in range(size) if k not in taken)
+
+
 def invariants_basis(n: int, d: tuple[int, int]) -> BidegreeBasis:
     """Canonical kernel basis of raising on bidegree d, one per free column."""
     d = Bidegree(*d)
     source = bidegree_monomials(n, d)
-    kernel = raising_matrix(n, d).kernel_basis()
+    kernel = sorted(
+        (
+            [(cols[c], x) for c, x in v]
+            for d0, i0, cols in _block_classes(n, d)
+            for v in _kernel_block(d0, i0)
+        ),
+        key=lambda v: v[-1][0],
+    )
     vectors = tuple(
-        Element.from_terms(n, [(m, c) for m, c in zip(source, v) if c])
-        for v in kernel
+        Element.from_terms(n, [(source[c], x) for c, x in v]) for v in kernel
     )
     expected = invariants_dimension(n, d.i, d.j) if source else 0
     if len(vectors) != expected:
@@ -161,39 +236,16 @@ def coinvariants_representatives(n: int, d: tuple[int, int]) -> BidegreeBasis:
     """
     d = Bidegree(*d)
     target = bidegree_monomials(n, d)
-    dim = len(target)
-    echelon: list[list[Fraction]] = []
-
-    def insert(vec: list[Fraction]) -> bool:
-        v = list(vec)
-        for row in echelon:
-            lead = next(k for k, x in enumerate(row) if x)
-            if v[lead]:
-                f = v[lead] / row[lead]
-                v = [a - f * b for a, b in zip(v, row)]
-        if any(v):
-            echelon.append(v)
-            return True
-        return False
-
-    image_matrix = raising_matrix(n, (d.i - 1, d.j + 1))
-    for c in range(image_matrix.ncols):
-        insert(image_matrix.column(c))
-
-    reps = []
-    for k, m in enumerate(target):
-        if len(echelon) == dim:
-            break
-        unit = [Fraction(0)] * dim
-        unit[k] = Fraction(1)
-        if insert(unit):
-            reps.append(Element.from_monomial(m))
+    picks = sorted(
+        cols[k] for d0, i0, cols in _block_classes(n, d) for k in _cokernel_block(d0, i0)
+    )
+    reps = tuple(Element.from_monomial(target[c]) for c in picks)
     expected = coinvariants_dimension(n, d.i, d.j) if target else 0
     if len(reps) != expected:
         raise AssertionError(
             f"cokernel dimension {len(reps)} disagrees with formula {expected}"
         )
-    return BidegreeBasis(n, d, tuple(reps))
+    return BidegreeBasis(n, d, reps)
 
 
 def lefschetz_matrix(n: int, i: int, j: int) -> Matrix:

@@ -22,6 +22,10 @@ import numpy as np
 # Largest Mersenne prime below 2**31; products of two residues fit in int64.
 _CERT_PRIME = 2**31 - 1
 
+# Fractions are immutable, so incidence matrices share these entries.
+_ONE = Fraction(1)
+_ZERO = Fraction(0)
+
 
 class Matrix:
     """Immutable dense matrix of Fractions, row major."""
@@ -136,7 +140,10 @@ class Matrix:
         """Each row times the lcm of its denominators; rank preserving."""
         out = []
         for row in self._data:
-            scale = math.lcm(*(x.denominator for x in row)) if row else 1
+            if all(x.denominator == 1 for x in row):
+                out.append([x.numerator for x in row])
+                continue
+            scale = math.lcm(*(x.denominator for x in row))
             out.append([int(x * scale) for x in row])
         return out
 
@@ -323,6 +330,12 @@ def subsets_lex(n: int, k: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(1, n + 1), k))
 
 
+def subset_masks(n: int, k: int) -> list[int]:
+    """The subsets of ``subsets_lex(n, k)``, in that order, as bitmasks with
+    bit x set for each member x."""
+    return [sum(1 << x for x in S) for S in subsets_lex(n, k)]
+
+
 def boolean_incidence(n: int, i: int, j: int) -> Matrix:
     """Containment matrix between size-i and size-j subsets of 1..n.
 
@@ -332,10 +345,7 @@ def boolean_incidence(n: int, i: int, j: int) -> Matrix:
     """
     if not 0 <= i <= j <= n:
         raise ValueError(f"need 0 <= i <= j <= n, got i={i}, j={j}, n={n}")
-    rows = subsets_lex(n, i)
-    cols = subsets_lex(n, j)
-    data = []
-    for S in rows:
-        s = set(S)
-        data.extend(Fraction(1) if s <= set(T) else Fraction(0) for T in cols)
-    return Matrix(len(rows), len(cols), data)
+    rows, cols = subset_masks(n, i), subset_masks(n, j)
+    out = Matrix(len(rows), len(cols))
+    out._data = [[_ONE if s & t == s else _ZERO for t in cols] for s in rows]
+    return out

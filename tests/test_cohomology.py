@@ -2,6 +2,9 @@
 
 import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import pytest
 
@@ -136,6 +139,119 @@ def test_coinvariants_representatives_are_monomials_spanning():
             assert len(reps) == co.coinvariants_dimension(n, i, j)
             for v in reps:
                 assert len(v) == 1  # single monomial classes
+
+
+# ---------------------------------------------------------------------------
+# block route against the dense oracle
+
+def _formatted(basis):
+    return [ex.format_element(v) for v in basis]
+
+
+def _dense_invariants(n, d):
+    """Kernel basis from a reduction of the whole raising matrix."""
+    source = co.bidegree_monomials(n, d)
+    return [
+        ex.format_element(
+            ex.Element.from_terms(n, [(m, c) for m, c in zip(source, v) if c])
+        )
+        for v in co.raising_matrix(n, d).kernel_basis()
+    ]
+
+
+def _dense_coinvariants(n, d):
+    """Greedy rational echelon: the whole image of raising first, then the
+    unit vectors in monomial order, keeping each one that extends the span."""
+    target = co.bidegree_monomials(n, d)
+    echelon = []
+
+    def insert(vec):
+        v = list(vec)
+        for row in echelon:
+            lead = next(k for k, x in enumerate(row) if x)
+            if v[lead]:
+                f = v[lead] / row[lead]
+                v = [a - f * b for a, b in zip(v, row)]
+        if any(v):
+            echelon.append(v)
+            return True
+        return False
+
+    image = co.raising_matrix(n, (d[0] - 1, d[1] + 1))
+    for c in range(image.ncols):
+        insert(image.column(c))
+    reps = []
+    for k, m in enumerate(target):
+        unit = [Fraction(0)] * len(target)
+        unit[k] = Fraction(1)
+        if insert(unit):
+            reps.append(ex.format_element(ex.Element.from_monomial(m)))
+    return reps
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_blocks_match_dense_oracle(n):
+    for i in range(n + 1):
+        for j in range(n + 1):
+            assert _formatted(co.invariants_basis(n, (i, j))) == _dense_invariants(n, (i, j))
+            assert _formatted(co.coinvariants_representatives(n, (i, j))) == (
+                _dense_coinvariants(n, (i, j))
+            )
+
+
+@pytest.mark.parametrize("d", [(3, 3), (4, 3)], ids=["3-3", "4-3"])
+def test_blocks_match_dense_oracle_n6(d):
+    assert _formatted(co.invariants_basis(6, d)) == _dense_invariants(6, d)
+
+
+def test_block_edge_classes():
+    # the empty class, A = B = I: one monomial, invariant and its own coset
+    assert co._kernel_block(0, 0) == (((0, 1),),)
+    assert co._cokernel_block(0, 0) == (0,)
+    for d0 in range(1, 6):
+        # i0 = 0: raising the empty subset is injective and nothing reaches it
+        assert co._kernel_block(d0, 0) == ()
+        assert co._cokernel_block(d0, 0) == (0,)
+        # i0 = d0: raising the full subset is zero and it is always reached
+        assert co._kernel_block(d0, d0) == (((0, 1),),)
+        assert co._cokernel_block(d0, d0) == ()
+    # bidegrees made of one edge kind only: (0, 0) of empty classes,
+    # (0, j) of i0 = 0 classes, (i, 0) of i0 = d0 classes
+    for n, d in [(0, (0, 0)), (3, (0, 0)), (3, (0, 2)), (3, (2, 0))]:
+        assert _formatted(co.invariants_basis(n, d)) == _dense_invariants(n, d)
+        assert _formatted(co.coinvariants_representatives(n, d)) == (
+            _dense_coinvariants(n, d)
+        )
+
+
+def test_block_caches_under_threads():
+    jobs = [
+        (fn, n, d)
+        for fn in (co.invariants_basis, co.coinvariants_representatives)
+        for n, d in [(4, (2, 2)), (4, (3, 1)), (5, (3, 2)), (5, (2, 3)),
+                     (6, (3, 3)), (6, (4, 2)), (6, (2, 4))]
+    ]
+    caches = (co._kernel_block, co._cokernel_block)
+
+    for cache in caches:
+        cache.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(fn, n, d) for fn, n, d in jobs]
+            threaded = [_formatted(f.result(timeout=120)) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+
+    for cache in caches:
+        cache.cache_clear()
+    assert threaded == [_formatted(fn(n, d)) for fn, n, d in jobs]
+    for cache in caches:
+        info = cache.cache_info()
+        # one entry per block shape (d0, i0) with i0 <= d0 <= 6
+        assert info.maxsize is not None
+        assert 0 < info.currsize <= 28
 
 
 # ---------------------------------------------------------------------------
