@@ -15,7 +15,6 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 
 from . import cohomology as co
 from . import exterior as ex
@@ -30,11 +29,6 @@ _JSON_VERSION = 1
 
 class UsageError(Exception):
     pass
-
-
-def _rat(x) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _emit_json(payload: dict) -> None:
@@ -99,7 +93,7 @@ def cmd_basis(args) -> int:
     n, i, j = args.n, args.i, args.j
     if not (0 <= i <= n and 0 <= j <= n):
         raise UsageError(f"bidegree ({i}, {j}) out of range for n={n}")
-    ms = [m for m in ma.noncrossing_matchings(n) if m.bidegree == (i, j)]
+    ms = ma.noncrossing_matchings(n, bidegree=(i, j))
     rows = [
         {
             "matching": m.to_json_dict(),
@@ -221,7 +215,7 @@ def cmd_reduce(args) -> int:
     elif args.format == "csv":
         _emit_csv(
             ["coeff", "literal"],
-            [[_rat(c), t.literal()] for t, c in combo.items()],
+            [[str(c), t.literal()] for t, c in combo.items()],
         )
     else:
         print(ma.format_combination(combo))

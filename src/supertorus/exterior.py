@@ -19,6 +19,7 @@ act as an sl2 triple.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from fractions import Fraction
@@ -675,21 +676,39 @@ def parse_element(text: str, n: int | None = None) -> Element:
     return out
 
 
-def _format_fraction(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+@functools.lru_cache(maxsize=64)
+def _generator_names(n: int) -> tuple[str, ...]:
+    """Generator names indexed by canonical position: a1, t1, a2, t2, ..."""
+    return tuple(("t" if p & 1 else "a") + str(p // 2 + 1) for p in range(2 * n))
+
+
+# bin() digits to 0/1 bytes, the selectors itertools.compress expects
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 def format_element(f: Element) -> str:
-    """Inverse of ``parse_element`` on canonical elements."""
+    """Inverse of ``parse_element`` on canonical elements.
+
+    Terms are ordered by (degree, generator positions), as ``terms()`` orders
+    them, but read straight off the masks.
+    """
     if f.is_zero():
         return "0"
+    names = _generator_names(f.n)
+    slots = range(2 * f.n)
+    rows = []
+    for mask, c in f._terms.items():
+        bits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+        positions = tuple(itertools.compress(slots, bits))
+        rows.append((len(positions), positions, c))
+    rows.sort()  # masks are distinct, so coefficients are never compared
     parts: list[str] = []
-    for m, c in f.terms():
-        body = _format_fraction(abs(c))
-        if m.mask:
-            body += "*" + " ".join(str(g) for g in m.generators())
-        if not parts:
-            parts.append(body if c > 0 else "-" + body)
+    for _, positions, c in rows:
+        text = str(c)
+        if positions:
+            text += "*" + " ".join([names[p] for p in positions])
+        if text[0] == "-":
+            parts.append(("- " if parts else "-") + text[1:])
         else:
-            parts.append(("+ " if c > 0 else "- ") + body)
+            parts.append(("+ " if parts else "") + text)
     return " ".join(parts)

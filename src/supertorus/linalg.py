@@ -223,7 +223,7 @@ class Matrix:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow([self.nrows, self.ncols])
         for row in self._data:
-            writer.writerow([_format_rat(x) for x in row])
+            writer.writerow([str(x) for x in row])
         return buf.getvalue()
 
     @classmethod
@@ -237,10 +237,6 @@ class Matrix:
                 continue
             entries.extend(Fraction(x) for x in row)
         return cls(nrows, ncols, entries)
-
-
-def _format_rat(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:

@@ -181,12 +181,7 @@ class MatchingCombination:
 
     def to_json(self) -> list[dict]:
         return [
-            {
-                "coeff": f"{c.numerator}/{c.denominator}"
-                if c.denominator != 1
-                else str(c.numerator),
-                "matching": m.to_json_dict(),
-            }
+            {"coeff": str(c), "matching": m.to_json_dict()}
             for m, c in self.items()
         ]
 
@@ -196,18 +191,35 @@ def matching_invariant(m: LabelledMatching) -> Element:
 
     The 'a' labels contribute a_i in increasing order, then each 'at' label
     contributes a_i t_i, then each arc (i, j) contributes a_i t_j + a_j t_i.
-    The result is annihilated by the raising operator.
+    The product is expanded straight into its 2**arcs monomials, one per
+    choice of which end of each arc carries the 'a'; every coefficient is
+    +1 or -1.  Works for crossing and nested matchings too.  The result is
+    annihilated by the raising operator.
     """
-    n = m.n
-    out = generator_product(n, [alpha(v) for v in m.alpha])
+    # Bit positions follow the canonical order a_1 < t_1 < a_2 < ...; the
+    # sign flips once for every set bit above each newly appended bit.
+    mask, sign = 0, 1
+    word = [2 * v - 2 for v in m.alpha]
     for v in m.alphatheta:
-        out = out * generator_product(n, [alpha(v), theta(v)])
+        word += (2 * v - 2, 2 * v - 1)
+    for pos in word:
+        if (mask >> pos).bit_count() & 1:
+            sign = -sign
+        mask |= 1 << pos
+    terms = {mask: sign}
     for i, j in m.arcs:
-        arc_factor = generator_product(n, [alpha(i), theta(j)]) + generator_product(
-            n, [alpha(j), theta(i)]
-        )
-        out = out * arc_factor
-    return out
+        step = {}
+        for mask, sign in terms.items():
+            for a_pos, t_pos in ((2 * i - 2, 2 * j - 1), (2 * j - 2, 2 * i - 1)):
+                s = sign
+                if (mask >> a_pos).bit_count() & 1:
+                    s = -s
+                new = mask | 1 << a_pos
+                if (new >> t_pos).bit_count() & 1:
+                    s = -s
+                step[new | 1 << t_pos] = s
+        terms = step
+    return Element(m.n, {mask: Fraction(s) for mask, s in terms.items()})
 
 
 def crossing_quadruples(m: LabelledMatching) -> list[tuple[int, int, int, int]]:
@@ -365,39 +377,74 @@ def labelled_matchings(n: int) -> Iterator[LabelledMatching]:
             )
 
 
-def noncrossing_matchings(n: int, k: int | None = None) -> list[LabelledMatching]:
-    """Noncrossing matchings with no nested 'a' label, optionally of degree k.
+def _reduced_labellings(lo: int, hi: int, p: int, q: int, memo: dict) -> list:
+    """(arcs, alpha, alphatheta) on vertices lo..hi-1: noncrossing, with p
+    'a' labels none of which lies under an arc, and q arcs plus 'at' labels.
 
-    Enumerated directly: noncrossing arc sets, then labellings that keep 'a'
-    labels outside every arc.  Deterministically sorted.
+    The first vertex is unlabelled, labelled 'a', labelled 'at', or the left
+    end of an arc (lo, w); the inside of an arc carries no 'a' label and is
+    generated independently of the rest.  Each tuple comes out sorted.
+    ``memo`` holds the lists already built for other (lo, hi, p, q).
+    """
+    key = (lo, hi, p, q)
+    if key in memo:
+        return memo[key]
+    out = []
+    if lo == hi:
+        if p == q == 0:
+            out.append(((), (), ()))
+    elif p + q <= hi - lo:
+        out.extend(_reduced_labellings(lo + 1, hi, p, q, memo))
+        if p:
+            for arcs, a, at in _reduced_labellings(lo + 1, hi, p - 1, q, memo):
+                out.append((arcs, (lo,) + a, at))
+        if q:
+            for arcs, a, at in _reduced_labellings(lo + 1, hi, p, q - 1, memo):
+                out.append((arcs, a, (lo,) + at))
+            for w in range(lo + 1, hi):
+                for q_in in range(q):
+                    inside = _reduced_labellings(lo + 1, w, 0, q_in, memo)
+                    if not inside:
+                        continue
+                    rest = _reduced_labellings(w + 1, hi, p, q - 1 - q_in, memo)
+                    for arcs, a, at in rest:
+                        for in_arcs, _, in_at in inside:
+                            out.append((((lo, w),) + in_arcs + arcs, a, in_at + at))
+    memo[key] = out
+    return out
+
+
+def noncrossing_matchings(
+    n: int, k: int | None = None, *, bidegree: tuple[int, int] | None = None
+) -> list[LabelledMatching]:
+    """Noncrossing matchings with no nested 'a' label, sorted by ``sort_key``.
+
+    With ``bidegree=(i, j)`` only that component is generated: i - j 'a'
+    labels and j arcs plus 'at' labels, C(n,i)C(n,j) - C(n,i+1)C(n,j-1)
+    matchings (none when i < j).  Without it, the union over the bidegrees
+    of degree k, or over all bidegrees.
     """
     _check_rank(n)
     if k is not None and not 0 <= k <= 2 * n:
         raise ValueError(f"degree {k} out of range 0..{2 * n}")
-    out = []
-    for arcs in partial_matchings(n):
-        probe = LabelledMatching(n, arcs)
-        if crossings(probe):
-            continue
-        matched = {v for arc in arcs for v in arc}
-        covered = {
-            v
-            for i, j in arcs
-            for v in range(i + 1, j)
-            if v not in matched
-        }
-        free = [v for v in range(1, n + 1) if v not in matched]
-        for labels in itertools.product(("", "a", "at"), repeat=len(free)):
-            if any(l == "a" and v in covered for v, l in zip(free, labels)):
-                continue
-            m = LabelledMatching(
-                n,
-                arcs,
-                tuple(v for v, l in zip(free, labels) if l == "a"),
-                tuple(v for v, l in zip(free, labels) if l == "at"),
-            )
-            if k is None or m.degree == k:
-                out.append(m)
+    if bidegree is None:
+        degrees = [(i, j) for i in range(n + 1) for j in range(n + 1)]
+        if k is not None:
+            degrees = [(i, j) for i, j in degrees if i + j == k]
+    else:
+        i, j = bidegree
+        if not (0 <= i <= n and 0 <= j <= n):
+            raise ValueError(f"bidegree ({i}, {j}) out of range for n={n}")
+        if k is not None and k != i + j:
+            raise ValueError(f"degree {k} disagrees with bidegree ({i}, {j})")
+        degrees = [(i, j)]
+    memo: dict = {}
+    out = [
+        LabelledMatching(n, arcs, a, at)
+        for i, j in degrees
+        if i >= j
+        for arcs, a, at in _reduced_labellings(1, n + 1, i - j, j, memo)
+    ]
     out.sort(key=LabelledMatching.sort_key)
     return out
 
@@ -428,6 +475,7 @@ def matching_from_subsets(A: Iterable[int], B: Iterable[int], n: int) -> Labelle
     smallest b > a in B - A such that A and B have equally many elements
     strictly between a and b; elements that find no partner keep an 'a'
     label, with every surviving B element left of every surviving A element.
+    One left-to-right pass with a stack of open arcs finds every partner.
     """
     A, B = set(A), set(B)
     for v in A | B:
@@ -438,30 +486,24 @@ def matching_from_subsets(A: Iterable[int], B: Iterable[int], n: int) -> Labelle
             f"sizes |A|={len(A)}, |B|={len(B)} do not fit a degree "
             f"{len(A) + len(B)} index pair"
         )
-    left_candidates = sorted(A - B)
-    right_candidates = sorted(B - A)
-    taken: set[int] = set()
+    # A - B opens an arc, B - A closes the nearest open one, A & B is
+    # neutral: equally many A and B elements lie between the two ends.
     arcs = []
     alphas = []
-    for a in left_candidates:
-        partner = None
-        for b in right_candidates:
-            if b <= a:
-                continue
-            between = range(a + 1, b)
-            if sum(1 for x in between if x in A) == sum(1 for x in between if x in B):
-                partner = b
-                break
-        if partner is None:
-            alphas.append(a)
+    opened: list[int] = []
+    for v in sorted(A ^ B):
+        if v in A:
+            opened.append(v)
+        elif opened:
+            arcs.append((opened.pop(), v))
         else:
-            if partner in taken:
-                raise AssertionError(
-                    f"subset pair ({sorted(A)}, {sorted(B)}) produced a clash at {partner}"
-                )
-            taken.add(partner)
-            arcs.append((a, partner))
-    alphas.extend(b for b in right_candidates if b not in taken)
+            alphas.append(v)
+    alphas.extend(opened)
+    ends = [v for arc in arcs for v in arc]
+    if len(set(ends)) != len(ends):
+        raise AssertionError(
+            f"subset pair ({sorted(A)}, {sorted(B)}) produced a clash in {arcs}"
+        )
     m = LabelledMatching(n, tuple(arcs), tuple(alphas), tuple(sorted(A & B)))
     if crossings(m) or alpha_nestings(m):
         raise AssertionError(
@@ -669,8 +711,4 @@ def combination_to_json_text(comb: MatchingCombination) -> str:
 def format_combination(comb: MatchingCombination) -> str:
     if comb.is_zero():
         return "0"
-    lines = []
-    for m, c in comb.items():
-        coeff = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-        lines.append(f"{coeff} * [{m.literal()}]")
-    return "\n".join(lines)
+    return "\n".join(f"{c} * [{m.literal()}]" for m, c in comb.items())

@@ -1,6 +1,9 @@
 """End-to-end tests of the command line interface."""
 
+import hashlib
 import json
+
+import pytest
 
 from supertorus import cli
 from supertorus import exterior as ex
@@ -163,3 +166,110 @@ def test_missing_subcommand_usage_error(capsys):
 
 def test_bad_flag_usage_error(capsys):
     assert cli.main(["dims", "--bogus", "3"]) == 2
+
+
+# sha256 of stdout, captured before the bidegree-keyed basis, the direct
+# matching expansion and the lean element formatter replaced the old routes;
+# the bytes of every format must not move.
+GOLDEN_STDOUT = [
+    (
+        ("basis", "--n", "6", "--i", "3", "--j", "2", "--format", "text"),
+        "19bff6433f4eebc1c83cc3f1f42409b6aad75e7f3c28054311d351bfe45f959d",
+    ),
+    (
+        ("basis", "--n", "6", "--i", "3", "--j", "2", "--format", "json"),
+        "6333fa2aee88c27e07e88f0c5d164cb86941544612c1695df9b1332d1ca5998a",
+    ),
+    (
+        ("basis", "--n", "6", "--i", "3", "--j", "2", "--format", "csv"),
+        "7736db08c837bff540cb22f09633861d0ad5fce1927bacaf2f74f72d29280682",
+    ),
+    (
+        ("basis", "--n", "6", "--i", "3", "--j", "3", "--format", "text"),
+        "e376e9182c53349314c29c9e5522d2e80faf0cbf94a4819e59f1860ab6d962ae",
+    ),
+    (
+        ("basis", "--n", "6", "--i", "3", "--j", "3", "--format", "json"),
+        "74bac7c5bbf2b08c8e3eb3d262b25443a0ba33fd2ac006aa4187019d864d32e8",
+    ),
+    (
+        ("basis", "--n", "6", "--i", "3", "--j", "3", "--format", "csv"),
+        "f8f4734f8cbdde3520793ba739d12ad5e24b320f386a57a301bcfc6ba6eaa7b2",
+    ),
+    (
+        ("basis", "--n", "6", "--i", "0", "--j", "0", "--format", "text"),
+        "affd7d9619a6ddf1a28225ad3da204b07dfde1774d91c8afdcddad1468a8c7b3",
+    ),
+    (
+        ("basis", "--n", "6", "--i", "0", "--j", "0", "--format", "json"),
+        "6b81c8b0800afd2894dd8f19d6ab787070daacc3750841a1424be1c84fe55295",
+    ),
+    (
+        ("basis", "--n", "6", "--i", "0", "--j", "0", "--format", "csv"),
+        "abc3b9f435640db67a414de617cc827b890b51b005a96aebd1c01fd2737a2321",
+    ),
+    (
+        ("basis", "--n", "6", "--i", "2", "--j", "3", "--format", "text"),
+        "ba1f75a92ac9a0c91f2716059a65c95cc6f8640de9e958fe263b69b30e0d8735",
+    ),
+    (
+        ("basis", "--n", "6", "--i", "2", "--j", "3", "--format", "json"),
+        "6c0055ade7e702169e58d33f61eeb62ac55c279e426490bc933ea11891ff577b",
+    ),
+    (
+        ("basis", "--n", "6", "--i", "2", "--j", "3", "--format", "csv"),
+        "13a83d7300731495a74781c571c070a4d0295d68b58ec3d9ae8e5687b35e3550",
+    ),
+    (
+        ("bijection", "--n", "7", "--k", "7", "--format", "text"),
+        "d65de6d14479802c1f2507b8ce90483e58c185a18715a26d24af055953281ca0",
+    ),
+    (
+        ("bijection", "--n", "7", "--k", "7", "--format", "json"),
+        "81db1b7889717dd8fae6db860435d239a7c9acb1ae7036796173b53cddaefc4b",
+    ),
+    (
+        ("bijection", "--n", "7", "--k", "7", "--format", "csv"),
+        "d32971ad79ec9b6ee626b186a6b61bc91262fa4719b1fc24e7162ba8aac31057",
+    ),
+    (
+        ("reduce", "n=6; arcs=(1,4),(2,5),(3,6)", "--format", "text"),
+        "af5eaa0751d491715ff318360119ed68d6148472b975a08af5e1662a687aab46",
+    ),
+    (
+        ("reduce", "n=6; arcs=(1,4),(2,5),(3,6)", "--format", "json"),
+        "4fdc3636eb9b8df8dc0706d5871bbd72f3b77ecec7547cabb5517aae7d0192d7",
+    ),
+    (
+        ("reduce", "n=6; arcs=(1,4),(2,5),(3,6)", "--format", "csv"),
+        "e08cf54cf3ecf0a76d6bc02d7cd02d2798975b71c08f00966b8a391cc010a1f1",
+    ),
+    (
+        ("reduce", "n=7; arcs=(1,5),(3,7); a=2,4; at=6", "--format", "text"),
+        "cb20b31b22111584c3ea1e066195fef8be228680b286c89766aa51fe9a0cfb82",
+    ),
+    (
+        ("reduce", "n=7; arcs=(1,5),(3,7); a=2,4; at=6", "--format", "json"),
+        "5a4ee717b99e7bd5bfa3e42ee390bd03ad2f94f7e2ece98405a72a8f33c29e36",
+    ),
+    (
+        ("reduce", "n=7; arcs=(1,5),(3,7); a=2,4; at=6", "--format", "csv"),
+        "3e95df17eb423121c8ea2e278149aaa56797a0860a803dcfe30f646b789b0be6",
+    ),
+]
+
+
+def _golden_id(case):
+    argv = case[0]
+    if argv[0] == "reduce":
+        return f"reduce-{argv[1].split(';')[0]}-{argv[-1]}"
+    return "-".join(a for a in argv if not a.startswith("--"))
+
+
+@pytest.mark.parametrize(
+    "argv, digest", GOLDEN_STDOUT, ids=[_golden_id(c) for c in GOLDEN_STDOUT]
+)
+def test_golden_stdout(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -9,6 +9,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from supertorus import exterior as ex
 
@@ -422,3 +424,29 @@ def test_format_parse_round_trip():
         f = random_element(rng, 3, terms=5)
         assert ex.parse_element(ex.format_element(f), 3) == f
     assert ex.format_element(ex.Element.zero(2)) == "0"
+
+
+@st.composite
+def elements(draw):
+    """Random elements up to n = 6: rational coefficients of either sign,
+    the constant term among the masks, and the zero element when the drawn
+    terms are empty or cancel."""
+    n = draw(st.integers(0, 6))
+    coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+    terms = draw(st.lists(st.tuples(st.integers(0, (1 << (2 * n)) - 1), coeffs), max_size=6))
+    f = ex.Element.zero(n)
+    for mask, c in terms:
+        f = f + ex.Element(n, {mask: c})
+    return f
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(elements())
+@example(ex.Element.zero(0))
+@example(ex.Element.zero(3))
+@example(ex.Element(2, {0: Fraction(-3, 4)}))
+@example(ex.Element(3, {0: Fraction(5, 2), 0b100110: Fraction(-7, 3), 0b1: Fraction(-1)}))
+def test_format_parse_round_trip_property(f):
+    text = ex.format_element(f)
+    assert ex.parse_element(text, f.n) == f
+    assert (text == "0") == f.is_zero()

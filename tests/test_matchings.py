@@ -1,8 +1,10 @@
 """Tests for labelled matchings, skein rewriting, and the bijection."""
 
+import itertools
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -380,3 +382,187 @@ def test_combination_json():
         {"coeff": "-1", "matching": {"n": 4, "arcs": [[1, 2], [3, 4]], "alpha": [], "alphatheta": []}},
         {"coeff": "-1", "matching": {"n": 4, "arcs": [[1, 4], [2, 3]], "alpha": [], "alphatheta": []}},
     ]
+
+
+# ---------------------------------------------------------------------------
+# oracles: the routes that the bidegree-keyed enumeration, the direct
+# expansion, the lean formatter and the one-pass bijection replaced, kept
+# here so every fast path is checked bit for bit at small n
+
+def old_noncrossing_matchings(n):
+    """Filter every partial matching, then every labelling."""
+    out = []
+    for arcs in ma.partial_matchings(n):
+        if ma.crossings(ma.LabelledMatching(n, arcs)):
+            continue
+        matched = {v for arc in arcs for v in arc}
+        covered = {v for i, j in arcs for v in range(i + 1, j) if v not in matched}
+        free = [v for v in range(1, n + 1) if v not in matched]
+        for labels in itertools.product(("", "a", "at"), repeat=len(free)):
+            if any(l == "a" and v in covered for v, l in zip(free, labels)):
+                continue
+            out.append(
+                ma.LabelledMatching(
+                    n,
+                    arcs,
+                    tuple(v for v, l in zip(free, labels) if l == "a"),
+                    tuple(v for v, l in zip(free, labels) if l == "at"),
+                )
+            )
+    out.sort(key=ma.LabelledMatching.sort_key)
+    return out
+
+
+def old_matching_invariant(m):
+    """Multiply the factors out one Element product at a time."""
+    n = m.n
+    out = ex.generator_product(n, [ex.alpha(v) for v in m.alpha])
+    for v in m.alphatheta:
+        out = out * ex.generator_product(n, [ex.alpha(v), ex.theta(v)])
+    for i, j in m.arcs:
+        out = out * (
+            ex.generator_product(n, [ex.alpha(i), ex.theta(j)])
+            + ex.generator_product(n, [ex.alpha(j), ex.theta(i)])
+        )
+    return out
+
+
+def old_format_element(f):
+    """Format through Monomial and Generator objects."""
+    if f.is_zero():
+        return "0"
+    parts = []
+    for m, c in f.terms():
+        c_abs = abs(c)
+        body = (
+            str(c_abs.numerator)
+            if c_abs.denominator == 1
+            else f"{c_abs.numerator}/{c_abs.denominator}"
+        )
+        if m.mask:
+            body += "*" + " ".join(str(g) for g in m.generators())
+        if not parts:
+            parts.append(body if c > 0 else "-" + body)
+        else:
+            parts.append(("+ " if c > 0 else "- ") + body)
+    return " ".join(parts)
+
+
+def old_matching_from_subsets(A, B, n):
+    """Count the A and B elements between every candidate pair."""
+    A, B = set(A), set(B)
+    for v in A | B:
+        if not 1 <= v <= n:
+            raise ValueError(f"index {v} out of range 1..{n}")
+    if not (len(B) - 1 <= len(A) <= len(B)):
+        raise ValueError(
+            f"sizes |A|={len(A)}, |B|={len(B)} do not fit a degree "
+            f"{len(A) + len(B)} index pair"
+        )
+    right_candidates = sorted(B - A)
+    taken = set()
+    arcs, alphas = [], []
+    for a in sorted(A - B):
+        partner = None
+        for b in right_candidates:
+            if b <= a:
+                continue
+            between = range(a + 1, b)
+            if sum(1 for x in between if x in A) == sum(1 for x in between if x in B):
+                partner = b
+                break
+        if partner is None:
+            alphas.append(a)
+        else:
+            assert partner not in taken
+            taken.add(partner)
+            arcs.append((a, partner))
+    alphas.extend(b for b in right_candidates if b not in taken)
+    return ma.LabelledMatching(n, tuple(arcs), tuple(alphas), tuple(sorted(A & B)))
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_noncrossing_by_bidegree_matches_filter_oracle(n):
+    old = old_noncrossing_matchings(n)
+    for i in range(n + 1):
+        for j in range(n + 1):
+            expected = [m for m in old if m.bidegree == (i, j)]
+            assert ma.noncrossing_matchings(n, bidegree=(i, j)) == expected
+    assert ma.noncrossing_matchings(n) == old
+    for k in range(2 * n + 1):
+        assert ma.noncrossing_matchings(n, k) == [m for m in old if m.degree == k]
+
+
+def test_noncrossing_by_bidegree_closed_form():
+    def formula(n, i, j):
+        below = math.comb(n, i + 1) * math.comb(n, j - 1) if j else 0
+        return math.comb(n, i) * math.comb(n, j) - below
+
+    for n in range(0, 9):
+        for i in range(n + 1):
+            for j in range(n + 1):
+                size = len(ma.noncrossing_matchings(n, bidegree=(i, j)))
+                assert size == (formula(n, i, j) if i >= j else 0)
+    assert len(ma.noncrossing_matchings(10, bidegree=(5, 5))) == formula(10, 5, 5) == 19404
+
+
+def test_noncrossing_by_bidegree_edges():
+    assert ma.noncrossing_matchings(6, bidegree=(2, 3)) == []
+    assert ma.noncrossing_matchings(0, bidegree=(0, 0)) == [ma.LabelledMatching(0)]
+    assert ma.noncrossing_matchings(0) == [ma.LabelledMatching(0)]
+    assert ma.noncrossing_matchings(4, 5, bidegree=(3, 2)) == ma.noncrossing_matchings(
+        4, bidegree=(3, 2)
+    )
+    for bad in ((5, 0), (0, 5), (-1, 0), (2, -1)):
+        with pytest.raises(ValueError):
+            ma.noncrossing_matchings(4, bidegree=bad)
+    with pytest.raises(ValueError):
+        ma.noncrossing_matchings(4, 4, bidegree=(3, 2))
+    with pytest.raises(ValueError):
+        ma.noncrossing_matchings(4, 9)
+
+
+def _expansion_pool():
+    for n in range(0, 6):
+        yield from ma.labelled_matchings(n)
+    yield from ma.noncrossing_matchings(6)
+
+
+def test_matching_invariant_and_format_match_oracles():
+    pool = list(_expansion_pool())
+    assert any(ma.crossings(m) for m in pool)
+    assert any(ma.alpha_nestings(m) for m in pool)
+    for m in pool:
+        f = ma.matching_invariant(m)
+        expected = old_matching_invariant(m)
+        assert f == expected
+        assert f.n == expected.n and len(f) == 2 ** len(m.arcs)
+        assert ex.format_element(f) == old_format_element(expected)
+
+
+def test_format_element_matches_oracle_on_rationals():
+    rng = random.Random(29)
+    for n in range(0, 5):
+        for _ in range(30):
+            terms = {
+                rng.randrange(1 << (2 * n)): Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                for _ in range(rng.randint(0, 6))
+            }
+            f = ex.Element(n, terms)
+            assert ex.format_element(f) == old_format_element(f)
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_matching_from_subsets_matches_quadratic_oracle(n):
+    subsets = [
+        s for r in range(n + 1) for s in itertools.combinations(range(1, n + 1), r)
+    ]
+    for A in subsets:
+        for B in subsets:
+            try:
+                expected = old_matching_from_subsets(A, B, n)
+            except ValueError as err:
+                with pytest.raises(ValueError, match=re.escape(str(err))):
+                    ma.matching_from_subsets(A, B, n)
+                continue
+            assert ma.matching_from_subsets(A, B, n) == expected
