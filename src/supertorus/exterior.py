@@ -394,16 +394,6 @@ def generator_product(n: int, gens: Iterable[Generator]) -> Element:
     return Element(n, {mask: Fraction(sign)})
 
 
-def _standard_derivative_sign(preceding: int, gen: Generator) -> int:
-    # sign for removing a generator preceded by `preceding` factors
-    return -1 if preceding & 1 else 1
-
-
-# Seam for the fault-injection checks in the verification suite; the standard
-# rule ignores the generator kind.
-_DERIVATIVE_SIGN = _standard_derivative_sign
-
-
 def derivative(f: Element, g: Generator) -> Element:
     """Fermionic partial derivative with respect to the generator g."""
     if not 1 <= g.index <= f.n:
@@ -413,8 +403,8 @@ def derivative(f: Element, g: Generator) -> Element:
     for mask, c in f._terms.items():
         if not mask & bit:
             continue
-        preceding = (mask & (bit - 1)).bit_count()
-        sign = _DERIVATIVE_SIGN(preceding, g)
+        # removing g from behind an odd number of factors changes the sign
+        sign = -1 if (mask & (bit - 1)).bit_count() & 1 else 1
         new = mask ^ bit
         acc[new] = acc.get(new, Fraction(0)) + sign * c
     return Element._make(f.n, acc)
@@ -572,10 +562,6 @@ def pairing(f: Element, g: Element) -> Fraction:
         if cg:
             total += c * cg * _merge_sign(mask, comp)
     return total
-
-
-def bidegree_component(f: Element, d: tuple[int, int]) -> Element:
-    return f.bidegree_component(d)
 
 
 def all_monomials(n: int) -> Iterator[Monomial]:

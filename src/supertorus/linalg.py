@@ -293,10 +293,11 @@ def _bareiss_rank(int_rows: list[list[int]]) -> int:
     return rank
 
 
-def _modp_rank(int_rows: list[list[int]], p: int = _CERT_PRIME) -> int:
-    """Rank modulo p; always a lower bound for the rank over Q."""
+def _modp_rank(int_rows: list[list[int]]) -> int:
+    """Rank modulo the prime p; always a lower bound for the rank over Q."""
     if not int_rows or not int_rows[0]:
         return 0
+    p = _CERT_PRIME
     a = np.array([[x % p for x in row] for row in int_rows], dtype=np.int64)
     nrows, ncols = a.shape
     rank = 0

@@ -557,14 +557,14 @@ class PresentationReport:
         return not self.violations
 
 
-def verify_presentation(n: int, lemma_rank: int | None = None) -> PresentationReport:
+def verify_presentation(n: int) -> PresentationReport:
     """Check the quadratic relations among the basic invariants, and both
     rewriting rules as expanded identities over all applicable patterns.
 
     The displayed relations run over all index pairs i < j <= n.  The rule
-    sweeps run over every labelled matching of size ``lemma_rank`` (default:
-    min(n, 5), keeping the sweep affordable).  One displayed relation appears
-    twice in the source presentation; it is checked once here.
+    sweeps run over every labelled matching of size min(n, 5), keeping the
+    sweep affordable.  One displayed relation appears twice in the source
+    presentation; it is checked once here.
     """
     report = PresentationReport(n)
     for i in range(1, n + 1):
@@ -592,9 +592,7 @@ def verify_presentation(n: int, lemma_rank: int | None = None) -> PresentationRe
             a_i * cross == -(a_j * at_i),
             f"a_{i}(a_{i} t_{j} + a_{j} t_{i}) = -a_{j} (a_{i} t_{i})",
         )
-    if lemma_rank is None:
-        lemma_rank = min(n, 5)
-    for m in labelled_matchings(lemma_rank):
+    for m in labelled_matchings(min(n, 5)):
         for quad in crossing_quadruples(m):
             combo = skein_uncross(m, quad)
             report.record(

@@ -1,14 +1,30 @@
 """Named invariant checks and the CLI verification suites.
 
 Each check replays one structural fact as an exact computation; a suite is a
-list of named checks.  Sweeps over whole components of E_n scale with the
-``n_max`` argument, while the cheap counting checks run at their natural
-caps (8 for matching counts, 12 for Boolean incidence) regardless.
+list of named checks, and the acceptance tests call the same functions.
+Every check takes ``n_max`` and covers these ranks n:
+
+* 0..min(6, n_max): translate equals exp, rank profile, dimension formulas;
+  1..min(6, n_max): complementary bijection, matching invariants.
+* 1..min(5, n_max): fixed points, bidegree shifts, sl2, equivariance,
+  adjointness, sign-free bases, iterated raising blocks, duality gram,
+  lefschetz, noncrossing independence, the census's brute-force diagonal.
+* 1..min(4, n_max): characters, normal form; 0..min(4, n_max): invariant
+  bases fixed.
+* 0..min(3, n_max): product laws exhaustively, with random associativity
+  at min(6, n_max) if n_max >= 4, else at n_max.
+* 1..min(8, max(n_max, 4)): noncrossing counts, bijection round trip, the
+  census's closed forms; duality dimensions from 0.
+* Relations up to min(6, max(2, n_max)) for presentation, its rule sweeps
+  at min(that, 5).
+* Regardless of n_max: Boolean incidence n = 1..12; random matrices of at
+  most 6 rows and columns for the rank and kernel checks.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import defaultdict
 from dataclasses import dataclass
@@ -28,14 +44,12 @@ class CheckResult:
     detail: str = ""
 
 
-def random_element(
-    rng: random.Random, n: int, terms: int = 4, coeff_bound: int = 4
-) -> ex.Element:
+def random_element(rng: random.Random, n: int, terms: int = 4) -> ex.Element:
     """A seeded random element with small rational coefficients."""
     acc = {}
     for _ in range(terms):
         mask = rng.getrandbits(2 * n) if n else 0
-        num = rng.randint(-coeff_bound, coeff_bound)
+        num = rng.randint(-4, 4)
         den = rng.randint(1, 3)
         if num:
             acc[mask] = acc.get(mask, Fraction(0)) + Fraction(num, den)
@@ -228,7 +242,8 @@ def check_kernel_exact(n_max: int, rng: random.Random) -> bool:
 def check_boolean_invertible(n_max: int, rng: random.Random) -> bool:
     for n in range(1, 13):
         for i in range(0, n // 2 + 1):
-            if not la.boolean_incidence(n, i, n - i).is_invertible():
+            m = la.boolean_incidence(n, i, n - i)
+            if not m.nrows == m.ncols == math.comb(n, i) or not m.is_invertible():
                 return False
     return True
 
@@ -237,70 +252,37 @@ def check_iterated_raising_blocks(n_max: int, rng: random.Random) -> bool:
     """The iterated raising matrix between complementary bidegrees splits,
     after grouping source pairs by union and intersection, into factorial
     multiples of transposed Boolean incidence blocks."""
-    import math
-
+    blocks = {}  # (d0, i0, j0) -> incidence block, its row and column subsets
     for n in range(1, min(5, n_max) + 1):
         for j in range(n + 1):
             for i in range(j + 1):
-                r = j - i
-                source = [
-                    (A, B)
-                    for A in la.subsets_lex(n, i)
-                    for B in la.subsets_lex(n, j)
-                ]
-                columns = {}
-                for A, B in source:
+                for A, B in itertools.product(la.subsets_lex(n, i), la.subsets_lex(n, j)):
                     f = ex.Element.from_monomial(ex.subset_monomial(A, B, n))
-                    for _ in range(r):
+                    for _ in range(j - i):
                         f = ex.raising(f)
-                    columns[(A, B)] = f
-                # verify entries block by block and that nothing leaks
-                for (A, B), f in columns.items():
                     D, I = set(A) | set(B), set(A) & set(B)
-                    for mono, coeff in f.terms():
-                        A2 = frozenset(
-                            g.index for g in mono.generators() if g.kind == "alpha"
-                        )
-                        B2 = frozenset(
-                            g.index for g in mono.generators() if g.kind == "theta"
-                        )
-                        if set(A2) | set(B2) != D or set(A2) & set(B2) != I:
-                            return False
-                        if coeff != math.factorial(r):
-                            return False
-                        if not set(A) <= set(A2):
-                            return False
-                # compare one block per (D, I) class against the incidence matrix
-                classes = defaultdict(list)
-                for A, B in source:
-                    D = frozenset(set(A) | set(B))
-                    I = frozenset(set(A) & set(B))
-                    classes[(D, I)].append((A, B))
-                for (D, I), pairs in classes.items():
                     free = sorted(D - I)
-                    d0 = len(free)
                     relabel = {v: k + 1 for k, v in enumerate(free)}
-                    inc = la.boolean_incidence(d0, i - len(I), j - len(I))
-                    rows_idx = {
-                        S: k for k, S in enumerate(la.subsets_lex(d0, i - len(I)))
-                    }
-                    cols_idx = {
-                        T: k for k, T in enumerate(la.subsets_lex(d0, j - len(I)))
-                    }
-                    for A, B in pairs:
-                        a0 = tuple(sorted(relabel[v] for v in set(A) - I))
-                        f = columns[(A, B)]
-                        seen = set()
-                        for mono, coeff in f.terms():
-                            A2 = frozenset(
-                                g.index for g in mono.generators() if g.kind == "alpha"
-                            )
-                            t0 = tuple(sorted(relabel[v] for v in A2 - I))
-                            seen.add(t0)
-                        for T, kcol in cols_idx.items():
-                            expected = inc[rows_idx[a0], kcol] != 0
-                            if (T in seen) != expected:
-                                return False
+                    seen = set()
+                    for mono, coeff in f.terms():
+                        A2 = {g.index for g in mono.generators() if g.kind == "alpha"}
+                        B2 = {g.index for g in mono.generators() if g.kind == "theta"}
+                        # nothing leaks out of the (D, I) class; every entry is r!
+                        if A2 | B2 != D or A2 & B2 != I or not set(A) <= A2:
+                            return False
+                        if coeff != math.factorial(j - i):
+                            return False
+                        seen.add(tuple(sorted(relabel[v] for v in A2 - I)))
+                    # the column is the row of A's free part in the incidence block
+                    d0, i0, j0 = key = (len(free), i - len(I), j - len(I))
+                    if key not in blocks:
+                        blocks[key] = (la.boolean_incidence(*key), la.subsets_lex(d0, i0),
+                                       la.subsets_lex(d0, j0))
+                    inc, rows, cols = blocks[key]
+                    row = rows.index(tuple(sorted(relabel[v] for v in set(A) - I)))
+                    for col, T in enumerate(cols):
+                        if (T in seen) != (inc[row, col] != 0):
+                            return False
     return True
 
 
@@ -385,7 +367,7 @@ def check_lefschetz(n_max: int, rng: random.Random) -> bool:
         for i in range(n + 1):
             for j in range(n + 1 - i):
                 m = co.lefschetz_matrix(n, i, j)
-                if m.nrows != m.ncols:
+                if not m.nrows == m.ncols == co.invariants_dimension(n, i, j):
                     return False
                 if m.nrows and not m.is_invertible():
                     return False
@@ -418,8 +400,6 @@ def check_invariant_bases_fixed(n_max: int, rng: random.Random) -> bool:
 
 
 def check_census(n_max: int, rng: random.Random) -> bool:
-    import math
-
     for n in range(1, min(8, max(n_max, 4)) + 1):
         census = co.diagonal_census(n)
         if census.diagonal_total != census.catalan:
@@ -455,8 +435,6 @@ def check_matching_invariants_translation(n_max: int, rng: random.Random) -> boo
 
 
 def check_nc_counts(n_max: int, rng: random.Random) -> bool:
-    import math
-
     for n in range(1, min(8, max(n_max, 4)) + 1):
         total = 0
         for k in range(0, 2 * n + 1):
@@ -478,39 +456,39 @@ def check_bijection_round_trip(n_max: int, rng: random.Random) -> bool:
     return True
 
 
-def check_normal_form(n_max: int, rng: random.Random) -> bool:
-    for n in range(1, min(4, n_max) + 1):
-        nc = ma.noncrossing_matchings(n)
-        by_d = defaultdict(list)
-        for m in nc:
-            by_d[m.bidegree].append(m)
-        bases = {}
-        for d, ms in by_d.items():
-            order = co.bidegree_monomials(n, d)
-            cols = [
-                co.element_coordinates(ma.matching_invariant(m), order) for m in ms
-            ]
-            bases[d] = (ms, order, la.Matrix.from_columns(cols, nrows=len(order)))
-        groups = defaultdict(list)
-        for m in ma.labelled_matchings(n):
-            groups[m.bidegree].append(m)
-        for d, ms in groups.items():
-            basis_ms, order, B = bases[d]
-            vecs = [
-                co.element_coordinates(ma.matching_invariant(m), order) for m in ms
-            ]
-            coords = B.solve_many(vecs)
-            for m, x in zip(ms, coords):
-                if x is None:
-                    return False
-                nf = ma.normal_form(m)
-                if nf.expand() != ma.matching_invariant(m):
-                    return False
-                if any(ma.crossings(t) or ma.alpha_nestings(t) for t in nf.support()):
-                    return False
-                if {bm: c for bm, c in zip(basis_ms, x) if c} != dict(nf.items()):
-                    return False
+def normal_form_matches_oracle(n: int) -> bool:
+    """Every labelled matching of size n: its normal form expands to its
+    invariant, is noncrossing without nested labels, and has the coordinates
+    that exact linear algebra finds over the noncrossing basis."""
+    by_d = defaultdict(list)
+    for m in ma.noncrossing_matchings(n):
+        by_d[m.bidegree].append(m)
+    bases = {}
+    for d, ms in by_d.items():
+        order = co.bidegree_monomials(n, d)
+        cols = [co.element_coordinates(ma.matching_invariant(m), order) for m in ms]
+        bases[d] = (ms, order, la.Matrix.from_columns(cols, nrows=len(order)))
+    groups = defaultdict(list)
+    for m in ma.labelled_matchings(n):
+        groups[m.bidegree].append(m)
+    for d, ms in groups.items():
+        basis_ms, order, B = bases[d]
+        vecs = [co.element_coordinates(ma.matching_invariant(m), order) for m in ms]
+        for m, x in zip(ms, B.solve_many(vecs)):
+            if x is None:
+                return False
+            nf = ma.normal_form(m)
+            if nf.expand() != ma.matching_invariant(m):
+                return False
+            if any(ma.crossings(t) or ma.alpha_nestings(t) for t in nf.support()):
+                return False
+            if {bm: c for bm, c in zip(basis_ms, x) if c} != dict(nf.items()):
+                return False
     return True
+
+
+def check_normal_form(n_max: int, rng: random.Random) -> bool:
+    return all(normal_form_matches_oracle(n) for n in range(1, min(4, n_max) + 1))
 
 
 def check_nc_independence(n_max: int, rng: random.Random) -> bool:
@@ -599,17 +577,19 @@ SUITES = {
 }
 
 
+def suite_names(suite: str) -> list[str]:
+    """The suites that ``suite`` names: one key of SUITES, or "all"."""
+    if suite == "all":
+        return list(SUITES)
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}; pick from {', '.join(SUITES)}, all")
+    return [suite]
+
+
 def run_suite(suite: str, n_max: int = 4, seed: int = 0) -> list[CheckResult]:
     """Run one named suite (or "all"); deterministic for a fixed seed."""
-    if suite == "all":
-        names = ["core", "linalg", "cohomology", "matchings"]
-    elif suite in SUITES:
-        names = [suite]
-    else:
-        raise ValueError(f"unknown suite {suite!r}; pick from core, linalg, "
-                         f"cohomology, matchings, all")
     results = []
-    for name in names:
+    for name in suite_names(suite):
         for check_name, fn in SUITES[name]:
             rng = random.Random(seed)
             try:

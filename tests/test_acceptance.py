@@ -2,168 +2,74 @@
 
 One test per acceptance item, every assertion an exact rational equality
 (tolerance zero).  Each test prints a single PASS line on success; run with
-``pytest -s tests/test_acceptance.py`` to see them.
+``pytest -s tests/test_acceptance.py`` to see them.  Most items run a check
+from ``supertorus.verify`` at a fixed ``n_max``, so the checklist and
+``supertorus verify`` share one implementation of each theorem.
 """
 
-import math
 import random
-from collections import defaultdict
-from fractions import Fraction
-
-import pytest
 
 from supertorus import cohomology as co
 from supertorus import exterior as ex
-from supertorus import linalg as la
 from supertorus import matchings as ma
-from supertorus.verify import random_element
+from supertorus import verify as vf
 
 
 def report(name):
     print(f"ACCEPTANCE PASS  {name}")
 
 
-@pytest.fixture(scope="module")
-def invariant_bases():
-    """All invariant bases for n <= 5, computed once."""
-    cache = {}
-    for n in range(1, 6):
-        for i in range(n + 1):
-            for j in range(i + 1):
-                cache[(n, i, j)] = co.invariants_basis(n, (i, j))
-    return cache
-
-
-def sample_invariant(rng, cache, n):
-    out = ex.Element.zero(n)
-    for _ in range(3):
-        i = rng.randint(0, n)
-        j = rng.randint(0, i)
-        basis = cache[(n, i, j)]
-        if len(basis) == 0:
-            continue
-        v = basis[rng.randrange(len(basis))]
-        out = out + v.scale(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
-    return out
+def holds(check, n_max):
+    """Run one ``verify`` check; none of the checks run here draws from the rng."""
+    return check(n_max, random.Random(0))
 
 
 def test_01_translate_equals_exponential():
-    for n in range(0, 7):
-        for m in ex.all_monomials(n):
-            f = ex.Element.from_monomial(m)
-            assert ex.translate(f) == ex.exp_raising(f), (n, str(m))
+    assert holds(vf.check_translate_is_exp, 6)
     report("01 translation operator equals the exponential of raising, n = 0..6")
 
 
-def test_02_fixed_point_criterion(invariant_bases):
+def test_02_fixed_point_criterion():
     rng = random.Random(20)
     for n in range(1, 6):
         for _ in range(100):
-            f = sample_invariant(rng, invariant_bases, n)
+            f = vf.random_invariant(rng, n)
             assert ex.raising(f).is_zero()
             assert ex.translate(f) == f
         for _ in range(100):
-            g = random_element(rng, n, terms=5)
+            g = vf.random_element(rng, n, terms=5)
             assert ex.raising(g).is_zero() == (ex.translate(g) == g)
     report("02 raising kernel coincides with translation fixed points, 200 seeded "
            "elements per n = 1..5")
 
 
 def test_03_dimension_tables_brute_force():
-    for n in range(0, 7):
-        for i in range(n + 1):
-            for j in range(n + 1):
-                out_of = co.raising_matrix(n, (i, j))
-                kernel_dim = out_of.ncols - out_of.rank()
-                assert kernel_dim == co.invariants_dimension(n, i, j), (n, i, j)
-                into = co.raising_matrix(n, (i - 1, j + 1))
-                dim = len(co.bidegree_monomials(n, (i, j)))
-                cokernel_dim = dim - into.rank()
-                assert cokernel_dim == co.coinvariants_dimension(n, i, j), (n, i, j)
+    assert holds(vf.check_dimension_formulas, 6)
     report("03 kernel and cokernel dimensions match the closed forms, all bidegrees, "
            "n = 0..6")
 
 
 def test_04_narayana_catalan():
-    for n in range(1, 9):
-        census = co.diagonal_census(n)
-        assert census.diagonal == tuple(co.narayana(n + 1, i + 1) for i in range(n + 1))
-        assert census.diagonal_total == co.catalan(n + 1)
-        assert census.total == math.comb(2 * n + 1, n)
-    for n in range(1, 6):
-        diagonal = []
-        total = 0
-        for i in range(n + 1):
-            for j in range(n + 1):
-                m = co.raising_matrix(n, (i, j))
-                dim = m.ncols - m.rank()
-                total += dim
-                if i == j:
-                    diagonal.append(dim)
-        assert tuple(diagonal) == co.diagonal_census(n).diagonal
-        assert sum(diagonal) == co.catalan(n + 1)
-        assert total == math.comb(2 * n + 1, n)
+    # the brute-force total over all bidegrees follows from item 03's
+    # per-bidegree ranks and the census's closed-form total checked here
+    assert holds(vf.check_census, 8)
     report("04 diagonal dimensions are Narayana with Catalan total (n = 1..8 closed "
            "form, n = 1..5 brute force); total invariants match the central binomial")
 
 
 def test_05_boolean_incidence_and_blocks():
-    for n in range(1, 13):
-        for i in range(0, n // 2 + 1):
-            m = la.boolean_incidence(n, i, n - i)
-            assert m.nrows == m.ncols == math.comb(n, i)
-            assert m.is_invertible(), (n, i)
-    # iterated raising between complementary bidegrees decomposes into
-    # factorial multiples of incidence blocks over (union, intersection) classes
-    for n in range(1, 6):
-        for j in range(n + 1):
-            for i in range(j + 1):
-                r = j - i
-                scale = math.factorial(r)
-                source = [
-                    (A, B)
-                    for A in la.subsets_lex(n, i)
-                    for B in la.subsets_lex(n, j)
-                ]
-                for A, B in source:
-                    f = ex.Element.from_monomial(ex.subset_monomial(A, B, n))
-                    for _ in range(r):
-                        f = ex.raising(f)
-                    d_class = set(A) | set(B)
-                    i_class = set(A) & set(B)
-                    free = sorted(d_class - i_class)
-                    relabel = {v: k + 1 for k, v in enumerate(free)}
-                    d0 = len(free)
-                    inc = la.boolean_incidence(d0, i - len(i_class), j - len(i_class))
-                    row_of = {S: k for k, S in enumerate(la.subsets_lex(d0, i - len(i_class)))}
-                    col_of = {T: k for k, T in enumerate(la.subsets_lex(d0, j - len(i_class)))}
-                    a0 = tuple(sorted(relabel[v] for v in set(A) - i_class))
-                    hit = set()
-                    for mono, coeff in f.terms():
-                        A2 = {g.index for g in mono.generators() if g.kind == "alpha"}
-                        B2 = {g.index for g in mono.generators() if g.kind == "theta"}
-                        # support classes are preserved and every entry is r!
-                        assert A2 | B2 == d_class and A2 & B2 == i_class, (n, A, B)
-                        assert coeff == scale, (n, A, B)
-                        hit.add(tuple(sorted(relabel[v] for v in A2 - i_class)))
-                    for T, kcol in col_of.items():
-                        assert (T in hit) == bool(inc[row_of[a0], kcol]), (n, A, B, T)
+    assert holds(vf.check_boolean_invertible, 12)
+    assert holds(vf.check_iterated_raising_blocks, 5)
     report("05 Boolean incidence invertible for complementary ranks, n = 1..12; "
            "iterated raising is factorial times incidence blocks, n = 1..5")
 
 
 def test_06_lefschetz_isomorphism():
-    for n in range(1, 6):
-        for i in range(n + 1):
-            for j in range(n + 1 - i):
-                m = co.lefschetz_matrix(n, i, j)
-                assert m.nrows == m.ncols == co.invariants_dimension(n, i, j)
-                if m.nrows:
-                    assert m.is_invertible(), (n, i, j)
+    assert holds(vf.check_lefschetz, 5)
     report("06 Lefschetz powers give square invertible maps for i + j <= n, n = 1..5")
 
 
-def test_07_duality_pairing(invariant_bases):
+def test_07_duality_pairing():
     rng = random.Random(21)
     for n in range(1, 6):
         for i in range(n + 1):
@@ -174,98 +80,34 @@ def test_07_duality_pairing(invariant_bases):
                 assert g.nrows == g.ncols == co.invariants_dimension(n, i, j)
                 assert g.is_invertible(), (n, i, j)
         for _ in range(100):
-            u = sample_invariant(rng, invariant_bases, n)
-            v = random_element(rng, n, terms=5)
+            u = vf.random_invariant(rng, n)
+            v = vf.random_element(rng, n, terms=5)
             assert ex.pairing(u, ex.raising(v)) == 0
     report("07 duality Gram matrices invertible for every nonzero bidegree, n = 1..5; "
            "kernel pairs to zero against the raising image, 100 seeded pairs per n")
 
 
 def test_08_sl2_identities():
-    for n in range(1, 6):
-        for m in ex.all_monomials(n):
-            f = ex.Element.from_monomial(m)
-            up, down = ex.raising(f), ex.lowering(f)
-            assert ex.raising(down) - ex.lowering(up) == ex.weight(f), (n, str(m))
-            assert ex.weight(up) - ex.raising(ex.weight(f)) == up.scale(2), (n, str(m))
-            assert ex.weight(down) - ex.lowering(ex.weight(f)) == down.scale(-2), (n, str(m))
+    assert holds(vf.check_sl2_relations, 5)
     report("08 sl2 commutation relations hold on every monomial, n = 1..5")
 
 
-def test_09_characters_match_traces(invariant_bases):
-    for n in range(1, 5):
-        for i in range(n + 1):
-            for j in range(i + 1):
-                basis = invariant_bases[(n, i, j)]
-                if len(basis) == 0:
-                    continue
-                mat = basis.matrix()
-                order = basis.monomial_order()
-                for w in co.symmetric_group(n):
-                    images = [
-                        co.element_coordinates(ex.permute(w, v), order) for v in basis
-                    ]
-                    coords = mat.solve_many(images)
-                    trace = Fraction(0)
-                    for k, x in enumerate(coords):
-                        assert x is not None, (n, i, j, w.images)
-                        trace += x[k]
-                    assert trace.denominator == 1
-                    assert trace == co.invariants_character(n, i, j, w.cycle_type())
+def test_09_characters_match_traces():
+    assert holds(vf.check_characters, 4)
     report("09 characters equal the trace oracle for every permutation and nonzero "
            "bidegree, n = 1..4")
 
 
 def test_10_skein_normal_form_oracle():
     for n in range(1, 6):
-        nc = ma.noncrossing_matchings(n)
-        grouped_nc = defaultdict(list)
-        for m in nc:
-            grouped_nc[m.bidegree].append(m)
-        bases = {}
-        for d, ms in grouped_nc.items():
-            order = co.bidegree_monomials(n, d)
-            cols = [
-                co.element_coordinates(ma.matching_invariant(m), order) for m in ms
-            ]
-            bases[d] = (ms, order, la.Matrix.from_columns(cols, nrows=len(order)))
-        groups = defaultdict(list)
-        for m in ma.labelled_matchings(n):
-            groups[m.bidegree].append(m)
-        for d, ms in groups.items():
-            basis_ms, order, B = bases[d]
-            vecs = [
-                co.element_coordinates(ma.matching_invariant(m), order) for m in ms
-            ]
-            coords = B.solve_many(vecs)
-            for m, x in zip(ms, coords):
-                assert x is not None, m
-                combo = ma.normal_form(m)
-                assert combo.expand() == ma.matching_invariant(m), m
-                for t in combo.support():
-                    assert ma.crossings(t) == 0 and ma.alpha_nestings(t) == 0, m
-                assert {bm: c for bm, c in zip(basis_ms, x) if c} == dict(combo.items()), m
+        assert vf.normal_form_matches_oracle(n), n
     report("10 skein normal form is expansion preserving and matches the exact "
            "linear-algebra coordinates over the full index set, n = 1..5")
 
 
 def test_11_bijection_and_counts():
-    for n in range(1, 9):
-        all_nc = ma.noncrossing_matchings(n)
-        by_degree = defaultdict(list)
-        for m in all_nc:
-            by_degree[m.degree].append(m)
-        for k in range(0, 2 * n + 1):
-            assert len(by_degree.get(k, [])) == math.comb(n, k // 2) * math.comb(
-                n, (k + 1) // 2
-            ), (n, k)
-        assert len(all_nc) == math.comb(2 * n + 1, n)
-        seen = set()
-        for m in all_nc:
-            pair = ma.subsets_from_matching(m)
-            assert ma.matching_from_subsets(pair.A, pair.B, n) == m, m
-            seen.add(pair)
-        assert len(seen) == len(all_nc)
+    assert holds(vf.check_nc_counts, 8)
+    assert holds(vf.check_bijection_round_trip, 8)
     m = ma.matching_from_subsets({1, 2, 4, 5}, {3, 4, 6, 7, 8}, 8)
     assert m.arcs == ((1, 7), (2, 3), (5, 6))
     assert m.alphatheta == (4,) and m.alpha == (8,)
@@ -276,31 +118,26 @@ def test_11_bijection_and_counts():
 
 
 def test_12_presentation_relations():
-    report_obj = ma.verify_presentation(6)
-    assert report_obj.ok, report_obj.violations
+    assert holds(vf.check_presentation, 6)
     report("12 presentation relations hold identically for all index pairs up to 6")
 
 
-def test_13_negative_control(monkeypatch):
-    def flipped(preceding, gen):
-        sign = -1 if preceding & 1 else 1
-        return -sign if gen.kind == "theta" else sign
-
-    monkeypatch.setattr(ex, "_DERIVATIVE_SIGN", flipped)
-    exp_broken = False
-    for n in range(0, 3):
-        for m in ex.all_monomials(n):
-            f = ex.Element.from_monomial(m)
-            if ex.translate(f) != ex.exp_raising(f):
-                exp_broken = True
-                break
-    sl2_broken = False
-    for n in (1, 2):
-        for m in ex.all_monomials(n):
-            f = ex.Element.from_monomial(m)
-            if ex.raising(ex.lowering(f)) - ex.lowering(ex.raising(f)) != ex.weight(f):
-                sl2_broken = True
-                break
-    assert exp_broken, "fault injection left the exponential identity intact"
-    assert sl2_broken, "fault injection left the sl2 identity intact"
+def test_13_negative_control(flipped_theta_derivative):
+    assert not holds(vf.check_translate_is_exp, 2), (
+        "fault injection left the exponential identity intact")
+    assert not holds(vf.check_sl2_relations, 2), (
+        "fault injection left the sl2 identity intact")
     report("13 a flipped derivative sign is caught by the exponential and sl2 checks")
+
+
+def test_14_negative_control_label_slide(monkeypatch):
+    slide = ma.skein_move_alpha
+    monkeypatch.setattr(ma, "skein_move_alpha",
+                        lambda m, arc, vertex: slide(m, arc, vertex).scale(-1))
+    # an empty cache, so that normal forms computed earlier cannot hide the fault
+    monkeypatch.setattr(ma, "_normal_form_cache", {})
+    assert not holds(vf.check_normal_form, 3), (
+        "fault injection left the normal form intact")
+    assert not holds(vf.check_presentation, 3), (
+        "fault injection left the presentation intact")
+    report("14 a negated label slide is caught by the normal-form and presentation checks")

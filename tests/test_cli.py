@@ -6,7 +6,6 @@ import json
 import pytest
 
 from supertorus import cli
-from supertorus import exterior as ex
 
 
 def run(capsys, *argv):
@@ -132,13 +131,8 @@ def test_verify_guard(capsys):
     assert "guard" in err
 
 
-def test_verify_fault_injection_fails(capsys, monkeypatch):
+def test_verify_fault_injection_fails(capsys, flipped_theta_derivative):
     # a broken theta-derivative sign must fail the core suite
-    def flipped(preceding, gen):
-        sign = -1 if preceding & 1 else 1
-        return -sign if gen.kind == "theta" else sign
-
-    monkeypatch.setattr(ex, "_DERIVATIVE_SIGN", flipped)
     code, out, _ = run(capsys, "verify", "--suite", "core", "--n-max", "2", "--seed", "1")
     assert code == 1
     assert "FAIL" in out
@@ -169,8 +163,10 @@ def test_bad_flag_usage_error(capsys):
 
 
 # sha256 of stdout, captured before the bidegree-keyed basis, the direct
-# matching expansion and the lean element formatter replaced the old routes;
-# the bytes of every format must not move.
+# matching expansion and the lean element formatter replaced the old routes
+# (basis, bijection, reduce), and before the acceptance tests were moved onto
+# the verify registry (dims, character, verify); the bytes of every format
+# must not move.
 GOLDEN_STDOUT = [
     (
         ("basis", "--n", "6", "--i", "3", "--j", "2", "--format", "text"),
@@ -255,6 +251,42 @@ GOLDEN_STDOUT = [
     (
         ("reduce", "n=7; arcs=(1,5),(3,7); a=2,4; at=6", "--format", "csv"),
         "3e95df17eb423121c8ea2e278149aaa56797a0860a803dcfe30f646b789b0be6",
+    ),
+    (
+        ("dims", "--n", "3", "--format", "text"),
+        "82a1db5de6766422de6f3cc941c6441ab51aaadc30d3afeab1f6282d1ee4ee30",
+    ),
+    (
+        ("dims", "--n", "3", "--format", "json"),
+        "47aa29be97294088fc2f15be09d7e030c11075882ae8e78c25ce147270e473ff",
+    ),
+    (
+        ("dims", "--n", "3", "--format", "csv"),
+        "fb6bd24fbfb896436f1765567244f09fcdffa2b7d6e55655a0f432784f7a64c2",
+    ),
+    (
+        ("character", "--n", "4", "--i", "2", "--j", "1", "--format", "text"),
+        "c3a25fc4ebe0089658a6b2e4d89c80c92e9666180d01c942f713c2eb67003546",
+    ),
+    (
+        ("character", "--n", "4", "--i", "2", "--j", "1", "--format", "json"),
+        "33505e09578072f4bb55c73500c710909c420a288d46f77dc738c9fbb5ac3299",
+    ),
+    (
+        ("character", "--n", "4", "--i", "2", "--j", "1", "--format", "csv"),
+        "1696e62e4cabfb41c69b0aa4cb332784f928f9659491db43bc802215374df17d",
+    ),
+    (
+        ("verify", "--suite", "matchings", "--n-max", "2", "--seed", "5", "--format", "text"),
+        "2fada796f25b2c6eba56722151aea2a0877f367b5dbd97b5a280368d3822f814",
+    ),
+    (
+        ("verify", "--suite", "matchings", "--n-max", "2", "--seed", "5", "--format", "json"),
+        "a4b1985ce8c55f939f734de52b1c8c9f33f15c7244289af595eb2a2260144d45",
+    ),
+    (
+        ("verify", "--suite", "matchings", "--n-max", "2", "--seed", "5", "--format", "csv"),
+        "b6db55570e593efc7880b42bf66fee7978040441fbfd2ef27488ceaaf2cda7d2",
     ),
 ]
 
