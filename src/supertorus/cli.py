@@ -5,7 +5,8 @@ skein reduction of a matching literal, the subset-pair bijection, and the
 verification suites.  Every output is byte deterministic for a fixed command
 line; rationals print exactly, never as floats.
 
-Exit codes: 0 success, 1 invariant violation, 2 usage or parse error.
+Exit codes: 0 success, 1 invariant violation, 2 usage or parse error, 3
+internal error (a defect of the program, reported on one stderr line).
 """
 
 from __future__ import annotations
@@ -223,7 +224,10 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    vf.suite_names(args.suite)  # an unknown name is refused before the guard
+    try:
+        vf.suite_names(args.suite)  # an unknown name is refused before the guard
+    except ValueError as err:
+        raise UsageError(err) from None
     _guard_rank(args.n_max, SUITE_RANK_GUARD)
     results = vf.run_suite(args.suite, n_max=args.n_max, seed=args.seed)
     failed = [r for r in results if not r.passed]
@@ -323,9 +327,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (UsageError, ValueError) as err:
+    except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except Exception as err:
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -27,19 +27,8 @@ from typing import Iterable, Iterator, NamedTuple
 
 Rational = Fraction | int
 
-_max_rank = 14
-
-
-def get_max_rank() -> int:
-    return _max_rank
-
-
-def set_max_rank(n: int) -> None:
-    """Raise the guard on the rank parameter (memory grows like 4**n)."""
-    global _max_rank
-    if n < 0:
-        raise ValueError("max rank must be nonnegative")
-    _max_rank = n
+# Largest rank n accepted; the algebra has 4**n monomials.
+MAX_RANK = 14
 
 
 def _check_rank(n: int) -> None:
@@ -47,10 +36,8 @@ def _check_rank(n: int) -> None:
         raise TypeError(f"rank must be an integer, got {n!r}")
     if n < 0:
         raise ValueError(f"rank must be nonnegative, got {n}")
-    if n > _max_rank:
-        raise ValueError(
-            f"rank {n} exceeds the guard {_max_rank}; call set_max_rank first"
-        )
+    if n > MAX_RANK:
+        raise ValueError(f"rank {n} exceeds the guard {MAX_RANK}")
 
 
 class Generator(NamedTuple):
@@ -100,12 +87,6 @@ class Permutation:
     @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(range(1, n + 1))
-
-    @classmethod
-    def transposition(cls, n: int, a: int, b: int) -> "Permutation":
-        images = list(range(1, n + 1))
-        images[a - 1], images[b - 1] = b, a
-        return cls(images)
 
     @property
     def n(self) -> int:
@@ -176,9 +157,6 @@ class Monomial:
     def bidegree(self) -> Bidegree:
         alpha_bits = self.mask & _alpha_mask(self.n)
         return Bidegree(alpha_bits.bit_count(), self.degree - alpha_bits.bit_count())
-
-    def contains(self, g: Generator) -> bool:
-        return bool(self.mask >> g.position & 1)
 
     def sort_key(self) -> tuple:
         return (self.degree, self.positions())
@@ -283,9 +261,6 @@ class Element:
         out.sort(key=lambda t: t[0].sort_key())
         return out
 
-    def monomials(self) -> list[Monomial]:
-        return [m for m, _ in self.terms()]
-
     def _require_same_rank(self, other: "Element") -> None:
         if self.n != other.n:
             raise ValueError(f"rank mismatch: {self.n} vs {other.n}")
@@ -360,10 +335,6 @@ class Element:
             for m, c in self._terms.items()
             if Monomial(self.n, m).bidegree() == d
         }
-        return Element._make(self.n, acc)
-
-    def degree_component(self, k: int) -> "Element":
-        acc = {m: c for m, c in self._terms.items() if m.bit_count() == k}
         return Element._make(self.n, acc)
 
     def __str__(self) -> str:

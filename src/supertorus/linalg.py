@@ -1,11 +1,10 @@
 """Dense exact rational linear algebra and Boolean-poset incidence matrices.
 
-Ranks and invertibility run fraction-free (Bareiss) over integers after
-clearing denominators row by row; a reduction modulo a fixed large prime
-serves as a fast certificate when the matrix has full rank, since the rank
-modulo a prime never exceeds the rank over the rationals.  Kernels and
-coordinate solves run in plain rational row reduction, which keeps the
-returned bases in canonical reduced form.
+Eliminations run on integer rows, each row scaled by the lcm of its
+denominators.  A reduction modulo a fixed large prime certifies full rank,
+since the rank modulo a prime never exceeds the rank over the rationals.
+One exact engine, integer Gauss-Jordan on primitive rows, serves the rank
+when that certificate fails, reduced echelon forms, kernels and solves.
 """
 
 from __future__ import annotations
@@ -138,14 +137,7 @@ class Matrix:
 
     def scaled_integer_rows(self) -> list[list[int]]:
         """Each row times the lcm of its denominators; rank preserving."""
-        out = []
-        for row in self._data:
-            if all(x.denominator == 1 for x in row):
-                out.append([x.numerator for x in row])
-                continue
-            scale = math.lcm(*(x.denominator for x in row))
-            out.append([int(x * scale) for x in row])
-        return out
+        return [_integer_row(row) for row in self._data]
 
     def rank(self) -> int:
         if self.nrows == 0 or self.ncols == 0:
@@ -163,54 +155,51 @@ class Matrix:
         return self.rank() == self.nrows
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        rows, pivots = _rref([list(row) for row in self._data], self.ncols)
+        rows = self.scaled_integer_rows()
+        pivots = _integer_rref(rows, self.ncols)
         out = Matrix(self.nrows, self.ncols)
-        out._data = rows
+        for r, p in enumerate(pivots):
+            out._data[r] = [Fraction(x, rows[r][p]) if x else _ZERO for x in rows[r]]
         return out, tuple(pivots)
 
     def kernel_basis(self) -> list[list[Fraction]]:
         """Canonical basis of the right null space, one vector per free column."""
-        rows, pivots = _rref([list(row) for row in self._data], self.ncols)
+        rows = self.scaled_integer_rows()
+        pivots = _integer_rref(rows, self.ncols)
         pivot_set = set(pivots)
         basis = []
         for free in range(self.ncols):
             if free in pivot_set:
                 continue
-            v = [Fraction(0)] * self.ncols
-            v[free] = Fraction(1)
-            for r, p in enumerate(pivots):
-                v[p] = -rows[r][free]
+            v = [_ZERO] * self.ncols
+            v[free] = _ONE
+            for row, p in zip(rows, pivots):
+                v[p] = Fraction(-row[free], row[p])
             basis.append(v)
         return basis
 
     def solve_many(self, vectors: Sequence[Sequence]) -> list[list[Fraction] | None]:
-        """Coordinates of each vector in the column span, or None if outside."""
-        k = len(vectors)
+        """Coordinates of each vector (of ints or Fractions) in the column
+        span, or None if outside."""
         for v in vectors:
             if len(v) != self.nrows:
                 raise ValueError("vector length mismatch")
         aug = [
-            [self._data[r][c] for c in range(self.ncols)]
-            + [Fraction(vectors[i][r]) for i in range(k)]
-            for r in range(self.nrows)
+            _integer_row(row + [v[r] for v in vectors])
+            for r, row in enumerate(self._data)
         ]
-        rows, pivots = _rref(aug, self.ncols + k)
+        pivots = _integer_rref(aug, self.ncols + len(vectors))
         results: list[list[Fraction] | None] = []
-        for i in range(k):
-            col = self.ncols + i
-            if col in pivots:
-                results.append(None)
-            else:
-                x = [Fraction(0)] * self.ncols
-                ok = True
-                for r, p in enumerate(pivots):
+        for col in range(self.ncols, self.ncols + len(vectors)):
+            x: list[Fraction] | None = [_ZERO] * self.ncols
+            for row, p in zip(aug, pivots):
+                if row[col]:
                     if p >= self.ncols:
-                        if rows[r][col]:
-                            ok = False
-                            break
-                        continue
-                    x[p] = rows[r][col]
-                results.append(x if ok else None)
+                        # it needs a pivot among the vectors: outside the span
+                        x = None
+                        break
+                    x[p] = Fraction(row[col], row[p])
+            results.append(x)
         return results
 
     def coordinates(self, v: Sequence) -> list[Fraction] | None:
@@ -239,8 +228,21 @@ class Matrix:
         return cls(nrows, ncols, entries)
 
 
-def _rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; pivot choice is the first nonzero."""
+def _integer_row(row: Sequence[Fraction | int]) -> list[int]:
+    """The row times the lcm of its denominators."""
+    if all(x.denominator == 1 for x in row):
+        return [x.numerator for x in row]
+    scale = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row]
+
+
+def _integer_rref(rows: list[list[int]], ncols: int) -> list[int]:
+    """Gauss-Jordan elimination of integer rows in place; returns the pivots.
+
+    A column's pivot is its first nonzero entry at or below the current row;
+    each updated row is divided by the gcd of its entries.  Row r below the
+    rank ends as the rational reduced echelon row r times its pivot entry.
+    """
     nrows = len(rows)
     pivots: list[int] = []
     r = 0
@@ -251,46 +253,27 @@ def _rref(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]],
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        prow = rows[r]
+        p = prow[c]
         for k in range(nrows):
-            if k != r and rows[k][c]:
-                f = rows[k][c]
-                rowr = rows[r]
-                rows[k] = [a - f * b for a, b in zip(rows[k], rowr)]
+            f = rows[k][c]
+            if f and k != r:
+                g = math.gcd(p, f)
+                a, b = p // g, f // g
+                new = [a * x - b * y for x, y in zip(rows[k], prow)]
+                g = math.gcd(*new)
+                rows[k] = [x // g for x in new] if g > 1 else new
         pivots.append(c)
         r += 1
-    return rows, pivots
+    return pivots
 
 
 def _bareiss_rank(int_rows: list[list[int]]) -> int:
-    """Exact rank by fraction-free elimination with virtual column pivoting."""
-    m = [row[:] for row in int_rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        if rank == nrows:
-            break
-        piv = next((k for k in range(rank, nrows) if m[k][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pivot = m[rank][col]
-        for k in range(rank + 1, nrows):
-            factor = m[k][col]
-            row_k = m[k]
-            row_p = m[rank]
-            for c in range(col + 1, ncols):
-                num = pivot * row_k[c] - factor * row_p[c]
-                q, rem = divmod(num, prev)
-                assert rem == 0, "fraction-free elimination produced a remainder"
-                row_k[c] = q
-            row_k[col] = 0
-        prev = pivot
-        rank += 1
-    return rank
+    """Exact rank of integer rows by the engine, on a copy: the fallback of
+    ``Matrix.rank``, under the name ``perfbench/tracing.py`` rebinds to
+    count it."""
+    ncols = len(int_rows[0]) if int_rows else 0
+    return len(_integer_rref([row[:] for row in int_rows], ncols))
 
 
 def _modp_rank(int_rows: list[list[int]]) -> int:

@@ -15,7 +15,6 @@ nested 'a' label; those index a linear basis of the invariant ring.
 from __future__ import annotations
 
 import itertools
-import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -700,10 +699,6 @@ def parse_matching(text: str) -> LabelledMatching:
         alpha=seen.get("a", ()),
         alphatheta=seen.get("at", ()),
     )
-
-
-def combination_to_json_text(comb: MatchingCombination) -> str:
-    return json.dumps(comb.to_json())
 
 
 def format_combination(comb: MatchingCombination) -> str:

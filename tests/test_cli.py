@@ -6,6 +6,7 @@ import json
 import pytest
 
 from supertorus import cli
+from supertorus import cohomology as co
 
 
 def run(capsys, *argv):
@@ -152,6 +153,17 @@ def test_outputs_are_byte_deterministic(capsys):
 def test_no_floats_in_output(capsys):
     _, out, _ = run(capsys, "reduce", "n=3; arcs=(1,3); a=2", "--format", "json")
     assert "e-" not in out and ".0" not in out
+
+
+def test_internal_error_is_not_a_usage_error(capsys, monkeypatch):
+    def broken(*args):
+        raise ValueError("defect")
+
+    monkeypatch.setattr(co, "character_table", broken)
+    code, out, err = run(capsys, "character", "--n", "3", "--i", "1", "--j", "1")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: ValueError: defect\n"
 
 
 def test_missing_subcommand_usage_error(capsys):

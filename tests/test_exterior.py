@@ -57,12 +57,6 @@ def test_subset_monomial_trivia():
 def test_rank_guard():
     with pytest.raises(ValueError):
         ex.Monomial(15, 0)
-    old = ex.get_max_rank()
-    try:
-        ex.set_max_rank(15)
-        assert ex.Monomial(15, 0).n == 15
-    finally:
-        ex.set_max_rank(old)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,78 @@ import pytest
 from supertorus import linalg as la
 
 
+def _rref(rows, ncols):
+    """Reference reduced row echelon form in Fraction arithmetic, in place;
+    the pivot is the first nonzero entry at or below the current row."""
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = next((k for k in range(r, nrows) if rows[k][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for k in range(nrows):
+            if k != r and rows[k][c]:
+                f = rows[k][c]
+                rowr = rows[r]
+                rows[k] = [a - f * b for a, b in zip(rows[k], rowr)]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def reference_kernel(m):
+    rows, pivots = _rref(m.rows(), m.ncols)
+    basis = []
+    for free in range(m.ncols):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * m.ncols
+        v[free] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -rows[r][free]
+        basis.append(v)
+    return basis
+
+
+def reference_solve_many(m, vectors):
+    aug = [m.row(r) + [Fraction(v[r]) for v in vectors] for r in range(m.nrows)]
+    rows, pivots = _rref(aug, m.ncols + len(vectors))
+    results = []
+    for i in range(len(vectors)):
+        col = m.ncols + i
+        if col in pivots:
+            results.append(None)
+            continue
+        x = [Fraction(0)] * m.ncols
+        for r, p in enumerate(pivots):
+            if p >= m.ncols:
+                if rows[r][col]:
+                    x = None
+                    break
+                continue
+            x[p] = rows[r][col]
+        results.append(x)
+    return results
+
+
+def assert_matches_reference(m, vectors):
+    rows, pivots = _rref(m.rows(), m.ncols)
+    reduced, got_pivots = m.rref()
+    assert got_pivots == tuple(pivots)
+    assert reduced.rows() == rows
+    assert all(type(x) is Fraction for row in reduced.rows() for x in row)
+    assert m.kernel_basis() == reference_kernel(m)
+    assert m.solve_many(vectors) == reference_solve_many(m, vectors)
+    assert m.rank() == len(pivots)
+    assert la._bareiss_rank(m.scaled_integer_rows()) == len(pivots)
+
+
 def rand_matrix(rng, nrows, ncols, bound=5):
     return la.Matrix(
         nrows,
@@ -152,3 +224,50 @@ def test_subsets_lex_order():
     assert la.subsets_lex(4, 2) == [
         (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
     ]
+
+
+def engine_cases(rng):
+    """Seeded matrices of every kind the engine meets, with right-hand sides."""
+    for k in range(600):
+        kind = k % 4
+        nrows, ncols = rng.randint(0, 7), rng.randint(0, 7)
+        if kind == 0:
+            m = rand_matrix(rng, nrows, ncols)
+        elif kind == 1:
+            m = la.Matrix(nrows, ncols, [rng.choice((-1, 0, 0, 1)) for _ in range(nrows * ncols)])
+        elif kind == 2:
+            inner = rng.randint(0, 3)
+            m = rand_matrix(rng, nrows, inner, 3) * rand_matrix(rng, inner, ncols, 3)
+        else:
+            m = la.Matrix(0, ncols) if k % 8 == 3 else la.Matrix(nrows, 0)
+        vectors = [
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m.nrows)]
+            for _ in range(rng.randint(0, 3))
+        ]
+        # some right-hand sides inside the column span
+        vectors += [m.mat_vec([rng.randint(-2, 2) for _ in range(m.ncols)])
+                    for _ in range(rng.randint(0, 2))]
+        yield m, vectors
+
+
+def test_engine_matches_rational_reference():
+    rng = random.Random(11)
+    for m, vectors in engine_cases(rng):
+        assert_matches_reference(m, vectors)
+
+
+def test_engine_matches_reference_on_raising_blocks():
+    # the matrices behind cohomology._kernel_block and _cokernel_block
+    for d0 in range(7):
+        for i0 in range(d0 + 1):
+            kernel_block = (
+                la.boolean_incidence(d0, i0, i0 + 1).transpose() if i0 < d0 else la.Matrix(0, 1)
+            )
+            blocks = [kernel_block]
+            if i0 > 0:
+                image = la.boolean_incidence(d0, i0 - 1, i0)
+                blocks.append(la.Matrix.from_rows([row[::-1] for row in image.rows()]))
+            for m in blocks:
+                vectors = [m.column(c) for c in range(min(m.ncols, 2))]
+                vectors.append([Fraction(r % 3 - 1) for r in range(m.nrows)])
+                assert_matches_reference(m, vectors)

@@ -8,6 +8,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from supertorus import cohomology as co
 from supertorus import exterior as ex
@@ -370,6 +372,33 @@ def test_literal_round_trip():
 
 def test_json_round_trip():
     m = ma.LabelledMatching(8, arcs=((4, 6), (5, 7)), alpha=(1,), alphatheta=(2,))
+    data = json.loads(json.dumps(m.to_json_dict()))
+    assert ma.LabelledMatching.from_json_dict(data) == m
+
+
+@st.composite
+def labelled_matchings(draw):
+    """Any valid labelled matching, crossing or not, with n <= 10."""
+    n = draw(st.integers(0, 10))
+    vertices = draw(st.permutations(range(1, n + 1)))
+    k = draw(st.integers(0, n // 2))
+    arcs = [(vertices[2 * t], vertices[2 * t + 1]) for t in range(k)]
+    roles = draw(st.lists(st.sampled_from(("a", "at", None)),
+                          min_size=n - 2 * k, max_size=n - 2 * k))
+    rest = vertices[2 * k:]
+    return ma.LabelledMatching(
+        n,
+        arcs=tuple(arcs),
+        alpha=tuple(v for v, role in zip(rest, roles) if role == "a"),
+        alphatheta=tuple(v for v, role in zip(rest, roles) if role == "at"),
+    )
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(labelled_matchings())
+def test_literal_and_json_round_trip_property(m):
+    assert ma.parse_matching(m.literal()) == m
+    assert ma.LabelledMatching.from_json_dict(m.to_json_dict()) == m
     data = json.loads(json.dumps(m.to_json_dict()))
     assert ma.LabelledMatching.from_json_dict(data) == m
 
