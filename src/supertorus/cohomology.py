@@ -23,11 +23,22 @@ cached result per block shape (d0, i0) and relabel it into each class, and
 return the same vectors, in the same order, as a reduction of the whole
 matrix.  ``raising_matrix`` still builds that whole matrix from the operator
 itself; it is the dense oracle the tests and ``verify`` compare against.
+
+Every kernel vector has an own monomial, its free column: it is nonzero there
+and every other kernel vector is zero.  So the coordinates of any x in their
+span read off as x[m_k] / v_k[m_k], and one exact check that x minus the
+combination is zero certifies that x lies in the span.  The Lefschetz matrix
+and the permutation traces are read this way, with no coordinate lists over
+the bidegree and no solve.  The coinvariant representatives are monomials
+r_l, so the Gram entry of an invariant v and r_l is v's coefficient on the
+complement of r_l times one merge sign.  The tests keep the dense solves and
+the per-entry pairings these replace as oracles.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -39,11 +50,12 @@ from .exterior import (
     Element,
     Monomial,
     Permutation,
+    _merge_sign,
     lefschetz_element,
-    pairing,
     permute,
     raising,
     subset_monomial,
+    volume_form,
 )
 from .linalg import Matrix, boolean_incidence, subset_masks, subsets_lex
 
@@ -104,10 +116,14 @@ def raising_matrix(n: int, d: tuple[int, int]) -> Matrix:
     return out
 
 
-def invariants_dimension(n: int, i: int, j: int) -> int:
-    """Dimension of the translation-invariant part in bidegree (i, j)."""
+def _check_bidegree(n: int, i: int, j: int) -> None:
     if not (0 <= i <= n and 0 <= j <= n):
         raise ValueError(f"bidegree ({i}, {j}) out of range for rank {n}")
+
+
+def invariants_dimension(n: int, i: int, j: int) -> int:
+    """Dimension of the translation-invariant part in bidegree (i, j)."""
+    _check_bidegree(n, i, j)
     if i < j:
         return 0
     return _comb(n, i) * _comb(n, j) - _comb(n, i + 1) * _comb(n, j - 1)
@@ -115,8 +131,7 @@ def invariants_dimension(n: int, i: int, j: int) -> int:
 
 def coinvariants_dimension(n: int, i: int, j: int) -> int:
     """Dimension of the cokernel of raising into bidegree (i, j)."""
-    if not (0 <= i <= n and 0 <= j <= n):
-        raise ValueError(f"bidegree ({i}, {j}) out of range for rank {n}")
+    _check_bidegree(n, i, j)
     if i > j:
         return 0
     return _comb(n, i) * _comb(n, j) - _comb(n, i - 1) * _comb(n, j + 1)
@@ -141,14 +156,6 @@ class BidegreeBasis:
 
     def monomial_order(self) -> list[Monomial]:
         return bidegree_monomials(self.n, self.bidegree)
-
-    def matrix(self) -> Matrix:
-        """Columns are the basis vectors in monomial coordinates."""
-        order = self.monomial_order()
-        return Matrix.from_columns(
-            [element_coordinates(v, order) for v in self.vectors],
-            nrows=len(order),
-        )
 
 
 # Every (d0, i0) block shape the rank guard admits: d0 <= 14, i0 <= d0.
@@ -248,37 +255,87 @@ def coinvariants_representatives(n: int, d: tuple[int, int]) -> BidegreeBasis:
     return BidegreeBasis(n, d, reps)
 
 
+def _own_monomials(vectors: Sequence[Element]) -> dict[int, int] | None:
+    """Each vector's own monomial, a mask where that vector is nonzero and
+    every other vector is zero, mapped to the vector's index; None when some
+    vector has none."""
+    touched = Counter(m for v in vectors for m in v._terms)
+    own = {}
+    for k, v in enumerate(vectors):
+        m = next((m for m in v._terms if touched[m] == 1), None)
+        if m is None:
+            return None
+        own[m] = k
+    return own
+
+
+def _coordinates(
+    vectors: Sequence[Element], own: dict[int, int], x: Element
+) -> dict[int, Fraction] | None:
+    """The nonzero coordinates of x over the vectors, by index, read off
+    their own monomials; None when x minus that combination is not exactly
+    zero, that is, when x is outside the span."""
+    coords = {}
+    for m, c in x._terms.items():
+        k = own.get(m)
+        if k is not None:
+            coords[k] = c / vectors[k]._terms[m]
+    rest = dict(x._terms)
+    for k, c in coords.items():
+        for m, a in vectors[k]._terms.items():
+            r = rest.get(m, 0) - c * a
+            if r:
+                rest[m] = r
+            else:
+                del rest[m]
+    return None if rest else coords
+
+
 def lefschetz_matrix(n: int, i: int, j: int) -> Matrix:
     """Matrix of multiplication by the Lefschetz power between invariants.
 
     Maps the invariants in bidegree (i, j) to those in (n-j, n-i) through
     multiplication by ell**(n-i-j); square and invertible.
     """
+    _check_bidegree(n, i, j)
     if i + j > n:
         raise ValueError(f"need i + j <= n, got i={i}, j={j}, n={n}")
     source = invariants_basis(n, (i, j))
-    target = invariants_basis(n, (n - j, n - i))
+    target = invariants_basis(n, (n - j, n - i)).vectors
+    own = _own_monomials(target)
     power = lefschetz_element(n) ** (n - i - j)
-    images = [v * power for v in source]
-    order = target.monomial_order()
-    coords = target.matrix().solve_many(
-        [element_coordinates(img, order) for img in images]
-    )
-    columns = []
-    for x in coords:
-        if x is None:
+    out = Matrix(len(target), len(source))
+    for col, v in enumerate(source):
+        coords = _coordinates(target, own, v * power)
+        if coords is None:
             raise AssertionError("Lefschetz image left the invariant subspace")
-        columns.append(x)
-    return Matrix.from_columns(columns, nrows=len(target))
+        for row, x in coords.items():
+            out._data[row][col] = x
+    return out
 
 
 def duality_gram(n: int, i: int, j: int) -> Matrix:
     """Gram matrix of the volume pairing between invariants in (i, j) and
     coinvariant representatives in (n-i, n-j); square and invertible."""
+    _check_bidegree(n, i, j)
     left = invariants_basis(n, (i, j))
     right = coinvariants_representatives(n, (n - i, n - j))
-    data = [pairing(u, v) for u in left for v in right]
-    return Matrix(len(left), len(right), data)
+    vol = volume_form(n).mask
+    # v pairs with the monomial r (coefficient 1) through its coefficient on
+    # the complement vol ^ r, times the sign of reordering (vol ^ r, r)
+    partner = {}
+    for col, rep in enumerate(right):
+        (r,) = rep._terms
+        partner[vol ^ r] = (col, _merge_sign(vol ^ r, r))
+    out = Matrix(len(left), len(right))
+    for row, v in enumerate(left):
+        entries = out._data[row]
+        for m, c in v._terms.items():
+            hit = partner.get(m)
+            if hit:
+                col, sign = hit
+                entries[col] = c if sign > 0 else -c
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -341,21 +398,32 @@ def invariants_character(n: int, i: int, j: int, cycle_type: Sequence[int]) -> i
 def trace_on_basis(w: Permutation, basis: BidegreeBasis) -> Fraction:
     """Trace of the permutation action on the span of the basis.
 
-    Expresses each permuted basis vector in coordinates over the basis; a
-    vector falling outside the span means the subspace is not stable and is
-    reported as an error.
+    Reads each permuted basis vector's coordinates off the basis's own
+    monomials; a vector falling outside the span means the subspace is not
+    stable and is reported as an error.  A basis in which some vector has no
+    own monomial is first replaced by the nonzero rows of the reduced echelon
+    form of its coordinates: the same span, each row alone on its pivot.
     """
     if w.n != basis.n:
         raise ValueError("permutation degree does not match basis rank")
-    order = basis.monomial_order()
-    mat = basis.matrix()
-    images = [element_coordinates(permute(w, v), order) for v in basis]
-    coords = mat.solve_many(images)
+    vectors = basis.vectors
+    own = _own_monomials(vectors)
+    if own is None:
+        support = sorted({m for v in vectors for m in v._terms})
+        reduced, pivots = Matrix.from_rows(
+            [[v._terms.get(m, 0) for m in support] for v in vectors]
+        ).rref()
+        vectors = [
+            Element._make(basis.n, dict(zip(support, reduced.row(r))))
+            for r in range(len(pivots))
+        ]
+        own = _own_monomials(vectors)
     total = Fraction(0)
-    for k, x in enumerate(coords):
-        if x is None:
+    for k, v in enumerate(vectors):
+        coords = _coordinates(vectors, own, permute(w, v))
+        if coords is None:
             raise ValueError("the span of the basis is not permutation stable")
-        total += x[k]
+        total += coords.get(k, 0)
     return total
 
 

@@ -27,6 +27,9 @@ from typing import Iterable, Iterator, NamedTuple
 
 Rational = Fraction | int
 
+# Fractions are immutable, so every absent coefficient can share one zero.
+_ZERO = Fraction(0)
+
 # Largest rank n accepted; the algebra has 4**n monomials.
 MAX_RANK = 14
 
@@ -253,7 +256,7 @@ class Element:
         return len(self._terms)
 
     def coefficient(self, m: Monomial) -> Fraction:
-        return self._terms.get(m.mask, Fraction(0))
+        return self._terms.get(m.mask, _ZERO)
 
     def terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms sorted by (degree, generator positions)."""

@@ -37,9 +37,10 @@ class Matrix:
         self.nrows = nrows
         self.ncols = ncols
         if entries is None:
-            self._data = [[Fraction(0)] * ncols for _ in range(nrows)]
+            self._data = [[_ZERO] * ncols for _ in range(nrows)]
         else:
-            flat = [Fraction(e) for e in entries]
+            # Fractions are immutable, so entries that already are one are kept
+            flat = [e if type(e) is Fraction else Fraction(e) for e in entries]
             if len(flat) != nrows * ncols:
                 raise ValueError(
                     f"expected {nrows * ncols} entries, got {len(flat)}"

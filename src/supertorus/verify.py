@@ -5,10 +5,11 @@ list of named checks, and the acceptance tests call the same functions.
 Every check takes ``n_max`` and covers these ranks n:
 
 * 0..min(6, n_max): translate equals exp, rank profile, dimension formulas;
-  1..min(6, n_max): complementary bijection, matching invariants.
+  1..min(6, n_max): complementary bijection, matching invariants, duality
+  gram, lefschetz.
 * 1..min(5, n_max): fixed points, bidegree shifts, sl2, equivariance,
-  adjointness, sign-free bases, iterated raising blocks, duality gram,
-  lefschetz, noncrossing independence, the census's brute-force diagonal.
+  adjointness, sign-free bases, iterated raising blocks, noncrossing
+  independence, the census's brute-force diagonal.
 * 1..min(4, n_max): characters, normal form; 0..min(4, n_max): invariant
   bases fixed.
 * 0..min(3, n_max): product laws exhaustively, with random associativity
@@ -346,7 +347,7 @@ def check_duality_dimensions(n_max: int, rng: random.Random) -> bool:
 
 
 def check_duality_gram(n_max: int, rng: random.Random) -> bool:
-    for n in range(1, min(5, n_max) + 1):
+    for n in range(1, min(6, n_max) + 1):
         for i in range(n + 1):
             for j in range(i + 1):
                 g = co.duality_gram(n, i, j)
@@ -363,7 +364,7 @@ def check_duality_gram(n_max: int, rng: random.Random) -> bool:
 
 
 def check_lefschetz(n_max: int, rng: random.Random) -> bool:
-    for n in range(1, min(5, n_max) + 1):
+    for n in range(1, min(6, n_max) + 1):
         for i in range(n + 1):
             for j in range(n + 1 - i):
                 m = co.lefschetz_matrix(n, i, j)

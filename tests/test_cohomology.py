@@ -11,6 +11,7 @@ import pytest
 from supertorus import cohomology as co
 from supertorus import exterior as ex
 from supertorus import linalg as la
+from supertorus.verify import random_permutation
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +104,7 @@ def test_invariants_basis_n2_diagonal():
         ex.parse_element("1*a2 t2", 2),
         ex.parse_element("1*a1 t2 + 1*a2 t1", 2),
     ]
-    mat = basis.matrix()
+    mat = _basis_matrix(basis)
     order = basis.monomial_order()
     for v in expected_span:
         assert mat.coordinates(co.element_coordinates(v, order)) is not None
@@ -255,6 +256,96 @@ def test_block_caches_under_threads():
 
 
 # ---------------------------------------------------------------------------
+# read-offs against the dense oracles: coordinate lists over the whole
+# bidegree, an augmented solve, and one pairing per Gram entry
+
+def _basis_matrix(basis):
+    """Columns are the basis vectors in monomial coordinates."""
+    order = basis.monomial_order()
+    return la.Matrix.from_columns(
+        [co.element_coordinates(v, order) for v in basis.vectors],
+        nrows=len(order),
+    )
+
+
+def _trace_oracle(w, basis):
+    order = basis.monomial_order()
+    images = [co.element_coordinates(ex.permute(w, v), order) for v in basis]
+    total = Fraction(0)
+    for k, x in enumerate(_basis_matrix(basis).solve_many(images)):
+        if x is None:
+            raise ValueError("the span of the basis is not permutation stable")
+        total += x[k]
+    return total
+
+
+def _lefschetz_oracle(n, i, j):
+    source = co.invariants_basis(n, (i, j))
+    target = co.invariants_basis(n, (n - j, n - i))
+    power = ex.lefschetz_element(n) ** (n - i - j)
+    order = target.monomial_order()
+    columns = _basis_matrix(target).solve_many(
+        [co.element_coordinates(v * power, order) for v in source]
+    )
+    assert None not in columns
+    return la.Matrix.from_columns(columns, nrows=len(target))
+
+
+def _gram_oracle(n, i, j):
+    left = co.invariants_basis(n, (i, j))
+    right = co.coinvariants_representatives(n, (n - i, n - j))
+    return la.Matrix(len(left), len(right), [ex.pairing(u, v) for u in left for v in right])
+
+
+def _assert_same_matrix(got, want):
+    assert got.shape == want.shape
+    assert got.rows() == want.rows()
+    assert all(type(x) is Fraction for row in got.rows() for x in row)
+    assert got.to_csv() == want.to_csv()
+
+
+def _assert_same_trace(w, basis):
+    try:
+        want = _trace_oracle(w, basis)
+    except ValueError:
+        with pytest.raises(ValueError, match="not permutation stable"):
+            co.trace_on_basis(w, basis)
+        return
+    got = co.trace_on_basis(w, basis)
+    assert type(got) is Fraction
+    assert got == want
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_read_offs_match_dense_oracles(n):
+    rng = random.Random(100 + n)
+    for i in range(n + 1):
+        for j in range(n + 1):
+            _assert_same_matrix(co.duality_gram(n, i, j), _gram_oracle(n, i, j))
+            if i + j <= n:
+                _assert_same_matrix(
+                    co.lefschetz_matrix(n, i, j), _lefschetz_oracle(n, i, j)
+                )
+            # the coinvariant representatives span no stable subspace in
+            # general: both routes must then refuse
+            for basis in (co.invariants_basis(n, (i, j)),
+                          co.coinvariants_representatives(n, (i, j))):
+                for w in [ex.Permutation.identity(n), random_permutation(rng, n)]:
+                    _assert_same_trace(w, basis)
+
+
+def test_read_offs_match_dense_oracles_n6():
+    # the n = 6 calls of the cohomology benchmark workload
+    _assert_same_matrix(co.duality_gram(6, 3, 2), _gram_oracle(6, 3, 2))
+    for i, j in [(2, 1), (4, 1)]:
+        _assert_same_matrix(co.lefschetz_matrix(6, i, j), _lefschetz_oracle(6, i, j))
+    rng = random.Random(6)
+    basis = co.invariants_basis(6, (2, 2))
+    for _ in range(3):
+        _assert_same_trace(random_permutation(rng, 6), basis)
+
+
+# ---------------------------------------------------------------------------
 # lefschetz and duality
 
 def test_lefschetz_matrix_trivial_power():
@@ -293,6 +384,21 @@ def test_duality_gram_invertible_n3():
     g = co.duality_gram(3, 1, 1)
     assert g.nrows == g.ncols == 6
     assert g.is_invertible()
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [(co.lefschetz_matrix, (3, -1, 0)), (co.duality_gram, (3, 5, 1)),
+     (co.duality_gram, (3, -1, 0))],
+    ids=["lefschetz-3-(-1)-0", "gram-3-5-1", "gram-3-(-1)-0"],
+)
+def test_out_of_range_bidegree_rejected(fn, args):
+    n, i, j = args
+    with pytest.raises(ValueError) as dims:
+        co.invariants_dimension(n, i, j)
+    with pytest.raises(ValueError) as err:
+        fn(*args)
+    assert str(err.value) == str(dims.value)
 
 
 def test_kernel_pairs_to_zero_with_image():
@@ -379,6 +485,37 @@ def test_trace_detects_unstable_span():
     w = ex.Permutation((2, 1))
     with pytest.raises(ValueError):
         co.trace_on_basis(w, basis)
+
+
+def test_trace_echelon_fallback():
+    # both vectors touch a1 and a2, so neither has an own monomial
+    basis = co.BidegreeBasis(
+        2,
+        ex.Bidegree(1, 0),
+        (ex.parse_element("1*a1 + 1*a2", 2), ex.parse_element("1*a1 - 1*a2", 2)),
+    )
+    assert co._own_monomials(basis.vectors) is None
+    for w in co.symmetric_group(2):
+        tr = co.trace_on_basis(w, basis)
+        assert tr == _trace_oracle(w, basis) == co.wedge_character(w.cycle_type(), 1)
+
+    # a random invertible recombination of an invariant basis
+    rng = random.Random(11)
+    n, d = 4, (2, 1)
+    kernel = co.invariants_basis(n, d)
+    k = len(kernel)
+    mix = la.Matrix(k, k, [rng.randint(-2, 2) for _ in range(k * k)])
+    assert mix.is_invertible()
+    mixed = co.BidegreeBasis(n, kernel.bidegree, tuple(
+        sum((v.scale(x) for v, x in zip(kernel, mix.row(r))), ex.Element.zero(n))
+        for r in range(k)
+    ))
+    assert co._own_monomials(mixed.vectors) is None
+    for w in [ex.Permutation.identity(n)] + [random_permutation(rng, n) for _ in range(3)]:
+        tr = co.trace_on_basis(w, mixed)
+        assert type(tr) is Fraction
+        assert tr == _trace_oracle(w, mixed) == co.trace_on_basis(w, kernel)
+        assert tr == co.invariants_character(n, *d, w.cycle_type())
 
 
 def test_partitions():
