@@ -5,17 +5,32 @@ skein reduction of a matching literal, the subset-pair bijection, and the
 verification suites.  Every output is byte deterministic for a fixed command
 line; rationals print exactly, never as floats.
 
-Exit codes: 0 success, 1 invariant violation, 2 usage or parse error, 3
-internal error (a defect of the program, reported on one stderr line).
+Each subcommand validates its arguments, does up front the work that can
+fail, and returns a ``Table``: its JSON envelope, a lazy iterable of rows,
+and how one row renders as csv cells and as a text line.  One emitter,
+``_emit``, owns the ``--format`` decision and streams the rows as they are
+produced, so no command holds its whole output in memory.  Queries whose row
+count, known in closed form, exceeds ``ROW_BUDGET`` are refused before any
+work.
+
+Exit codes: 0 success, 1 invariant violation (a failed round trip or check,
+decided after the rows have streamed), 2 usage or parse error, 3 internal
+error (a defect of the program, reported on one stderr line).  A command that
+fails before its rows start to stream writes nothing to stdout; a defect
+raised while they stream leaves what was already written (the text title or
+the JSON head, and every row before the failing one) on stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
+import itertools
 import json
+import math
 import sys
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable
 
 from . import cohomology as co
 from . import exterior as ex
@@ -24,6 +39,7 @@ from . import verify as vf
 
 QUERY_RANK_GUARD = 14
 SUITE_RANK_GUARD = 10
+ROW_BUDGET = 250_000
 
 _JSON_VERSION = 1
 
@@ -32,16 +48,64 @@ class UsageError(Exception):
     pass
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps({"version": _JSON_VERSION, **payload}, sort_keys=True))
+@dataclass
+class Table:
+    """One command's output, rendered by ``_emit`` in any format."""
+
+    fields: dict  # the JSON envelope besides "version" and the rows
+    key: str  # the envelope key that holds the rows
+    rows: Iterable
+    header: list[str]  # the csv header
+    cells: Callable[[Any], list]  # row -> csv cells
+    line: Callable[[Any], str]  # row -> text line
+    title: str | None = None  # text before the rows
+    footer: Callable[[int], Iterable[str]] = lambda count: ()  # row count -> text after them
+    csv_footer: Iterable[list] = ()  # csv rows after them
+    record: Callable[[Any], dict] = lambda row: row  # row -> JSON object
+    ok: Callable[[Any], bool] = lambda row: True  # a failing row exits 1
 
 
-def _emit_csv(header: list[str], rows: list[list]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
+def _emit(table: Table, fmt: str) -> int:
+    """Streams the table in ``fmt``; 1 if a row failed its check, else 0."""
+    failed = False
+
+    def checked():
+        nonlocal failed
+        for row in table.rows:
+            failed = failed or not table.ok(row)
+            yield row
+
+    {"json": _emit_json, "csv": _emit_csv, "text": _emit_text}[fmt](table, checked())
+    return 1 if failed else 0
+
+
+def _emit_json(table: Table, rows: Iterable) -> None:
+    # sort_keys places the rows among the other keys; write the envelope
+    # around them, one object at a time.
+    envelope = {"version": _JSON_VERSION, **table.fields, table.key: []}
+    head, slot, tail = json.dumps(envelope, sort_keys=True).partition(f'"{table.key}": []')
+    out = sys.stdout
+    out.write(head + slot[:-1])
+    for k, row in enumerate(rows):
+        out.write((", " if k else "") + json.dumps(table.record(row), sort_keys=True))
+    out.write("]" + tail + "\n")
+
+
+def _emit_csv(table: Table, rows: Iterable) -> None:
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(table.header)
+    writer.writerows(map(table.cells, rows))
+    writer.writerows(table.csv_footer)
+
+
+def _emit_text(table: Table, rows: Iterable) -> None:
+    if table.title is not None:
+        print(table.title)
+    count = 0
+    for count, row in enumerate(rows, 1):
+        print(table.line(row))
+    for line in table.footer(count):
+        print(line)
 
 
 def _guard_rank(n: int, guard: int) -> None:
@@ -51,217 +115,165 @@ def _guard_rank(n: int, guard: int) -> None:
         raise UsageError(f"n={n} exceeds the guard {guard} for this command")
 
 
-def cmd_dims(args) -> int:
+def _guard_rows(count: int) -> None:
+    if count > ROW_BUDGET:
+        raise UsageError(f"the query would print {count} rows, over the budget of {ROW_BUDGET}")
+
+
+def _guard_bidegree(n: int, i: int, j: int) -> None:
+    _guard_rank(n, QUERY_RANK_GUARD)
+    if not (0 <= i <= n and 0 <= j <= n):
+        raise UsageError(f"bidegree ({i}, {j}) out of range for n={n}")
+
+
+def cmd_dims(args) -> Table:
     _guard_rank(args.n, QUERY_RANK_GUARD)
     n = args.n
-    rows = co.dimension_table(n)
     census = co.diagonal_census(n)
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "dims",
-                "n": n,
-                "rows": rows,
-                "diagonal": list(census.diagonal),
-                "diagonal_total": census.diagonal_total,
-                "catalan": census.catalan,
-                "total_h0": census.total,
-                "central_binomial": census.central_binomial,
-            }
-        )
-    elif args.format == "csv":
-        out = [["dim", r["n"], r["bidegree"][0], r["bidegree"][1], r["h0"], r["h1"]] for r in rows]
-        out.append(["diagonal", n, "", "", " ".join(map(str, census.diagonal)), ""])
-        out.append(["diagonal_total", n, "", "", census.diagonal_total, ""])
-        out.append(["catalan", n, "", "", census.catalan, ""])
-        out.append(["total_h0", n, "", "", census.total, ""])
-        out.append(["central_binomial", n, "", "", census.central_binomial, ""])
-        _emit_csv(["kind", "n", "i", "j", "h0", "h1"], out)
-    else:
-        print(f"invariant and coinvariant dimensions, n={n}")
-        print(f"{'i':>3} {'j':>3} {'h0':>8} {'h1':>8}")
-        for r in rows:
-            i, j = r["bidegree"]
-            print(f"{i:>3} {j:>3} {r['h0']:>8} {r['h1']:>8}")
-        print(f"diagonal: {list(census.diagonal)}")
-        print(f"diagonal total {census.diagonal_total} = catalan {census.catalan}")
-        print(f"total h0 {census.total} = central binomial {census.central_binomial}")
-    return 0
+    totals = {
+        "diagonal_total": census.diagonal_total,
+        "catalan": census.catalan,
+        "total_h0": census.total,
+        "central_binomial": census.central_binomial,
+    }
+    return Table(
+        {"command": "dims", "n": n, "diagonal": list(census.diagonal), **totals},
+        "rows",
+        co.dimension_table(n),
+        header=["kind", "n", "i", "j", "h0", "h1"],
+        cells=lambda r: ["dim", r["n"], *r["bidegree"], r["h0"], r["h1"]],
+        csv_footer=[["diagonal", n, "", "", " ".join(map(str, census.diagonal)), ""]]
+        + [[kind, n, "", "", value, ""] for kind, value in totals.items()],
+        title=f"invariant and coinvariant dimensions, n={n}\n"
+        f"{'i':>3} {'j':>3} {'h0':>8} {'h1':>8}",
+        line=lambda r: f"{r['bidegree'][0]:>3} {r['bidegree'][1]:>3} {r['h0']:>8} {r['h1']:>8}",
+        footer=lambda count: (
+            f"diagonal: {list(census.diagonal)}",
+            f"diagonal total {census.diagonal_total} = catalan {census.catalan}",
+            f"total h0 {census.total} = central binomial {census.central_binomial}",
+        ),
+    )
 
 
-def cmd_basis(args) -> int:
-    _guard_rank(args.n, QUERY_RANK_GUARD)
+def cmd_basis(args) -> Table:
     n, i, j = args.n, args.i, args.j
-    if not (0 <= i <= n and 0 <= j <= n):
-        raise UsageError(f"bidegree ({i}, {j}) out of range for n={n}")
-    ms = ma.noncrossing_matchings(n, bidegree=(i, j))
-    rows = [
-        {
-            "matching": m.to_json_dict(),
-            "literal": m.literal(),
-            "element": ex.format_element(ma.matching_invariant(m)),
-        }
-        for m in ms
-    ]
-    if args.format == "json":
-        _emit_json({"command": "basis", "n": n, "bidegree": [i, j], "rows": rows})
-    elif args.format == "csv":
-        _emit_csv(
-            ["literal", "element"],
-            [[r["literal"], r["element"]] for r in rows],
-        )
-    else:
-        print(f"noncrossing basis of the invariants, n={n}, bidegree ({i}, {j})")
-        for r in rows:
-            print(f"[{r['literal']}]  ->  {r['element']}")
-        print(f"count {len(rows)} (formula {co.invariants_dimension(n, i, j)})")
-    return 0
+    _guard_bidegree(n, i, j)
+    dim = co.invariants_dimension(n, i, j)
+    _guard_rows(dim)
+
+    def element(m):
+        return ex.format_element(ma.matching_invariant(m))
+
+    return Table(
+        {"command": "basis", "n": n, "bidegree": [i, j]},
+        "rows",
+        ma.noncrossing_matchings(n, bidegree=(i, j)),
+        record=lambda m: {
+            "matching": m.to_json_dict(), "literal": m.literal(), "element": element(m)
+        },
+        header=["literal", "element"],
+        cells=lambda m: [m.literal(), element(m)],
+        title=f"noncrossing basis of the invariants, n={n}, bidegree ({i}, {j})",
+        line=lambda m: f"[{m.literal()}]  ->  {element(m)}",
+        footer=lambda count: [f"count {count} (formula {dim})"],
+    )
 
 
-def cmd_character(args) -> int:
-    _guard_rank(args.n, QUERY_RANK_GUARD)
+def cmd_character(args) -> Table:
     n, i, j = args.n, args.i, args.j
-    if not (0 <= i <= n and 0 <= j <= n):
-        raise UsageError(f"bidegree ({i}, {j}) out of range for n={n}")
+    _guard_bidegree(n, i, j)
     if i < j:
         raise UsageError(f"the module in bidegree ({i}, {j}) is zero (i < j)")
-    rows = co.character_table(n, i, j)
-    if args.format == "json":
-        _emit_json({"command": "character", "n": n, "bidegree": [i, j], "rows": rows})
-    elif args.format == "csv":
-        _emit_csv(
-            ["cycle_type", "character"],
-            [[" ".join(map(str, r["cycle_type"])), r["character"]] for r in rows],
-        )
-    else:
-        print(f"character of the invariants, n={n}, bidegree ({i}, {j})")
-        for r in rows:
-            ct = ",".join(map(str, r["cycle_type"]))
-            print(f"({ct}): {r['character']}")
-    return 0
+    return Table(
+        {"command": "character", "n": n, "bidegree": [i, j]},
+        "rows",
+        co.character_table(n, i, j),
+        header=["cycle_type", "character"],
+        cells=lambda r: [" ".join(map(str, r["cycle_type"])), r["character"]],
+        title=f"character of the invariants, n={n}, bidegree ({i}, {j})",
+        line=lambda r: f"({','.join(map(str, r['cycle_type']))}): {r['character']}",
+    )
 
 
-def cmd_bijection(args) -> int:
+def cmd_bijection(args) -> Table:
     _guard_rank(args.n, QUERY_RANK_GUARD)
     n, k = args.n, args.k
     if not 0 <= k <= 2 * n:
         raise UsageError(f"degree k={k} out of range 0..{2 * n}")
-    import itertools
+    _guard_rows(math.comb(n, k // 2) * math.comb(n, (k + 1) // 2))
+    vertices = range(1, n + 1)
 
-    size_a, size_b = k // 2, (k + 1) // 2
-    rows = []
-    for A in itertools.combinations(range(1, n + 1), size_a):
-        for B in itertools.combinations(range(1, n + 1), size_b):
-            m = ma.matching_from_subsets(A, B, n)
-            pair = ma.subsets_from_matching(m)
-            ok = (sorted(pair.A), sorted(pair.B)) == (sorted(A), sorted(B))
-            rows.append(
-                {
+    def rows():
+        for A in itertools.combinations(vertices, k // 2):
+            for B in itertools.combinations(vertices, (k + 1) // 2):
+                m = ma.matching_from_subsets(A, B, n)
+                pair = ma.subsets_from_matching(m)
+                yield {
                     "A": list(A),
                     "B": list(B),
                     "matching": m.to_json_dict(),
                     "literal": m.literal(),
-                    "round_trip": ok,
+                    "round_trip": (sorted(pair.A), sorted(pair.B)) == (list(A), list(B)),
                 }
-            )
-    if args.format == "json":
-        _emit_json({"command": "bijection", "n": n, "k": k, "rows": rows})
-    elif args.format == "csv":
-        _emit_csv(
-            ["A", "B", "literal", "round_trip"],
-            [
-                [
-                    " ".join(map(str, r["A"])),
-                    " ".join(map(str, r["B"])),
-                    r["literal"],
-                    r["round_trip"],
-                ]
-                for r in rows
-            ],
-        )
-    else:
-        print(f"subset pairs and matchings, n={n}, degree k={k}")
-        for r in rows:
-            print(
-                f"A={{{','.join(map(str, r['A']))}}} "
-                f"B={{{','.join(map(str, r['B']))}}}  ->  [{r['literal']}]"
-                + ("" if r["round_trip"] else "  ROUND TRIP FAILED")
-            )
-        print(f"count {len(rows)}")
-    if not all(r["round_trip"] for r in rows):
-        return 1
-    return 0
+
+    return Table(
+        {"command": "bijection", "n": n, "k": k},
+        "rows",
+        rows(),
+        header=["A", "B", "literal", "round_trip"],
+        cells=lambda r: [" ".join(map(str, r["A"])), " ".join(map(str, r["B"])),
+                         r["literal"], r["round_trip"]],
+        title=f"subset pairs and matchings, n={n}, degree k={k}",
+        line=lambda r: f"A={{{','.join(map(str, r['A']))}}} B={{{','.join(map(str, r['B']))}}}"
+        f"  ->  [{r['literal']}]" + ("" if r["round_trip"] else "  ROUND TRIP FAILED"),
+        footer=lambda count: [f"count {count}"],
+        ok=lambda r: r["round_trip"],
+    )
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args) -> Table:
     try:
         m = ma.parse_matching(args.literal)
     except ex.LiteralParseError as err:
-        print("matching literal parse error:", file=sys.stderr)
-        print(err.caret_diagnostic(), file=sys.stderr)
-        return 2
+        raise UsageError(f"matching literal parse error:\n{err.caret_diagnostic()}") from None
     except ValueError as err:
-        print(f"invalid matching: {err}", file=sys.stderr)
-        return 2
+        raise UsageError(f"invalid matching: {err}") from None
     _guard_rank(m.n, QUERY_RANK_GUARD)
-    combo = ma.normal_form(m)
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "reduce",
-                "input": m.to_json_dict(),
-                "terms": combo.to_json(),
-            }
-        )
-    elif args.format == "csv":
-        _emit_csv(
-            ["coeff", "literal"],
-            [[str(c), t.literal()] for t, c in combo.items()],
-        )
-    else:
-        print(ma.format_combination(combo))
-    return 0
+    return Table(
+        {"command": "reduce", "input": m.to_json_dict()},
+        "terms",
+        ma.normal_form(m).items(),
+        record=lambda t: {"coeff": str(t[1]), "matching": t[0].to_json_dict()},
+        header=["coeff", "literal"],
+        cells=lambda t: [str(t[1]), t[0].literal()],
+        line=lambda t: f"{t[1]} * [{t[0].literal()}]",
+        footer=lambda count: () if count else ["0"],
+    )
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Table:
     try:
         vf.suite_names(args.suite)  # an unknown name is refused before the guard
     except ValueError as err:
         raise UsageError(err) from None
     _guard_rank(args.n_max, SUITE_RANK_GUARD)
     results = vf.run_suite(args.suite, n_max=args.n_max, seed=args.seed)
-    failed = [r for r in results if not r.passed]
-    if args.format == "json":
-        _emit_json(
-            {
-                "command": "verify",
-                "suite": args.suite,
-                "n_max": args.n_max,
-                "seed": args.seed,
-                "results": [
-                    {
-                        "suite": r.suite,
-                        "check": r.name,
-                        "passed": r.passed,
-                        "detail": r.detail,
-                    }
-                    for r in results
-                ],
-                "passed": not failed,
-            }
-        )
-    elif args.format == "csv":
-        _emit_csv(
-            ["suite", "check", "passed", "detail"],
-            [[r.suite, r.name, r.passed, r.detail] for r in results],
-        )
-    else:
-        for r in results:
-            mark = "PASS" if r.passed else "FAIL"
-            extra = f"  ({r.detail})" if r.detail else ""
-            print(f"{mark} [{r.suite}] {r.name}{extra}")
-        print(f"{len(results) - len(failed)}/{len(results)} checks passed")
-    return 1 if failed else 0
+    passed = sum(r.passed for r in results)
+    return Table(
+        {"command": "verify", "suite": args.suite, "n_max": args.n_max, "seed": args.seed,
+         "passed": passed == len(results)},
+        "results",
+        results,
+        record=lambda r: {
+            "suite": r.suite, "check": r.name, "passed": r.passed, "detail": r.detail
+        },
+        header=["suite", "check", "passed", "detail"],
+        cells=lambda r: [r.suite, r.name, r.passed, r.detail],
+        line=lambda r: f"{'PASS' if r.passed else 'FAIL'} [{r.suite}] {r.name}"
+        + (f"  ({r.detail})" if r.detail else ""),
+        footer=lambda count: [f"{passed}/{count} checks passed"],
+        ok=lambda r: r.passed,
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -326,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        return _emit(args.fn(args), args.format)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -507,21 +507,20 @@ def permute(w: Permutation, f: Element) -> Element:
     """Relabel generator indices by w; an algebra automorphism."""
     if w.n != f.n:
         raise ValueError(f"permutation degree {w.n} does not match rank {f.n}")
+    # Bit p holds generator (p >> 1) + 1, an a when p is even; it moves to
+    # the same kind at index w((p >> 1) + 1).  Placing the images in the
+    # old order, the sign flips once for every set bit above each new bit.
+    target = [2 * v - 2 + kind for v in w.images for kind in (0, 1)]
     acc: dict[int, Fraction] = {}
     for mask, c in f._terms.items():
-        positions = [
-            Generator(g.kind, w(g.index)).position
-            for g in Monomial(f.n, mask).generators()
-        ]
-        inversions = 0
-        for a, b in itertools.combinations(positions, 2):
-            if a > b:
-                inversions += 1
-        new = 0
-        for p in positions:
-            new |= 1 << p
-        sign = -1 if inversions & 1 else 1
-        acc[new] = acc.get(new, Fraction(0)) + sign * c
+        new, odd = 0, 0
+        while mask:
+            low = mask & -mask
+            q = target[low.bit_length() - 1]
+            odd ^= (new >> q).bit_count() & 1
+            new |= 1 << q
+            mask ^= low
+        acc[new] = -c if odd else c
     return Element._make(f.n, acc)
 
 

@@ -216,18 +216,6 @@ class Matrix:
             writer.writerow([str(x) for x in row])
         return buf.getvalue()
 
-    @classmethod
-    def from_csv(cls, text: str) -> "Matrix":
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader)
-        nrows, ncols = int(header[0]), int(header[1])
-        entries: list[Fraction] = []
-        for row in reader:
-            if not row:
-                continue
-            entries.extend(Fraction(x) for x in row)
-        return cls(nrows, ncols, entries)
-
 
 def _integer_row(row: Sequence[Fraction | int]) -> list[int]:
     """The row times the lcm of its denominators."""

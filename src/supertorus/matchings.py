@@ -699,9 +699,3 @@ def parse_matching(text: str) -> LabelledMatching:
         alpha=seen.get("a", ()),
         alphatheta=seen.get("at", ()),
     )
-
-
-def format_combination(comb: MatchingCombination) -> str:
-    if comb.is_zero():
-        return "0"
-    return "\n".join(f"{c} * [{m.literal()}]" for m, c in comb.items())

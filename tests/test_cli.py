@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+import time
 
 import pytest
 
 from supertorus import cli
 from supertorus import cohomology as co
+from supertorus import matchings as ma
 
 
 def run(capsys, *argv):
@@ -166,6 +168,66 @@ def test_internal_error_is_not_a_usage_error(capsys, monkeypatch):
     assert err == "internal error: ValueError: defect\n"
 
 
+@pytest.mark.parametrize(
+    "fmt, marker", [("text", "ROUND TRIP FAILED"), ("json", '"round_trip": false'), ("csv", "False")]
+)
+def test_bijection_round_trip_failure_exits_1(capsys, monkeypatch, fmt, marker):
+    monkeypatch.setattr(ma, "subsets_from_matching", lambda m: ma.SubsetPair((), ()))
+    code, out, err = run(capsys, "bijection", "--n", "3", "--k", "3", "--format", fmt)
+    assert code == 1
+    assert marker in out
+    assert err == ""
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_basis_internal_error_writes_no_stdout(capsys, monkeypatch, fmt):
+    def broken(*args, **kwargs):
+        raise RuntimeError("defect")
+
+    monkeypatch.setattr(ma, "noncrossing_matchings", broken)
+    code, out, err = run(capsys, "basis", "--n", "4", "--i", "2", "--j", "2", "--format", fmt)
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError: defect\n"
+
+
+@pytest.mark.parametrize("good_rows", [0, 2])
+def test_defect_while_streaming_keeps_written_rows(capsys, monkeypatch, good_rows):
+    invariant = ma.matching_invariant
+    calls = []
+
+    def fails_later(m):
+        calls.append(m)
+        if len(calls) > good_rows:
+            raise RuntimeError("defect")
+        return invariant(m)
+
+    monkeypatch.setattr(ma, "matching_invariant", fails_later)
+    code, out, err = run(capsys, "basis", "--n", "4", "--i", "2", "--j", "2")
+    assert code == 3
+    assert err == "internal error: RuntimeError: defect\n"
+    lines = out.splitlines()
+    assert lines[0] == "noncrossing basis of the invariants, n=4, bidegree (2, 2)"
+    assert len(lines) == 1 + good_rows
+    assert all("  ->  " in line for line in lines[1:])
+
+
+@pytest.mark.parametrize(
+    "argv, rows",
+    [
+        (("basis", "--n", "14", "--i", "7", "--j", "7"), 2760615),
+        (("bijection", "--n", "14", "--k", "14"), 11778624),
+    ],
+)
+def test_oversized_query_refused_up_front(capsys, argv, rows):
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert out == ""
+    assert str(rows) in err and str(cli.ROW_BUDGET) in err
+
+
 def test_missing_subcommand_usage_error(capsys):
     assert cli.main([]) == 2
 
@@ -177,8 +239,9 @@ def test_bad_flag_usage_error(capsys):
 # sha256 of stdout, captured before the bidegree-keyed basis, the direct
 # matching expansion and the lean element formatter replaced the old routes
 # (basis, bijection, reduce), and before the acceptance tests were moved onto
-# the verify registry (dims, character, verify); the bytes of every format
-# must not move.
+# the verify registry (dims, character, verify); the last five were captured
+# before the one streaming table emitter replaced the per-command branches.
+# The bytes of every format must not move.
 GOLDEN_STDOUT = [
     (
         ("basis", "--n", "6", "--i", "3", "--j", "2", "--format", "text"),
@@ -299,6 +362,26 @@ GOLDEN_STDOUT = [
     (
         ("verify", "--suite", "matchings", "--n-max", "2", "--seed", "5", "--format", "csv"),
         "b6db55570e593efc7880b42bf66fee7978040441fbfd2ef27488ceaaf2cda7d2",
+    ),
+    (
+        ("bijection", "--n", "8", "--k", "8", "--format", "json"),
+        "62be235bf2b93a1bed08a4cca563a53ec08bd1d91d108f7d6e0176e6e21b3909",
+    ),
+    (
+        ("bijection", "--n", "8", "--k", "8", "--format", "csv"),
+        "24962a9098e44a674fc0ca74a2ca58be289d42ce4d13bbc46046120f8fc70ea9",
+    ),
+    (
+        ("basis", "--n", "8", "--i", "4", "--j", "4", "--format", "csv"),
+        "c69d0263f17fde1b4e3d283abb96db291453b5916b289386fa94881f83947163",
+    ),
+    (
+        ("basis", "--n", "8", "--i", "4", "--j", "4", "--format", "text"),
+        "77ef8d7c1ced9e6358829f012ffd10e47eb71715bfeab8d4146da61fd5a3fd12",
+    ),
+    (
+        ("dims", "--n", "6", "--format", "json"),
+        "f71cd162c296beb6f9267b6ac4436a89e564d1be098c768502363f959c785a6d",
     ),
 ]
 

@@ -300,6 +300,45 @@ def test_permute_is_algebra_automorphism():
         assert ex.permute(w, f * g) == ex.permute(w, f) * ex.permute(w, g)
 
 
+def permute_oracle(w, f):
+    """The generator-object route: relabel each generator, count inversions."""
+    acc = {}
+    for mask, c in f._terms.items():
+        positions = [
+            ex.Generator(g.kind, w(g.index)).position
+            for g in ex.Monomial(f.n, mask).generators()
+        ]
+        inversions = sum(a > b for a, b in itertools.combinations(positions, 2))
+        new = sum(1 << p for p in positions)
+        acc[new] = acc.get(new, Fraction(0)) + (-1) ** inversions * c
+    return ex.Element(f.n, acc)
+
+
+def assert_same_element(got, want):
+    assert got.n == want.n
+    assert got._terms == want._terms
+    assert all(type(got._terms[m]) is type(want._terms[m]) for m in want._terms)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_permute_matches_oracle_on_monomials(n):
+    for w in itertools.permutations(range(1, n + 1)):
+        w = ex.Permutation(w)
+        for m in ex.all_monomials(n):
+            f = ex.Element.from_monomial(m, Fraction(-3, 2))
+            assert_same_element(ex.permute(w, f), permute_oracle(w, f))
+
+
+def test_permute_matches_oracle_random():
+    rng = random.Random(11)
+    from supertorus.verify import random_element, random_permutation
+
+    for _ in range(1000):
+        n = rng.randint(5, 9)
+        f, w = random_element(rng, n), random_permutation(rng, n)
+        assert_same_element(ex.permute(w, f), permute_oracle(w, f))
+
+
 def test_equivariance_with_raising():
     rng = random.Random(4)
     from supertorus.verify import random_element, random_permutation
