@@ -18,7 +18,9 @@ decided after the rows have streamed), 2 usage or parse error, 3 internal
 error (a defect of the program, reported on one stderr line).  A command that
 fails before its rows start to stream writes nothing to stdout; a defect
 raised while they stream leaves what was already written (the text title or
-the JSON head, and every row before the failing one) on stdout.
+the JSON head, and every row before the failing one) on stdout.  A reader
+that closes stdout early, as ``| head`` does, ends the output quietly: the
+exit code is that of the rows written so far.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import csv
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
@@ -37,7 +40,6 @@ from . import exterior as ex
 from . import matchings as ma
 from . import verify as vf
 
-QUERY_RANK_GUARD = 14
 SUITE_RANK_GUARD = 10
 ROW_BUDGET = 250_000
 
@@ -75,7 +77,15 @@ def _emit(table: Table, fmt: str) -> int:
             failed = failed or not table.ok(row)
             yield row
 
-    {"json": _emit_json, "csv": _emit_csv, "text": _emit_text}[fmt](table, checked())
+    try:
+        {"json": _emit_json, "csv": _emit_csv, "text": _emit_text}[fmt](table, checked())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe, which ends the output.  Point stdout at
+        # devnull so that the interpreter's final flush stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 1 if failed else 0
 
 
@@ -121,13 +131,13 @@ def _guard_rows(count: int) -> None:
 
 
 def _guard_bidegree(n: int, i: int, j: int) -> None:
-    _guard_rank(n, QUERY_RANK_GUARD)
+    _guard_rank(n, ex.MAX_RANK)
     if not (0 <= i <= n and 0 <= j <= n):
         raise UsageError(f"bidegree ({i}, {j}) out of range for n={n}")
 
 
 def cmd_dims(args) -> Table:
-    _guard_rank(args.n, QUERY_RANK_GUARD)
+    _guard_rank(args.n, ex.MAX_RANK)
     n = args.n
     census = co.diagonal_census(n)
     totals = {
@@ -196,7 +206,7 @@ def cmd_character(args) -> Table:
 
 
 def cmd_bijection(args) -> Table:
-    _guard_rank(args.n, QUERY_RANK_GUARD)
+    _guard_rank(args.n, ex.MAX_RANK)
     n, k = args.n, args.k
     if not 0 <= k <= 2 * n:
         raise UsageError(f"degree k={k} out of range 0..{2 * n}")
@@ -238,7 +248,7 @@ def cmd_reduce(args) -> Table:
         raise UsageError(f"matching literal parse error:\n{err.caret_diagnostic()}") from None
     except ValueError as err:
         raise UsageError(f"invalid matching: {err}") from None
-    _guard_rank(m.n, QUERY_RANK_GUARD)
+    _guard_rank(m.n, ex.MAX_RANK)
     return Table(
         {"command": "reduce", "input": m.to_json_dict()},
         "terms",

@@ -6,8 +6,9 @@ symmetric-group characters, the Lefschetz isomorphism between complementary
 bidegrees, and the volume-form duality pairing all live here, each backed by
 an explicit matrix computation over the subset-pair monomial bases.
 
-Monomial components are always ordered the same way: the alpha index set runs
-lexicographically in the outer loop and the theta index set in the inner one.
+Monomial components are always ordered the same way, by one enumeration of
+their masks: the alpha index set runs lexicographically in the outer loop and
+the theta index set in the inner one.  The bases are built on those masks.
 
 Raising sends the monomial (A, B) to the sum of (A + c, B - c) over c in
 B - A, so it keeps the union D = A | B and the intersection I = A & B fixed.
@@ -42,22 +43,23 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations, permutations
 from typing import Iterator, NamedTuple, Sequence
 
 from .exterior import (
+    _ALPHA_BITS,
     Bidegree,
     Element,
     Monomial,
     Permutation,
+    _check_rank,
     _merge_sign,
     lefschetz_element,
     permute,
     raising,
-    subset_monomial,
     volume_form,
 )
-from .linalg import Matrix, boolean_incidence, subset_masks, subsets_lex
+from .linalg import Matrix, boolean_incidence
 
 
 def _comb(n: int, k: int) -> int:
@@ -77,16 +79,21 @@ def narayana(n: int, k: int) -> int:
     return math.comb(n, k) * math.comb(n, k - 1) // n
 
 
-def bidegree_monomials(n: int, d: tuple[int, int]) -> list[Monomial]:
-    """Monomial basis of the (i, j) component, alpha sets outer, theta inner."""
+def _bidegree_masks(n: int, d: tuple[int, int]) -> list[int]:
+    """Masks of ``bidegree_monomials(n, d)``, the rank checked up front."""
+    _check_rank(n)
     i, j = d
     if not (0 <= i <= n and 0 <= j <= n):
         return []
-    return [
-        subset_monomial(A, B, n)
-        for A in subsets_lex(n, i)
-        for B in subsets_lex(n, j)
-    ]
+    # index x + 1 holds a at bit 2x and t at bit 2x + 1
+    alphas, thetas = ([sum(4**x for x in S) for S in combinations(range(n), k)] for k in d)
+    return [a | (t << 1) for a in alphas for t in thetas]
+
+
+def bidegree_monomials(n: int, d: tuple[int, int]) -> list[Monomial]:
+    """Monomial basis of the (i, j) component, alpha sets outer, theta inner,
+    each in lexicographic order; empty when (i, j) is out of range."""
+    return [Monomial(n, m) for m in _bidegree_masks(n, d)]
 
 
 def element_coordinates(f: Element, basis: Sequence[Monomial]) -> list[Fraction]:
@@ -103,16 +110,14 @@ def raising_matrix(n: int, d: tuple[int, int]) -> Matrix:
     bidegree (i+1, j-1); every entry is 0 or 1.
     """
     i, j = d
-    source = bidegree_monomials(n, (i, j))
-    target = bidegree_monomials(n, (i + 1, j - 1))
-    index = {m.mask: r for r, m in enumerate(target)}
-    out = Matrix(len(target), len(source))
+    source = _bidegree_masks(n, (i, j))
+    index = {m: r for r, m in enumerate(_bidegree_masks(n, (i + 1, j - 1)))}
+    out = Matrix(len(index), len(source))
     for c, m in enumerate(source):
-        image = raising(Element.from_monomial(m))
-        for mono, coeff in image.terms():
-            if coeff not in (0, 1):
+        for mask, coeff in raising(Element._make(n, {m: Fraction(1)}))._terms.items():
+            if coeff != 1:
                 raise AssertionError("raising is not sign free in this basis")
-            out._data[index[mono.mask]][c] = coeff
+            out._data[index[mask]][c] = coeff
     return out
 
 
@@ -162,15 +167,13 @@ class BidegreeBasis:
 _BLOCK_CACHE_SIZE = 128
 
 
-def _block_classes(n: int, d: tuple[int, int]) -> list[tuple[int, int, list[int]]]:
-    """The (A | B, A & B) classes of bidegree d as (d0, i0, positions): the
-    block shape and the class's positions in ``bidegree_monomials(n, d)``,
-    in monomial order."""
-    i, j = d
-    if not (0 <= i <= n and 0 <= j <= n):
-        return []
+def _block_classes(masks: list[int], i: int) -> list[tuple[int, int, list[int]]]:
+    """The (A | B, A & B) classes of the masks of one bidegree with alpha
+    degree i, as (d0, i0, positions): the block shape and the class's
+    positions in ``masks``, in monomial order."""
     classes: dict[tuple[int, int], list[int]] = {}
-    for k, (a, b) in enumerate(product(subset_masks(n, i), subset_masks(n, j))):
+    for k, m in enumerate(masks):
+        a, b = m & _ALPHA_BITS, (m >> 1) & _ALPHA_BITS
         classes.setdefault((a | b, a & b), []).append(k)
     return [
         ((union ^ meet).bit_count(), i - meet.bit_count(), cols)
@@ -214,19 +217,18 @@ def _cokernel_block(d0: int, i0: int) -> tuple[int, ...]:
 def invariants_basis(n: int, d: tuple[int, int]) -> BidegreeBasis:
     """Canonical kernel basis of raising on bidegree d, one per free column."""
     d = Bidegree(*d)
-    source = bidegree_monomials(n, d)
+    _check_bidegree(n, *d)
+    source = _bidegree_masks(n, d)
     kernel = sorted(
         (
             [(cols[c], x) for c, x in v]
-            for d0, i0, cols in _block_classes(n, d)
+            for d0, i0, cols in _block_classes(source, d.i)
             for v in _kernel_block(d0, i0)
         ),
         key=lambda v: v[-1][0],
     )
-    vectors = tuple(
-        Element.from_terms(n, [(source[c], x) for c, x in v]) for v in kernel
-    )
-    expected = invariants_dimension(n, d.i, d.j) if source else 0
+    vectors = tuple(Element._make(n, {source[c]: x for c, x in v}) for v in kernel)
+    expected = invariants_dimension(n, d.i, d.j)
     if len(vectors) != expected:
         raise AssertionError(
             f"kernel dimension {len(vectors)} disagrees with formula {expected}"
@@ -242,12 +244,15 @@ def coinvariants_representatives(n: int, d: tuple[int, int]) -> BidegreeBasis:
     span until the whole component is covered.
     """
     d = Bidegree(*d)
-    target = bidegree_monomials(n, d)
+    _check_bidegree(n, *d)
+    target = _bidegree_masks(n, d)
     picks = sorted(
-        cols[k] for d0, i0, cols in _block_classes(n, d) for k in _cokernel_block(d0, i0)
+        cols[k]
+        for d0, i0, cols in _block_classes(target, d.i)
+        for k in _cokernel_block(d0, i0)
     )
-    reps = tuple(Element.from_monomial(target[c]) for c in picks)
-    expected = coinvariants_dimension(n, d.i, d.j) if target else 0
+    reps = tuple(Element._make(n, {target[c]: Fraction(1)}) for c in picks)
+    expected = coinvariants_dimension(n, d.i, d.j)
     if len(reps) != expected:
         raise AssertionError(
             f"cokernel dimension {len(reps)} disagrees with formula {expected}"

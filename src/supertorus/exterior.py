@@ -14,7 +14,8 @@ The two gradings track alpha-degree and theta-degree separately.  The key
 operators are the algebra map ``translate`` (t_i -> t_i + a_i), its
 infinitesimal form ``raising`` (sum of a_i * d/dt_i), the mirror operator
 ``lowering``, and the diagonal ``weight`` operator; together the last three
-act as an sl2 triple.
+act as an sl2 triple.  As a_i and t_i are adjacent, raising and lowering only
+move a lone t_i to a_i, or a lone a_i to t_i, in place and without a sign.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ _ZERO = Fraction(0)
 
 # Largest rank n accepted; the algebra has 4**n monomials.
 MAX_RANK = 14
+
+# Bits of the alpha generators a_1 .. a_MAX_RANK: 0b...010101.
+_ALPHA_BITS = int("01" * MAX_RANK, 2)
 
 
 def _check_rank(n: int) -> None:
@@ -158,8 +162,7 @@ class Monomial:
         return self.mask.bit_count()
 
     def bidegree(self) -> Bidegree:
-        alpha_bits = self.mask & _alpha_mask(self.n)
-        return Bidegree(alpha_bits.bit_count(), self.degree - alpha_bits.bit_count())
+        return _bidegree(self.mask)
 
     def sort_key(self) -> tuple:
         return (self.degree, self.positions())
@@ -183,9 +186,9 @@ class Monomial:
         return f"Monomial(n={self.n}, {self})"
 
 
-def _alpha_mask(n: int) -> int:
-    # bits of all alpha generators: 0b...010101
-    return int("01" * n, 2) if n else 0
+def _bidegree(mask: int) -> Bidegree:
+    i = (mask & _ALPHA_BITS).bit_count()
+    return Bidegree(i, mask.bit_count() - i)
 
 
 def _merge_sign(a_mask: int, b_mask: int) -> int:
@@ -236,15 +239,6 @@ class Element:
     def from_monomial(cls, m: Monomial, coeff: Rational = 1) -> "Element":
         c = Fraction(coeff)
         return cls(m.n, {m.mask: c} if c else {})
-
-    @classmethod
-    def from_terms(cls, n: int, terms: Iterable[tuple[Monomial, Rational]]) -> "Element":
-        acc: dict[int, Fraction] = {}
-        for m, c in terms:
-            if m.n != n:
-                raise ValueError("monomial rank mismatch")
-            acc[m.mask] = acc.get(m.mask, Fraction(0)) + Fraction(c)
-        return cls._make(n, acc)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -329,16 +323,12 @@ class Element:
         return out
 
     def bidegrees(self) -> set[Bidegree]:
-        return {Monomial(self.n, m).bidegree() for m in self._terms}
+        return {_bidegree(m) for m in self._terms}
 
     def bidegree_component(self, d: tuple[int, int]) -> "Element":
         d = Bidegree(*d)
-        acc = {
-            m: c
-            for m, c in self._terms.items()
-            if Monomial(self.n, m).bidegree() == d
-        }
-        return Element._make(self.n, acc)
+        kept = {m: c for m, c in self._terms.items() if _bidegree(m) == d}
+        return Element._make(self.n, kept)
 
     def __str__(self) -> str:
         return format_element(self)
@@ -384,30 +374,39 @@ def derivative(f: Element, g: Generator) -> Element:
     return Element._make(f.n, acc)
 
 
+def _pair_move(f: Element, source: int) -> Element:
+    """Sum over the pairs (a_i, t_i) of each term holding only the one at
+    bit ``source`` (0 for a_i, 1 for t_i) of the term with it swapped for the
+    other; the two are adjacent, so the swap adds no sign."""
+    acc: dict[int, Fraction] = {}
+    for mask, c in f._terms.items():
+        lone = (mask >> source) & ~(mask >> (1 - source)) & _ALPHA_BITS
+        while lone:
+            low = lone & -lone
+            new = mask ^ (3 * low)
+            acc[new] = acc.get(new, _ZERO) + c
+            lone ^= low
+    return Element._make(f.n, acc)
+
+
 def raising(f: Element) -> Element:
     """Infinitesimal translation: sum over i of a_i times d/dt_i.
 
     Bihomogeneous of bidegree (+1, -1); its exponential is ``translate``.
     """
-    out = Element.zero(f.n)
-    for i in range(1, f.n + 1):
-        out = out + generator_element(alpha(i), f.n) * derivative(f, theta(i))
-    return out
+    return _pair_move(f, 1)
 
 
 def lowering(f: Element) -> Element:
     """Mirror of ``raising``: sum over i of t_i times d/da_i."""
-    out = Element.zero(f.n)
-    for i in range(1, f.n + 1):
-        out = out + generator_element(theta(i), f.n) * derivative(f, alpha(i))
-    return out
+    return _pair_move(f, 0)
 
 
 def weight(f: Element) -> Element:
     """Scale each bidegree (i, j) component by i - j."""
     acc: dict[int, Fraction] = {}
     for mask, c in f._terms.items():
-        i, j = Monomial(f.n, mask).bidegree()
+        i, j = _bidegree(mask)
         if i != j:
             acc[mask] = (i - j) * c
     return Element._make(f.n, acc)

@@ -6,13 +6,9 @@ from supertorus import exterior as ex
 
 
 @pytest.fixture
-def flipped_theta_derivative(monkeypatch):
-    """Negate every derivative by a theta generator, a sign fault that the
-    exponential and sl2 checks must catch."""
-    derivative = ex.derivative
-
-    def flipped(f, g):
-        d = derivative(f, g)
-        return -d if g.kind == "theta" else d
-
-    monkeypatch.setattr(ex, "derivative", flipped)
+def negated_raising(monkeypatch):
+    """Negate the raising operator, which is what a negated derivative by
+    every theta generator makes of it: a sign fault that the exponential and
+    sl2 checks must catch.  Lowering is untouched."""
+    raising = ex.raising
+    monkeypatch.setattr(ex, "raising", lambda f: -raising(f))

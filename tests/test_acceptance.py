@@ -122,12 +122,12 @@ def test_12_presentation_relations():
     report("12 presentation relations hold identically for all index pairs up to 6")
 
 
-def test_13_negative_control(flipped_theta_derivative):
+def test_13_negative_control(negated_raising):
     assert not holds(vf.check_translate_is_exp, 2), (
         "fault injection left the exponential identity intact")
     assert not holds(vf.check_sl2_relations, 2), (
         "fault injection left the sl2 identity intact")
-    report("13 a flipped derivative sign is caught by the exponential and sl2 checks")
+    report("13 a negated raising is caught by the exponential and sl2 checks")
 
 
 def test_14_negative_control_label_slide(monkeypatch):

@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -134,11 +138,29 @@ def test_verify_guard(capsys):
     assert "guard" in err
 
 
-def test_verify_fault_injection_fails(capsys, flipped_theta_derivative):
-    # a broken theta-derivative sign must fail the core suite
+def test_verify_fault_injection_fails(capsys, negated_raising):
+    # a negated raising operator must fail the core suite
     code, out, _ = run(capsys, "verify", "--suite", "core", "--n-max", "2", "--seed", "1")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_closed_stdout_pipe_ends_output_quietly():
+    # 4,900 rows, several times a 64 KB pipe buffer: the command is still
+    # writing when the reader goes away after two lines
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "supertorus.cli", "bijection", "--n", "8", "--k", "8"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    lines = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+    assert lines[0] == b"subset pairs and matchings, n=8, degree k=8\n"
+    assert lines[1].startswith(b"A={1,2,3,4} B={1,2,3,4}")
 
 
 def test_outputs_are_byte_deterministic(capsys):

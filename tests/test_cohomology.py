@@ -50,6 +50,34 @@ def test_raising_matrix_golden_csv():
     assert co.raising_matrix(2, (1, 1)).to_csv() == "1,4\n0,1,1,0\n"
 
 
+def bidegree_monomials_oracle(n, d):
+    """The generic route: one ``subset_monomial`` per pair of index sets."""
+    i, j = d
+    if not (0 <= i <= n and 0 <= j <= n):
+        return []
+    return [
+        ex.subset_monomial(A, B, n)
+        for A in la.subsets_lex(n, i)
+        for B in la.subsets_lex(n, j)
+    ]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_bidegree_enumeration_matches_oracle(n):
+    # every bidegree, and the empty ones just outside the range
+    for i in range(-1, n + 2):
+        for j in range(-1, n + 2):
+            want = bidegree_monomials_oracle(n, (i, j))
+            assert co.bidegree_monomials(n, (i, j)) == want
+            assert co._bidegree_masks(n, (i, j)) == [m.mask for m in want]
+
+
+def test_enumeration_checks_rank_first():
+    for fn in (co.bidegree_monomials, co.raising_matrix):
+        with pytest.raises(ValueError, match="rank 15 exceeds the guard 14"):
+            fn(15, (1, 1))
+
+
 # ---------------------------------------------------------------------------
 # dimensions
 
@@ -114,6 +142,22 @@ def test_invariants_basis_empty_when_zero():
     assert len(co.invariants_basis(2, (0, 1))) == 0
 
 
+@pytest.mark.parametrize(
+    "fn", [co.invariants_basis, co.coinvariants_representatives], ids=["inv", "coinv"]
+)
+@pytest.mark.parametrize(
+    "n, d, message",
+    [(3, (5, 1), "bidegree"), (3, (-1, 0), "bidegree"), (-1, (0, 0), "bidegree"),
+     # a small bidegree, so that a lost rank guard fails here rather than
+     # enumerating millions of masks
+     (15, (1, 1), "rank 15 exceeds the guard 14")],
+    ids=["3-(5,1)", "3-(-1,0)", "-1-(0,0)", "15-(1,1)"],
+)
+def test_bases_reject_bad_rank_or_bidegree(fn, n, d, message):
+    with pytest.raises(ValueError, match=message):
+        fn(n, d)
+
+
 def test_invariants_bases_are_fixed_points():
     for n in range(0, 4):
         for i in range(n + 1):
@@ -154,7 +198,7 @@ def _dense_invariants(n, d):
     source = co.bidegree_monomials(n, d)
     return [
         ex.format_element(
-            ex.Element.from_terms(n, [(m, c) for m, c in zip(source, v) if c])
+            ex.Element(n, {m.mask: c for m, c in zip(source, v) if c})
         )
         for v in co.raising_matrix(n, d).kernel_basis()
     ]

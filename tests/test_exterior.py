@@ -339,6 +339,64 @@ def test_permute_matches_oracle_random():
         assert_same_element(ex.permute(w, f), permute_oracle(w, f))
 
 
+# The generic routes the sl2 triple replaced: raising and lowering through n
+# generator elements, derivatives, products and sums, and bidegrees through
+# an alpha mask parsed for the rank at hand.
+
+def raising_oracle(f):
+    out = ex.Element.zero(f.n)
+    for i in range(1, f.n + 1):
+        out = out + ex.generator_element(ex.alpha(i), f.n) * ex.derivative(f, ex.theta(i))
+    return out
+
+
+def lowering_oracle(f):
+    out = ex.Element.zero(f.n)
+    for i in range(1, f.n + 1):
+        out = out + ex.generator_element(ex.theta(i), f.n) * ex.derivative(f, ex.alpha(i))
+    return out
+
+
+def bidegree_oracle(n, mask):
+    alpha_bits = mask & (int("01" * n, 2) if n else 0)
+    return ex.Bidegree(alpha_bits.bit_count(), mask.bit_count() - alpha_bits.bit_count())
+
+
+def weight_oracle(f):
+    acc = {}
+    for mask, c in f._terms.items():
+        i, j = bidegree_oracle(f.n, mask)
+        if i != j:
+            acc[mask] = (i - j) * c
+    return ex.Element._make(f.n, acc)
+
+
+def assert_triple_matches_oracles(f):
+    assert_same_element(ex.raising(f), raising_oracle(f))
+    assert_same_element(ex.lowering(f), lowering_oracle(f))
+    assert_same_element(ex.weight(f), weight_oracle(f))
+    assert f.bidegrees() == {bidegree_oracle(f.n, m) for m in f._terms}
+    for d in f.bidegrees():
+        want = {m: c for m, c in f._terms.items() if bidegree_oracle(f.n, m) == d}
+        assert f.bidegree_component(d)._terms == want
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_sl2_triple_matches_oracle_on_monomials(n):
+    for m in ex.all_monomials(n):
+        assert m.bidegree() == bidegree_oracle(n, m.mask)
+        for coeff in (3, Fraction(-3, 2)):
+            assert_triple_matches_oracles(ex.Element(n, {m.mask: coeff}))
+
+
+def test_sl2_triple_matches_oracle_random():
+    rng = random.Random(12)
+    from supertorus.verify import random_element
+
+    for _ in range(1000):
+        assert_triple_matches_oracles(random_element(rng, rng.randint(5, 9), terms=6))
+
+
 def test_equivariance_with_raising():
     rng = random.Random(4)
     from supertorus.verify import random_element, random_permutation
@@ -460,11 +518,11 @@ def test_format_parse_round_trip():
 
 
 @st.composite
-def elements(draw):
-    """Random elements up to n = 6: rational coefficients of either sign,
-    the constant term among the masks, and the zero element when the drawn
-    terms are empty or cancel."""
-    n = draw(st.integers(0, 6))
+def elements(draw, max_rank=6):
+    """Random elements up to rank ``max_rank``: rational coefficients of
+    either sign, the constant term among the masks, and the zero element when
+    the drawn terms are empty or cancel."""
+    n = draw(st.integers(0, max_rank))
     coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=7)
     terms = draw(st.lists(st.tuples(st.integers(0, (1 << (2 * n)) - 1), coeffs), max_size=6))
     f = ex.Element.zero(n)
@@ -483,3 +541,9 @@ def test_format_parse_round_trip_property(f):
     text = ex.format_element(f)
     assert ex.parse_element(text, f.n) == f
     assert (text == "0") == f.is_zero()
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(elements(8))
+def test_translate_is_exp_raising_property(f):
+    assert ex.translate(f) == ex.exp_raising(f)

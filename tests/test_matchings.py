@@ -5,6 +5,8 @@ import json
 import math
 import random
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -192,6 +194,35 @@ def test_normal_form_lands_in_reduced_support():
         for t in combo.support():
             assert ma.crossings(t) == 0
             assert ma.alpha_nestings(t) == 0
+
+
+def test_normal_form_under_threads(monkeypatch):
+    # overlapping crossing matchings: their rewrites meet in shared children,
+    # so the threads race to fill the same memo entries
+    literals = [
+        "n=8; arcs=(1,5),(2,6),(3,7),(4,8)",
+        "n=8; arcs=(1,5),(2,6),(3,7); a=4; at=8",
+        "n=8; arcs=(1,4),(2,6),(3,7); at=5; a=8",
+        "n=9; arcs=(1,5),(2,6),(3,7),(4,8); a=9",
+        "n=9; arcs=(1,6),(2,7),(3,8); a=4; at=5,9",
+        "n=10; arcs=(1,6),(2,7),(3,8),(4,9),(5,10)",
+        "n=10; arcs=(1,6),(2,7),(3,8),(4,9); a=5; at=10",
+        "n=10; arcs=(1,3),(2,7),(4,9),(5,10); a=6,8",
+    ]
+    matchings = [ma.parse_matching(text) for text in literals] * 3
+
+    monkeypatch.setattr(ma, "_normal_form_cache", {})
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = [f.result(timeout=120).items()
+                        for f in [pool.submit(ma.normal_form, m) for m in matchings]]
+    finally:
+        sys.setswitchinterval(interval)
+
+    monkeypatch.setattr(ma, "_normal_form_cache", {})
+    assert threaded == [ma.normal_form(m).items() for m in matchings]
 
 
 def test_normal_form_sound_and_matches_oracle_small():
