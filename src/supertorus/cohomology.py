@@ -112,13 +112,13 @@ def raising_matrix(n: int, d: tuple[int, int]) -> Matrix:
     i, j = d
     source = _bidegree_masks(n, (i, j))
     index = {m: r for r, m in enumerate(_bidegree_masks(n, (i + 1, j - 1)))}
-    out = Matrix(len(index), len(source))
+    nonzeros = []
     for c, m in enumerate(source):
         for mask, coeff in raising(Element._make(n, {m: Fraction(1)}))._terms.items():
             if coeff != 1:
                 raise AssertionError("raising is not sign free in this basis")
-            out._data[index[mask]][c] = coeff
-    return out
+            nonzeros.append((index[mask], c, coeff))
+    return Matrix._from_nonzeros(len(index), len(source), nonzeros)
 
 
 def _check_bidegree(n: int, i: int, j: int) -> None:
@@ -208,8 +208,11 @@ def _cokernel_block(d0: int, i0: int) -> tuple[int, ...]:
     size = math.comb(d0, i0)
     if i0 == 0:
         return tuple(range(size))
-    image = boolean_incidence(d0, i0 - 1, i0)
-    _, pivots = Matrix.from_rows([row[::-1] for row in image.rows()]).rref()
+    # Complements list the subsets of one size in reverse lexicographic
+    # order, and pivot columns do not depend on the order of the rows: up to
+    # its rows, the image with its columns reversed is the inclusion of the
+    # (d0 - i0)-subsets in the (d0 - i0 + 1)-subsets, transposed.
+    _, pivots = boolean_incidence(d0, d0 - i0, d0 - i0 + 1).transpose().rref()
     taken = {size - 1 - p for p in pivots}
     return tuple(k for k in range(size) if k not in taken)
 
@@ -309,14 +312,13 @@ def lefschetz_matrix(n: int, i: int, j: int) -> Matrix:
     target = invariants_basis(n, (n - j, n - i)).vectors
     own = _own_monomials(target)
     power = lefschetz_element(n) ** (n - i - j)
-    out = Matrix(len(target), len(source))
+    nonzeros = []
     for col, v in enumerate(source):
         coords = _coordinates(target, own, v * power)
         if coords is None:
             raise AssertionError("Lefschetz image left the invariant subspace")
-        for row, x in coords.items():
-            out._data[row][col] = x
-    return out
+        nonzeros += ((row, col, x) for row, x in coords.items())
+    return Matrix._from_nonzeros(len(target), len(source), nonzeros)
 
 
 def duality_gram(n: int, i: int, j: int) -> Matrix:
@@ -332,15 +334,14 @@ def duality_gram(n: int, i: int, j: int) -> Matrix:
     for col, rep in enumerate(right):
         (r,) = rep._terms
         partner[vol ^ r] = (col, _merge_sign(vol ^ r, r))
-    out = Matrix(len(left), len(right))
+    nonzeros = []
     for row, v in enumerate(left):
-        entries = out._data[row]
         for m, c in v._terms.items():
             hit = partner.get(m)
             if hit:
                 col, sign = hit
-                entries[col] = c if sign > 0 else -c
-    return out
+                nonzeros.append((row, col, c if sign > 0 else -c))
+    return Matrix._from_nonzeros(len(left), len(right), nonzeros)
 
 
 # ---------------------------------------------------------------------------

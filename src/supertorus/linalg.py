@@ -1,10 +1,13 @@
 """Dense exact rational linear algebra and Boolean-poset incidence matrices.
 
-Eliminations run on integer rows, each row scaled by the lcm of its
-denominators.  A reduction modulo a fixed large prime certifies full rank,
-since the rank modulo a prime never exceeds the rank over the rationals.
-One exact engine, integer Gauss-Jordan on primitive rows, serves the rank
-when that certificate fails, reduced echelon forms, kernels and solves.
+A matrix stores integer rows, one denominator each: row r is kept as its
+entries times the lcm of their reduced denominators, together with that
+lcm, and its entries read back as Fractions.  Eliminations run on the
+stored rows directly.  A reduction modulo a fixed large prime certifies full
+rank, since the rank modulo a prime never exceeds the rank over the
+rationals.  One exact engine, integer Gauss-Jordan on primitive rows, serves
+the rank when that certificate fails, reduced echelon forms, kernels and
+solves.
 """
 
 from __future__ import annotations
@@ -21,15 +24,20 @@ import numpy as np
 # Largest Mersenne prime below 2**31; products of two residues fit in int64.
 _CERT_PRIME = 2**31 - 1
 
-# Fractions are immutable, so incidence matrices share these entries.
+# Fractions are immutable, so the rows read back share these entries.
 _ONE = Fraction(1)
 _ZERO = Fraction(0)
 
 
 class Matrix:
-    """Immutable dense matrix of Fractions, row major."""
+    """Immutable dense rational matrix, row major.
 
-    __slots__ = ("nrows", "ncols", "_data")
+    Row r is stored as the integers ``_rows[r]`` over the positive
+    denominator ``_dens[r]``, the lcm of the row's reduced denominators, so
+    equal matrices store equal rows.  Only this module reads the storage.
+    """
+
+    __slots__ = ("nrows", "ncols", "_rows", "_dens")
 
     def __init__(self, nrows: int, ncols: int, entries: Iterable[Fraction] | None = None):
         if nrows < 0 or ncols < 0:
@@ -37,15 +45,42 @@ class Matrix:
         self.nrows = nrows
         self.ncols = ncols
         if entries is None:
-            self._data = [[_ZERO] * ncols for _ in range(nrows)]
-        else:
-            # Fractions are immutable, so entries that already are one are kept
-            flat = [e if type(e) is Fraction else Fraction(e) for e in entries]
-            if len(flat) != nrows * ncols:
-                raise ValueError(
-                    f"expected {nrows * ncols} entries, got {len(flat)}"
-                )
-            self._data = [flat[r * ncols : (r + 1) * ncols] for r in range(nrows)]
+            self._rows = [[0] * ncols for _ in range(nrows)]
+            self._dens = [1] * nrows
+            return
+        flat = [_rational(e) for e in entries]
+        if len(flat) != nrows * ncols:
+            raise ValueError(f"expected {nrows * ncols} entries, got {len(flat)}")
+        scaled = [_integer_row(flat[r * ncols : (r + 1) * ncols]) for r in range(nrows)]
+        self._rows = [row for row, _ in scaled]
+        self._dens = [den for _, den in scaled]
+
+    @classmethod
+    def _make(cls, ncols: int, rows: list[list[int]], dens: list[int]) -> "Matrix":
+        """The matrix of stored rows and their denominators, taken as given."""
+        out = cls.__new__(cls)
+        out.nrows, out.ncols, out._rows, out._dens = len(rows), ncols, rows, dens
+        return out
+
+    @classmethod
+    def _from_nonzeros(
+        cls, nrows: int, ncols: int, nonzeros: Iterable[tuple[int, int, int | Fraction]]
+    ) -> "Matrix":
+        """The matrix with the given (row, column, value) entries, each value
+        an int or a Fraction, and zeros elsewhere; a later entry at the same
+        position replaces an earlier one."""
+        spread: list[dict[int, int | Fraction]] = [{} for _ in range(nrows)]
+        for r, c, x in nonzeros:
+            spread[r][c] = x
+        rows, dens = [], []
+        for entries in spread:
+            scaled, den = _integer_row(list(entries.values()))
+            row = [0] * ncols
+            for c, x in zip(entries, scaled):
+                row[c] = x
+            rows.append(row)
+            dens.append(den)
+        return cls._make(ncols, rows, dens)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
@@ -70,23 +105,20 @@ class Matrix:
 
     @classmethod
     def identity(cls, k: int) -> "Matrix":
-        m = cls(k, k)
-        for i in range(k):
-            m._data[i][i] = Fraction(1)
-        return m
+        return cls._make(k, [[int(r == c) for c in range(k)] for r in range(k)], [1] * k)
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         r, c = key
-        return self._data[r][c]
+        return Fraction(self._rows[r][c], self._dens[r])
 
     def row(self, r: int) -> list[Fraction]:
-        return list(self._data[r])
+        return _fractions(self._rows[r], self._dens[r])
 
     def column(self, c: int) -> list[Fraction]:
-        return [self._data[r][c] for r in range(self.nrows)]
+        return [Fraction(row[c], den) for row, den in zip(self._rows, self._dens)]
 
     def rows(self) -> list[list[Fraction]]:
-        return [list(row) for row in self._data]
+        return [_fractions(row, den) for row, den in zip(self._rows, self._dens)]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -96,29 +128,29 @@ class Matrix:
         return (
             isinstance(other, Matrix)
             and self.shape == other.shape
-            and self._data == other._data
+            and self._dens == other._dens
+            and self._rows == other._rows
         )
 
     def __hash__(self):
-        return hash((self.shape, tuple(tuple(r) for r in self._data)))
+        return hash((self.shape, tuple(tuple(row) for row in self.rows())))
 
     def __repr__(self) -> str:
         return f"Matrix({self.nrows}x{self.ncols})"
 
     def transpose(self) -> "Matrix":
-        return Matrix.from_rows(
-            [[self._data[r][c] for r in range(self.nrows)] for c in range(self.ncols)]
-            if self.nrows
-            else [[] for _ in range(self.ncols)]
-        )
+        if any(den != 1 for den in self._dens):
+            return Matrix.from_columns(self.rows(), nrows=self.ncols)
+        columns = [list(col) for col in zip(*self._rows)] or [[] for _ in range(self.ncols)]
+        return Matrix._make(self.nrows, columns, [1] * self.ncols)
 
     def mat_vec(self, v: Sequence) -> list[Fraction]:
         if len(v) != self.ncols:
             raise ValueError("vector length mismatch")
         vv = [Fraction(x) for x in v]
         return [
-            sum((row[c] * vv[c] for c in range(self.ncols)), Fraction(0))
-            for row in self._data
+            sum((vv[c] * x for c, x in enumerate(row) if x), _ZERO) / den
+            for row, den in zip(self._rows, self._dens)
         ]
 
     def __mul__(self, other: "Matrix") -> "Matrix":
@@ -126,29 +158,25 @@ class Matrix:
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("inner dimensions mismatch")
-        out = Matrix(self.nrows, other.ncols)
-        for r in range(self.nrows):
-            row = self._data[r]
-            for c in range(other.ncols):
-                out._data[r][c] = sum(
-                    (row[k] * other._data[k][c] for k in range(self.ncols)),
-                    Fraction(0),
-                )
-        return out
+        columns = other.transpose().rows()
+        return Matrix(self.nrows, other.ncols, [
+            sum((a * b for a, b in zip(row, col)), _ZERO)
+            for row in self.rows()
+            for col in columns
+        ])
 
     def scaled_integer_rows(self) -> list[list[int]]:
         """Each row times the lcm of its denominators; rank preserving."""
-        return [_integer_row(row) for row in self._data]
+        return [row[:] for row in self._rows]
 
     def rank(self) -> int:
         if self.nrows == 0 or self.ncols == 0:
             return 0
-        ints = self.scaled_integer_rows()
-        r = _modp_rank(ints)
+        r = _modp_rank(self._rows)
         if r == min(self.nrows, self.ncols):
             # full rank modulo the prime certifies full rank over Q
             return r
-        return _bareiss_rank(ints)
+        return _bareiss_rank(self._rows)
 
     def is_invertible(self) -> bool:
         if self.nrows != self.ncols:
@@ -158,10 +186,15 @@ class Matrix:
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         rows = self.scaled_integer_rows()
         pivots = _integer_rref(rows, self.ncols)
-        out = Matrix(self.nrows, self.ncols)
+        dens = [1] * self.nrows
         for r, p in enumerate(pivots):
-            out._data[r] = [Fraction(x, rows[r][p]) if x else _ZERO for x in rows[r]]
-        return out, tuple(pivots)
+            # row r over its pivot entry, which the gcd of the row divides
+            g = math.gcd(*rows[r])
+            if rows[r][p] < 0:
+                g = -g
+            rows[r] = [x // g for x in rows[r]]
+            dens[r] = rows[r][p]
+        return Matrix._make(self.ncols, rows, dens), tuple(pivots)
 
     def kernel_basis(self) -> list[list[Fraction]]:
         """Canonical basis of the right null space, one vector per free column."""
@@ -185,10 +218,13 @@ class Matrix:
         for v in vectors:
             if len(v) != self.nrows:
                 raise ValueError("vector length mismatch")
-        aug = [
-            _integer_row(row + [v[r] for v in vectors])
-            for r, row in enumerate(self._data)
-        ]
+        aug = []
+        for r, (row, den) in enumerate(zip(self._rows, self._dens)):
+            rhs, rhs_den = _integer_row([v[r] for v in vectors])
+            scale = math.lcm(den, rhs_den)
+            aug.append(
+                [x * (scale // den) for x in row] + [x * (scale // rhs_den) for x in rhs]
+            )
         pivots = _integer_rref(aug, self.ncols + len(vectors))
         results: list[list[Fraction] | None] = []
         for col in range(self.ncols, self.ncols + len(vectors)):
@@ -212,17 +248,32 @@ class Matrix:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow([self.nrows, self.ncols])
-        for row in self._data:
-            writer.writerow([str(x) for x in row])
+        for row, den in zip(self._rows, self._dens):
+            writer.writerow(row if den == 1 else [str(x) for x in _fractions(row, den)])
         return buf.getvalue()
 
 
-def _integer_row(row: Sequence[Fraction | int]) -> list[int]:
-    """The row times the lcm of its denominators."""
-    if all(x.denominator == 1 for x in row):
-        return [x.numerator for x in row]
-    scale = math.lcm(*(x.denominator for x in row))
-    return [x.numerator * (scale // x.denominator) for x in row]
+def _rational(x) -> int | Fraction:
+    """A matrix entry as an int or a Fraction; floats are refused as inexact."""
+    if type(x) is int or type(x) is Fraction:
+        return x
+    if isinstance(x, float):
+        raise TypeError(f"matrix entries must be exact rationals, got the float {x!r}")
+    return Fraction(x)
+
+
+def _integer_row(row: Sequence[Fraction | int]) -> tuple[list[int], int]:
+    """The row times the lcm of its denominators, and that lcm."""
+    den = math.lcm(*(x.denominator for x in row))
+    if den == 1:
+        return [x.numerator for x in row], 1
+    return [x.numerator * (den // x.denominator) for x in row], den
+
+
+def _fractions(row: list[int], den: int) -> list[Fraction]:
+    if den == 1:
+        return [Fraction(x) if x else _ZERO for x in row]
+    return [Fraction(x, den) if x else _ZERO for x in row]
 
 
 def _integer_rref(rows: list[list[int]], ncols: int) -> list[int]:
@@ -266,31 +317,45 @@ def _bareiss_rank(int_rows: list[list[int]]) -> int:
 
 
 def _modp_rank(int_rows: list[list[int]]) -> int:
-    """Rank modulo the prime p; always a lower bound for the rank over Q."""
+    """Rank modulo the prime p; always a lower bound for the rank over Q.
+
+    Each column's pivot is the candidate row with the fewest nonzeros left,
+    which keeps the fill-in of the rows it updates low.
+    """
     if not int_rows or not int_rows[0]:
         return 0
     p = _CERT_PRIME
-    a = np.array([[x % p for x in row] for row in int_rows], dtype=np.int64)
+    try:
+        a = np.array(int_rows, dtype=np.int64) % p
+    except OverflowError:
+        # some entry does not fit in int64
+        a = np.array([[x % p for x in row] for row in int_rows], dtype=np.int64)
     nrows, ncols = a.shape
+    # nonzeros of each row from the current column on; rows that already
+    # gave a pivot are dead and keep their place
+    weight = np.count_nonzero(a, axis=1)
+    alive = np.ones(nrows, dtype=bool)
     rank = 0
     for col in range(ncols):
+        cand = np.flatnonzero(alive & (a[:, col] != 0))
+        if cand.size == 0:
+            continue
+        k = int(np.argmin(weight[cand]))
+        piv = int(cand[k])
+        alive[piv] = False
+        rank += 1
         if rank == nrows:
             break
-        nz = np.nonzero(a[rank:, col])[0]
-        if nz.size == 0:
-            continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
-        inv = pow(int(a[rank, col]), p - 2, p)
-        a[rank, col:] = (a[rank, col:] * inv) % p
-        below = a[rank + 1 :, col]
-        hot = np.nonzero(below)[0]
+        hot = np.delete(cand, k)
         if hot.size:
-            rows_idx = rank + 1 + hot
-            factors = a[rows_idx, col][:, None]
-            a[rows_idx, col:] = (a[rows_idx, col:] - factors * a[rank, col:]) % p
-        rank += 1
+            # the update only touches the columns where the pivot row is nonzero
+            support = col + np.flatnonzero(a[piv, col:])
+            prow = a[piv, support] * pow(int(a[piv, col]), p - 2, p) % p
+            block = np.ix_(hot, support)
+            old = a[block]
+            new = (old - old[:, :1] * prow) % p
+            a[block] = new
+            weight[hot] += np.count_nonzero(new, axis=1) - np.count_nonzero(old, axis=1)
     return rank
 
 
@@ -315,6 +380,12 @@ def boolean_incidence(n: int, i: int, j: int) -> Matrix:
     if not 0 <= i <= j <= n:
         raise ValueError(f"need 0 <= i <= j <= n, got i={i}, j={j}, n={n}")
     rows, cols = subset_masks(n, i), subset_masks(n, j)
-    out = Matrix(len(rows), len(cols))
-    out._data = [[_ONE if s & t == s else _ZERO for t in cols] for s in rows]
-    return out
+    index = {t: c for c, t in enumerate(cols)}
+    out = []
+    for s in rows:
+        row = [0] * len(cols)
+        outside = [1 << x for x in range(1, n + 1) if not s >> x & 1]
+        for extra in itertools.combinations(outside, j - i):
+            row[index[s | sum(extra)]] = 1
+        out.append(row)
+    return Matrix._make(len(cols), out, [1] * len(rows))

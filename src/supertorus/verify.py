@@ -57,13 +57,23 @@ def random_element(rng: random.Random, n: int, terms: int = 4) -> ex.Element:
     return ex.Element._make(n, acc)
 
 
-def random_invariant(rng: random.Random, n: int) -> ex.Element:
-    """A seeded random element of the translation-invariant subalgebra."""
+def random_invariant(
+    rng: random.Random, n: int, bases: dict | None = None
+) -> ex.Element:
+    """A seeded random element of the translation-invariant subalgebra.
+
+    ``bases``, when given, keeps the invariant bases it builds, keyed by
+    (n, i, j), for later draws; the draws are the same either way.
+    """
+    if bases is None:
+        bases = {}
     out = ex.Element.zero(n)
     for _ in range(3):
         i = rng.randint(0, n)
         j = rng.randint(0, i)
-        basis = co.invariants_basis(n, (i, j))
+        basis = bases.get((n, i, j))
+        if basis is None:
+            basis = bases[n, i, j] = co.invariants_basis(n, (i, j))
         if len(basis) == 0:
             continue
         v = basis[rng.randrange(len(basis))]
@@ -82,17 +92,15 @@ def random_permutation(rng: random.Random, n: int) -> ex.Permutation:
 
 def check_product_laws(n_max: int, rng: random.Random) -> bool:
     for n in range(0, min(3, n_max) + 1):
-        monos = list(ex.all_monomials(n))
-        for a, b in itertools.product(monos, repeat=2):
-            fa, fb = ex.Element.from_monomial(a), ex.Element.from_monomial(b)
+        monos = [(m, ex.Element.from_monomial(m)) for m in ex.all_monomials(n)]
+        for (a, fa), (b, fb) in itertools.product(monos, repeat=2):
             ab = fa * fb
             p, q = a.degree, b.degree
             if (fb * fa) != ab.scale((-1) ** (p * q)):
                 return False
-        for a, b, c in itertools.islice(
+        for (_, fa), (_, fb), (_, fc) in itertools.islice(
             itertools.product(monos, repeat=3), 0, None, max(1, len(monos) // 8)
         ):
-            fa, fb, fc = (ex.Element.from_monomial(x) for x in (a, b, c))
             if (fa * fb) * fc != fa * (fb * fc):
                 return False
     n = min(6, n_max) if n_max >= 4 else n_max
@@ -114,9 +122,10 @@ def check_translate_is_exp(n_max: int, rng: random.Random) -> bool:
 
 
 def check_fixed_points(n_max: int, rng: random.Random) -> bool:
+    bases: dict = {}
     for n in range(1, min(5, n_max) + 1):
         for _ in range(20):
-            f = random_invariant(rng, n)
+            f = random_invariant(rng, n, bases)
             if not (ex.raising(f).is_zero() and ex.translate(f) == f):
                 return False
             g = random_element(rng, n)
@@ -172,13 +181,14 @@ def check_adjointness(n_max: int, rng: random.Random) -> bool:
     <raising f, g> + <f, raising g> = 0 exactly; in particular the pairing of
     a kernel element against any image element vanishes.
     """
+    bases: dict = {}
     for n in range(1, min(5, n_max) + 1):
         for _ in range(20):
             f = random_element(rng, n)
             g = random_element(rng, n)
             if ex.pairing(ex.raising(f), g) + ex.pairing(f, ex.raising(g)) != 0:
                 return False
-            u = random_invariant(rng, n)
+            u = random_invariant(rng, n, bases)
             if ex.pairing(u, ex.raising(g)) != 0:
                 return False
     return True
@@ -347,6 +357,7 @@ def check_duality_dimensions(n_max: int, rng: random.Random) -> bool:
 
 
 def check_duality_gram(n_max: int, rng: random.Random) -> bool:
+    bases: dict = {}
     for n in range(1, min(6, n_max) + 1):
         for i in range(n + 1):
             for j in range(i + 1):
@@ -356,7 +367,7 @@ def check_duality_gram(n_max: int, rng: random.Random) -> bool:
                 if g.nrows and not g.is_invertible():
                     return False
         for _ in range(20):
-            u = random_invariant(rng, n)
+            u = random_invariant(rng, n, bases)
             v = random_element(rng, n)
             if ex.pairing(u, ex.raising(v)) != 0:
                 return False

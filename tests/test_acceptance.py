@@ -31,9 +31,10 @@ def test_01_translate_equals_exponential():
 
 def test_02_fixed_point_criterion():
     rng = random.Random(20)
+    bases = {}
     for n in range(1, 6):
         for _ in range(100):
-            f = vf.random_invariant(rng, n)
+            f = vf.random_invariant(rng, n, bases)
             assert ex.raising(f).is_zero()
             assert ex.translate(f) == f
         for _ in range(100):
@@ -71,6 +72,7 @@ def test_06_lefschetz_isomorphism():
 
 def test_07_duality_pairing():
     rng = random.Random(21)
+    bases = {}
     for n in range(1, 6):
         for i in range(n + 1):
             for j in range(n + 1):
@@ -80,7 +82,7 @@ def test_07_duality_pairing():
                 assert g.nrows == g.ncols == co.invariants_dimension(n, i, j)
                 assert g.is_invertible(), (n, i, j)
         for _ in range(100):
-            u = vf.random_invariant(rng, n)
+            u = vf.random_invariant(rng, n, bases)
             v = vf.random_element(rng, n, terms=5)
             assert ex.pairing(u, ex.raising(v)) == 0
     report("07 duality Gram matrices invertible for every nonzero bidegree, n = 1..5; "

@@ -445,6 +445,39 @@ def test_out_of_range_bidegree_rejected(fn, args):
     assert str(err.value) == str(dims.value)
 
 
+def random_invariant_oracle(rng, n):
+    """``verify.random_invariant`` before it kept its bases: one fresh
+    invariant basis per draw."""
+    out = ex.Element.zero(n)
+    for _ in range(3):
+        i = rng.randint(0, n)
+        j = rng.randint(0, i)
+        basis = co.invariants_basis(n, (i, j))
+        if len(basis) == 0:
+            continue
+        v = basis[rng.randrange(len(basis))]
+        out = out + v.scale(Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+    return out
+
+
+def test_random_invariant_matches_oracle():
+    from supertorus.verify import random_invariant
+
+    for seed in range(10):
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        bases = {}
+        for n in range(1, 6):
+            for _ in range(20):
+                got = random_invariant(rng, n, bases)
+                want = random_invariant_oracle(oracle_rng, n)
+                assert list(got._terms.items()) == list(want._terms.items())
+                assert [type(c) for c in got._terms.values()] == [
+                    type(c) for c in want._terms.values()
+                ]
+            assert random_invariant(rng, n) == random_invariant_oracle(oracle_rng, n)
+        assert rng.getstate() == oracle_rng.getstate()
+
+
 def test_kernel_pairs_to_zero_with_image():
     rng = random.Random(5)
     from supertorus.verify import random_element, random_invariant

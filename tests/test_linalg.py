@@ -5,8 +5,12 @@ import io
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from supertorus import linalg as la
 
@@ -77,6 +81,7 @@ def assert_matches_reference(m, vectors):
     assert got_pivots == tuple(pivots)
     assert reduced.rows() == rows
     assert all(type(x) is Fraction for row in reduced.rows() for x in row)
+    assert reduced == la.Matrix(m.nrows, m.ncols, [x for row in rows for x in row])
     assert m.kernel_basis() == reference_kernel(m)
     assert m.solve_many(vectors) == reference_solve_many(m, vectors)
     assert m.rank() == len(pivots)
@@ -268,7 +273,8 @@ def test_engine_matches_rational_reference():
 
 
 def test_engine_matches_reference_on_raising_blocks():
-    # the matrices behind cohomology._kernel_block and _cokernel_block
+    # the raising blocks behind cohomology._kernel_block and _cokernel_block,
+    # and the raised images with their columns reversed
     for d0 in range(7):
         for i0 in range(d0 + 1):
             kernel_block = (
@@ -282,3 +288,216 @@ def test_engine_matches_reference_on_raising_blocks():
                 vectors = [m.column(c) for c in range(min(m.ncols, 2))]
                 vectors.append([Fraction(r % 3 - 1) for r in range(m.nrows)])
                 assert_matches_reference(m, vectors)
+
+
+# ---------------------------------------------------------------------------
+# The integer-row storage and the mod-p certificate against their oracles.
+
+def modp_rank_oracle(int_rows):
+    """The certificate before the low-fill pivot: the first candidate row is
+    the pivot, and each entry is reduced on its own."""
+    if not int_rows or not int_rows[0]:
+        return 0
+    p = la._CERT_PRIME
+    a = np.array([[x % p for x in row] for row in int_rows], dtype=np.int64)
+    nrows, ncols = a.shape
+    rank = 0
+    for col in range(ncols):
+        if rank == nrows:
+            break
+        nz = np.nonzero(a[rank:, col])[0]
+        if nz.size == 0:
+            continue
+        piv = rank + int(nz[0])
+        if piv != rank:
+            a[[rank, piv]] = a[[piv, rank]]
+        inv = pow(int(a[rank, col]), p - 2, p)
+        a[rank, col:] = (a[rank, col:] * inv) % p
+        hot = np.nonzero(a[rank + 1 :, col])[0]
+        if hot.size:
+            rows_idx = rank + 1 + hot
+            factors = a[rows_idx, col][:, None]
+            a[rows_idx, col:] = (a[rows_idx, col:] - factors * a[rank, col:]) % p
+        rank += 1
+    return rank
+
+
+def integer_row_oracle(row):
+    """The row of Fractions times the lcm of its denominators."""
+    if all(x.denominator == 1 for x in row):
+        return [x.numerator for x in row]
+    scale = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (scale // x.denominator) for x in row]
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_modp_rank_matches_oracle_on_boolean_incidences(n):
+    for i in range(n + 1):
+        for j in range(i, n + 1):
+            ints = la.boolean_incidence(n, i, j).scaled_integer_rows()
+            assert la._modp_rank(ints) == modp_rank_oracle(ints), (i, j)
+
+
+@pytest.mark.parametrize("n,i,j", [(12, 5, 7), (12, 4, 8)])
+def test_modp_rank_matches_oracle_on_large_boolean_incidences(n, i, j):
+    ints = la.boolean_incidence(n, i, j).scaled_integer_rows()
+    assert la._modp_rank(ints) == modp_rank_oracle(ints) == math.comb(n, i)
+
+
+def test_modp_rank_matches_oracle_on_seeded_matrices():
+    rng = random.Random(13)
+    for k in range(200):
+        kind = k % 5
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+        if kind == 0:
+            m = la.Matrix(nrows, ncols, [rng.randint(-9, 9) for _ in range(nrows * ncols)])
+        elif kind == 1:
+            m = rand_matrix(rng, nrows, ncols)
+        elif kind == 2:
+            # rank deficient: a product through a narrow middle
+            inner = rng.randint(0, min(nrows, ncols) - 1)
+            m = rand_matrix(rng, nrows, inner, 3) * rand_matrix(rng, inner, ncols, 3)
+        elif kind == 3:
+            # full rank: a lower triangle with a nonzero diagonal, rows shuffled
+            size = min(nrows, ncols)
+            rows = [
+                [rng.randint(1, 5) if r == c else rng.randint(-3, 3) * (r > c) for c in range(size)]
+                for r in range(size)
+            ]
+            rng.shuffle(rows)
+            m = la.Matrix.from_rows(rows)
+        else:
+            m = la.Matrix(0, ncols) if k % 10 == 4 else la.Matrix(nrows, 0)
+        ints = m.scaled_integer_rows()
+        assert la._modp_rank(ints) == modp_rank_oracle(ints)
+        assert m.rank() == la._bareiss_rank(ints)
+        if kind == 3:
+            assert m.rank() == m.nrows
+
+
+class _OverflowSpy:
+    """Stands in for numpy in ``linalg`` and counts failed int64 conversions."""
+
+    def __init__(self):
+        self.overflows = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def array(self, *args, **kwargs):
+        try:
+            return np.array(*args, **kwargs)
+        except OverflowError:
+            self.overflows += 1
+            raise
+
+
+@pytest.mark.parametrize("rows", [
+    [[2**63, 1], [1, 0]],
+    [[2**63, 2], [2**64, 4]],
+    [[-(2**70) - 3, 5, 0], [1, 2**63 + 7, -1], [0, 0, 2**100]],
+])
+def test_modp_rank_falls_back_on_huge_entries(monkeypatch, rows):
+    spy = _OverflowSpy()
+    monkeypatch.setattr(la, "np", spy)
+    assert la._modp_rank(rows) == la._bareiss_rank(rows)
+    assert spy.overflows == 1
+    assert la.Matrix.from_rows(rows).rank() == la._bareiss_rank(rows)
+
+
+_entries = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+@st.composite
+def fraction_rows(draw):
+    """A list of equally long rows of Fractions, some rows all zero."""
+    nrows, ncols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    rows = [draw(st.lists(_entries, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    for r in draw(st.lists(st.integers(0, max(nrows - 1, 0)), max_size=2)):
+        if nrows:
+            rows[r] = [Fraction(0)] * ncols
+    return ncols, rows
+
+
+def reference_csv(nrows, ncols, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([nrows, ncols])
+    for row in rows:
+        writer.writerow([str(x) for x in row])
+    return buf.getvalue()
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(fraction_rows(), st.integers(0, 15), _entries)
+@example((2, [[Fraction(-1, 2), Fraction(0)], [Fraction(0), Fraction(0)]]), 0, Fraction(1, 3))
+@example((0, [[], []]), 0, Fraction(0))
+def test_integer_rows_match_fraction_reference(shaped, where, other):
+    ncols, rows = shaped
+    nrows = len(rows)
+    m = la.Matrix(nrows, ncols, [x for row in rows for x in row])
+    assert m.rows() == rows
+    assert all(type(x) is Fraction for row in m.rows() for x in row)
+    assert all(
+        m[r, c] == rows[r][c] and type(m[r, c]) is Fraction
+        for r in range(nrows) for c in range(ncols)
+    )
+    assert [m.row(r) for r in range(nrows)] == rows
+    assert [m.column(c) for c in range(ncols)] == [[row[c] for row in rows] for c in range(ncols)]
+    assert hash(m) == hash(((nrows, ncols), tuple(tuple(row) for row in rows)))
+    assert m.to_csv() == reference_csv(nrows, ncols, rows)
+    assert m.scaled_integer_rows() == [integer_row_oracle(row) for row in rows]
+    # ints and integral Fractions store alike
+    mixed = la.Matrix.from_rows(
+        [[int(x) if x.denominator == 1 else x for x in row] for row in rows]
+    ) if nrows else la.Matrix(0, ncols)
+    assert mixed == m and hash(mixed) == hash(m)
+    if nrows and ncols:
+        changed = [list(row) for row in rows]
+        r, c = divmod(where % (nrows * ncols), ncols)
+        changed[r][c] = other
+        m2 = la.Matrix.from_rows(changed)
+        assert (m2 == m) == (changed == rows)
+        assert m2.rows() == changed
+
+
+def test_from_nonzeros_matches_dense_construction():
+    rng = random.Random(17)
+    for _ in range(100):
+        nrows, ncols = rng.randint(0, 5), rng.randint(0, 5)
+        dense = [[Fraction(0)] * ncols for _ in range(nrows)]
+        nonzeros = []
+        for _ in range(rng.randint(0, 2 * nrows * ncols)):
+            r, c = rng.randrange(nrows), rng.randrange(ncols)
+            x = rng.choice((rng.randint(-4, 4), Fraction(rng.randint(-4, 4), rng.randint(1, 6))))
+            nonzeros.append((r, c, x))
+            dense[r][c] = Fraction(x)
+        m = la.Matrix._from_nonzeros(nrows, ncols, nonzeros)
+        assert m.rows() == dense
+        assert m == la.Matrix(nrows, ncols, [x for row in dense for x in row])
+
+
+@pytest.mark.parametrize("entries", [[0.1, 1], [Fraction(1), 2.0], [np.float64(0.5), 0]])
+def test_float_entries_are_refused(entries):
+    with pytest.raises(TypeError):
+        la.Matrix(1, 2, entries)
+    with pytest.raises(TypeError):
+        la.Matrix.from_rows([entries])
+
+
+def test_transpose_keeps_empty_shapes():
+    assert la.Matrix(3, 0).transpose().shape == (0, 3)
+    assert la.Matrix(0, 3).transpose().shape == (3, 0)
+    m = la.Matrix.from_rows([[Fraction(1, 2), Fraction(2, 3)], [0, 5]])
+    assert m.transpose().rows() == [[Fraction(1, 2), 0], [Fraction(2, 3), 5]]
+    assert m.transpose() == la.Matrix.from_rows([[Fraction(1, 2), 0], [Fraction(2, 3), 5]])
+    assert m.transpose().transpose() == m
+
+
+def test_only_linalg_reads_the_matrix_storage():
+    src = Path(la.__file__).parent
+    assert "_data" not in (src / "cohomology.py").read_text()
+    for path in src.glob("*.py"):
+        if path.name != "linalg.py":
+            text = path.read_text()
+            assert "._rows" not in text and "._dens" not in text, path.name
