@@ -203,18 +203,14 @@ def _cokernel_block(d0: int, i0: int) -> tuple[int, ...]:
     span of the raised (i0 - 1)-subsets.
 
     A unit vector e_k extends that span plus e_0 .. e_{k-1} exactly when
-    column k is no pivot of the image once its columns are reversed.
+    column k is no pivot of the image once its columns are reversed. Up to
+    its rows, that reversed image is the raising block from the
+    (d0 - i0)-subsets, transposed, since complements list the subsets of one
+    size in reverse lexicographic order; so the representatives are the
+    reversed free columns of that block's kernel.
     """
     size = math.comb(d0, i0)
-    if i0 == 0:
-        return tuple(range(size))
-    # Complements list the subsets of one size in reverse lexicographic
-    # order, and pivot columns do not depend on the order of the rows: up to
-    # its rows, the image with its columns reversed is the inclusion of the
-    # (d0 - i0)-subsets in the (d0 - i0 + 1)-subsets, transposed.
-    _, pivots = boolean_incidence(d0, d0 - i0, d0 - i0 + 1).transpose().rref()
-    taken = {size - 1 - p for p in pivots}
-    return tuple(k for k in range(size) if k not in taken)
+    return tuple(sorted(size - 1 - v[-1][0] for v in _kernel_block(d0, d0 - i0)))
 
 
 def invariants_basis(n: int, d: tuple[int, int]) -> BidegreeBasis:

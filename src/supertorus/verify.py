@@ -57,16 +57,12 @@ def random_element(rng: random.Random, n: int, terms: int = 4) -> ex.Element:
     return ex.Element._make(n, acc)
 
 
-def random_invariant(
-    rng: random.Random, n: int, bases: dict | None = None
-) -> ex.Element:
+def random_invariant(rng: random.Random, n: int, bases: dict) -> ex.Element:
     """A seeded random element of the translation-invariant subalgebra.
 
-    ``bases``, when given, keeps the invariant bases it builds, keyed by
-    (n, i, j), for later draws; the draws are the same either way.
+    ``bases`` keeps the invariant bases it builds, keyed by (n, i, j), for
+    later draws; the draws do not depend on what it already holds.
     """
-    if bases is None:
-        bases = {}
     out = ex.Element.zero(n)
     for _ in range(3):
         i = rng.randint(0, n)

@@ -474,7 +474,9 @@ def test_random_invariant_matches_oracle():
                 assert [type(c) for c in got._terms.values()] == [
                     type(c) for c in want._terms.values()
                 ]
-            assert random_invariant(rng, n) == random_invariant_oracle(oracle_rng, n)
+            assert random_invariant(rng, n, {}) == random_invariant_oracle(
+                oracle_rng, n
+            )
         assert rng.getstate() == oracle_rng.getstate()
 
 
@@ -484,7 +486,7 @@ def test_kernel_pairs_to_zero_with_image():
 
     for n in (1, 2, 3):
         for _ in range(20):
-            u = random_invariant(rng, n)
+            u = random_invariant(rng, n, {})
             g = random_element(rng, n)
             assert ex.pairing(u, ex.raising(g)) == 0
 
