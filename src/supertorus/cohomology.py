@@ -24,6 +24,8 @@ cached result per block shape (d0, i0) and relabel it into each class, and
 return the same vectors, in the same order, as a reduction of the whole
 matrix.  ``raising_matrix`` still builds that whole matrix from the operator
 itself; it is the dense oracle the tests and ``verify`` compare against.
+Like every matrix of elements over a monomial list here, in ``verify`` and
+in the tests, it is built by ``coordinate_matrix`` from the nonzeros.
 
 Every kernel vector has an own monomial, its free column: it is nonzero there
 and every other kernel vector is zero.  So the coordinates of any x in their
@@ -96,11 +98,18 @@ def bidegree_monomials(n: int, d: tuple[int, int]) -> list[Monomial]:
     return [Monomial(n, m) for m in _bidegree_masks(n, d)]
 
 
-def element_coordinates(f: Element, basis: Sequence[Monomial]) -> list[Fraction]:
-    coords = [f.coefficient(m) for m in basis]
-    if sum(1 for c in coords if c) != len(f):
-        raise ValueError("element has support outside the given monomial basis")
-    return coords
+def coordinate_matrix(vectors: Sequence[Element], basis: Sequence[Monomial]) -> Matrix:
+    """The matrix whose column k holds the coefficients of ``vectors[k]`` on
+    the monomials of ``basis``, in that order; built from the nonzeros."""
+    index = {m.mask: r for r, m in enumerate(basis)}
+    nonzeros = []
+    for c, f in enumerate(vectors):
+        for mask, x in f._terms.items():
+            r = index.get(mask)
+            if r is None:
+                raise ValueError("element has support outside the given monomial basis")
+            nonzeros.append((r, c, x))
+    return Matrix._from_nonzeros(len(basis), len(vectors), nonzeros)
 
 
 def raising_matrix(n: int, d: tuple[int, int]) -> Matrix:
@@ -110,15 +119,10 @@ def raising_matrix(n: int, d: tuple[int, int]) -> Matrix:
     bidegree (i+1, j-1); every entry is 0 or 1.
     """
     i, j = d
-    source = _bidegree_masks(n, (i, j))
-    index = {m: r for r, m in enumerate(_bidegree_masks(n, (i + 1, j - 1)))}
-    nonzeros = []
-    for c, m in enumerate(source):
-        for mask, coeff in raising(Element._make(n, {m: Fraction(1)}))._terms.items():
-            if coeff != 1:
-                raise AssertionError("raising is not sign free in this basis")
-            nonzeros.append((index[mask], c, coeff))
-    return Matrix._from_nonzeros(len(index), len(source), nonzeros)
+    images = [raising(Element._make(n, {m: Fraction(1)})) for m in _bidegree_masks(n, d)]
+    if any(c != 1 for f in images for c in f._terms.values()):
+        raise AssertionError("raising is not sign free in this basis")
+    return coordinate_matrix(images, bidegree_monomials(n, (i + 1, j - 1)))
 
 
 def _check_bidegree(n: int, i: int, j: int) -> None:
@@ -158,9 +162,6 @@ class BidegreeBasis:
 
     def __getitem__(self, k: int) -> Element:
         return self.vectors[k]
-
-    def monomial_order(self) -> list[Monomial]:
-        return bidegree_monomials(self.n, self.bidegree)
 
 
 # Every (d0, i0) block shape the rank guard admits: d0 <= 14, i0 <= d0.

@@ -26,6 +26,8 @@ import re
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
+from .linalg import _rational
+
 Rational = Fraction | int
 
 # Fractions are immutable, so every absent coefficient can share one zero.
@@ -210,7 +212,8 @@ class Element:
     """A finitely supported map from monomials to nonzero Fractions.
 
     Values are immutable after construction; all operations allocate fresh
-    results.  Internally terms are keyed by monomial masks.
+    results.  Internally terms are keyed by monomial masks.  Coefficients
+    must be exact: a float is refused, as ``Matrix`` refuses it.
     """
 
     __slots__ = ("n", "_terms")
@@ -218,7 +221,12 @@ class Element:
     def __init__(self, n: int, terms: dict[int, Fraction] | None = None):
         _check_rank(n)
         self.n = n
-        self._terms = {m: c for m, c in terms.items() if c} if terms else {}
+        self._terms = {}
+        for m, c in (terms or {}).items():
+            if not 0 <= m < (1 << (2 * n)):
+                raise ValueError(f"mask {m:#x} out of range for rank {n}")
+            if c := _rational(c):
+                self._terms[m] = c
 
     @classmethod
     def _make(cls, n: int, terms: dict[int, Fraction]) -> "Element":
@@ -237,7 +245,7 @@ class Element:
 
     @classmethod
     def from_monomial(cls, m: Monomial, coeff: Rational = 1) -> "Element":
-        c = Fraction(coeff)
+        c = Fraction(_rational(coeff))
         return cls(m.n, {m.mask: c} if c else {})
 
     def is_zero(self) -> bool:
@@ -290,14 +298,16 @@ class Element:
         return Element._make(self.n, {m: -c for m, c in self._terms.items()})
 
     def scale(self, c: Rational) -> "Element":
-        c = Fraction(c)
+        c = Fraction(_rational(c))
         if not c:
             return Element.zero(self.n)
         return Element._make(self.n, {m: c * v for m, v in self._terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+        if not isinstance(other, Element):
+            if isinstance(other, (int, Fraction)):
+                return self.scale(other)
+            return NotImplemented
         self._require_same_rank(other)
         acc: dict[int, Fraction] = {}
         for ma, ca in self._terms.items():
@@ -558,8 +568,17 @@ class LiteralParseError(ValueError):
         return f"{self.text}\n{' ' * self.position}^ {self.message}"
 
 
-_COEFF_RE = re.compile(r"(\d+)(?:\s*/\s*(\d+))?")
-_GEN_RE = re.compile(r"([at])(\d+)")
+_COEFF_RE = re.compile(r"(\d+)(?:\s*/\s*(\d+))?", re.ASCII)
+_GEN_RE = re.compile(r"([at])(\d+)", re.ASCII)
+
+
+def _literal_int(text: str, match: re.Match, group: int) -> int:
+    """The ASCII digits of one match group as an int; a run longer than the
+    interpreter converts is a parse error at its first digit."""
+    try:
+        return int(match.group(group))
+    except ValueError:
+        raise LiteralParseError(text, match.start(group), "integer too long") from None
 
 
 def parse_element(text: str, n: int | None = None) -> Element:
@@ -592,8 +611,8 @@ def parse_element(text: str, n: int | None = None) -> Element:
         gens: list[Generator] = []
         m = _COEFF_RE.match(text, pos)
         if m:
-            num = int(m.group(1))
-            den = int(m.group(2)) if m.group(2) else 1
+            num = _literal_int(text, m, 1)
+            den = _literal_int(text, m, 2) if m.group(2) else 1
             if den == 0:
                 raise LiteralParseError(text, pos, "zero denominator")
             coeff = Fraction(num, den)
@@ -608,9 +627,13 @@ def parse_element(text: str, n: int | None = None) -> Element:
             g = _GEN_RE.match(text, pos)
             if not g:
                 break
-            idx = int(g.group(2))
+            idx = _literal_int(text, g, 2)
             if idx < 1:
                 raise LiteralParseError(text, pos, "generator index must be >= 1")
+            if idx > MAX_RANK:
+                raise LiteralParseError(
+                    text, pos, f"generator index {idx} exceeds the guard {MAX_RANK}"
+                )
             gens.append(Generator("alpha" if g.group(1) == "a" else "theta", idx))
             pos = g.end()
             skip_ws()

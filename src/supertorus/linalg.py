@@ -92,18 +92,6 @@ class Matrix:
         return cls(nrows, ncols, [x for row in rows for x in row])
 
     @classmethod
-    def from_columns(cls, columns: Sequence[Sequence], nrows: int | None = None) -> "Matrix":
-        if columns:
-            nrows = len(columns[0])
-        elif nrows is None:
-            nrows = 0
-        return cls.from_rows(
-            [[col[r] for col in columns] for r in range(nrows)]
-            if columns
-            else [[] for _ in range(nrows)]
-        )
-
-    @classmethod
     def identity(cls, k: int) -> "Matrix":
         return cls._make(k, [[int(r == c) for c in range(k)] for r in range(k)], [1] * k)
 
@@ -139,10 +127,12 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols})"
 
     def transpose(self) -> "Matrix":
-        if any(den != 1 for den in self._dens):
-            return Matrix.from_columns(self.rows(), nrows=self.ncols)
-        columns = [list(col) for col in zip(*self._rows)] or [[] for _ in range(self.ncols)]
-        return Matrix._make(self.nrows, columns, [1] * self.ncols)
+        return Matrix._from_nonzeros(self.ncols, self.nrows, (
+            (c, r, x if den == 1 else Fraction(x, den))
+            for r, (row, den) in enumerate(zip(self._rows, self._dens))
+            for c, x in enumerate(row)
+            if x
+        ))
 
     def mat_vec(self, v: Sequence) -> list[Fraction]:
         if len(v) != self.ncols:
@@ -239,10 +229,6 @@ class Matrix:
             results.append(x)
         return results
 
-    def coordinates(self, v: Sequence) -> list[Fraction] | None:
-        """Exact coordinates of v in the column span; None when not in span."""
-        return self.solve_many([v])[0]
-
     def to_csv(self) -> str:
         """Serialize with a leading "rows,cols" line; entries as p or p/q."""
         buf = io.StringIO()
@@ -254,11 +240,11 @@ class Matrix:
 
 
 def _rational(x) -> int | Fraction:
-    """A matrix entry as an int or a Fraction; floats are refused as inexact."""
+    """A matrix entry or an element coefficient as an int or a Fraction."""
     if type(x) is int or type(x) is Fraction:
         return x
     if isinstance(x, float):
-        raise TypeError(f"matrix entries must be exact rationals, got the float {x!r}")
+        raise TypeError(f"expected an exact rational, got the float {x!r}")
     return Fraction(x)
 
 

@@ -23,6 +23,7 @@ from typing import Iterable, Iterator
 from .exterior import (
     Element,
     LiteralParseError,
+    _literal_int,
     alpha,
     generator_product,
     theta,
@@ -218,7 +219,7 @@ def matching_invariant(m: LabelledMatching) -> Element:
                     s = -s
                 step[new | 1 << t_pos] = s
         terms = step
-    return Element(m.n, {mask: Fraction(s) for mask, s in terms.items()})
+    return Element._make(m.n, {mask: Fraction(s) for mask, s in terms.items()})
 
 
 def crossing_quadruples(m: LabelledMatching) -> list[tuple[int, int, int, int]]:
@@ -611,6 +612,7 @@ def verify_presentation(n: int) -> PresentationReport:
 # Literals and JSON.
 
 _SECTION_RE = re.compile(r"\s*(n|arcs|a|at)\s*=", re.ASCII)
+_INT_RE = re.compile(r"\d+", re.ASCII)
 
 
 def parse_matching(text: str) -> LabelledMatching:
@@ -632,12 +634,11 @@ def parse_matching(text: str) -> LabelledMatching:
     def parse_int() -> int:
         nonlocal pos
         skip_ws()
-        start = pos
-        while pos < length and text[pos].isdigit():
-            pos += 1
-        if pos == start:
-            raise LiteralParseError(text, start, "expected an integer")
-        return int(text[start:pos])
+        m = _INT_RE.match(text, pos)
+        if not m:
+            raise LiteralParseError(text, pos, "expected an integer")
+        pos = m.end()
+        return _literal_int(text, m, 0)
 
     def expect(ch: str) -> None:
         nonlocal pos

@@ -313,15 +313,13 @@ def check_complementary_bijection(n_max: int, rng: random.Random) -> bool:
     for n in range(1, min(6, n_max) + 1):
         for j in range(n + 1):
             for i in range(j + 1):
-                source = co.bidegree_monomials(n, (i, j))
-                target = co.bidegree_monomials(n, (j, i))
-                cols = []
-                for mono in source:
+                images = []
+                for mono in co.bidegree_monomials(n, (i, j)):
                     f = ex.Element.from_monomial(mono)
                     for _ in range(j - i):
                         f = ex.raising(f)
-                    cols.append(co.element_coordinates(f, target))
-                mat = la.Matrix.from_columns(cols, nrows=len(target))
+                    images.append(f)
+                mat = co.coordinate_matrix(images, co.bidegree_monomials(n, (j, i)))
                 if mat.nrows != mat.ncols or not mat.is_invertible():
                     return False
     return True
@@ -471,18 +469,15 @@ def normal_form_matches_oracle(n: int) -> bool:
     by_d = defaultdict(list)
     for m in ma.noncrossing_matchings(n):
         by_d[m.bidegree].append(m)
-    bases = {}
-    for d, ms in by_d.items():
-        order = co.bidegree_monomials(n, d)
-        cols = [co.element_coordinates(ma.matching_invariant(m), order) for m in ms]
-        bases[d] = (ms, order, la.Matrix.from_columns(cols, nrows=len(order)))
     groups = defaultdict(list)
     for m in ma.labelled_matchings(n):
         groups[m.bidegree].append(m)
     for d, ms in groups.items():
-        basis_ms, order, B = bases[d]
-        vecs = [co.element_coordinates(ma.matching_invariant(m), order) for m in ms]
-        for m, x in zip(ms, B.solve_many(vecs)):
+        order = co.bidegree_monomials(n, d)
+        basis_ms = by_d[d]
+        B = co.coordinate_matrix([ma.matching_invariant(m) for m in basis_ms], order)
+        vecs = co.coordinate_matrix([ma.matching_invariant(m) for m in ms], order)
+        for m, x in zip(ms, B.solve_many(vecs.transpose().rows())):
             if x is None:
                 return False
             nf = ma.normal_form(m)
@@ -505,20 +500,8 @@ def check_nc_independence(n_max: int, rng: random.Random) -> bool:
             ms = ma.noncrossing_matchings(n, k)
             if not ms:
                 continue
-            order = [
-                mono
-                for mono in ex.all_monomials(n)
-                if mono.degree == k
-            ]
-            index = {mono.mask: r for r, mono in enumerate(order)}
-            cols = []
-            for m in ms:
-                f = ma.matching_invariant(m)
-                col = [Fraction(0)] * len(order)
-                for mono, c in f.terms():
-                    col[index[mono.mask]] = c
-                cols.append(col)
-            mat = la.Matrix.from_columns(cols, nrows=len(order))
+            order = [mono for mono in ex.all_monomials(n) if mono.degree == k]
+            mat = co.coordinate_matrix([ma.matching_invariant(m) for m in ms], order)
             if mat.rank() != len(ms):
                 return False
             kernel_dim = sum(

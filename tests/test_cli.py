@@ -1,6 +1,8 @@
 """End-to-end tests of the command line interface."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -9,9 +11,12 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from supertorus import cli
 from supertorus import cohomology as co
+from supertorus import exterior as ex
 from supertorus import matchings as ma
 
 
@@ -71,6 +76,21 @@ def test_reduce_parse_error_caret(capsys):
     code, _, err = run(capsys, "reduce", "n=4; arcs=(1,3,(2,4)")
     assert code == 2
     assert "^" in err
+
+
+@pytest.mark.parametrize("literal, position", [
+    ("n=\u00b2", 2),
+    ("n=\u0663; a=\u0661", 2),
+    ("n=3; a=1,\u00b2", 9),
+    ("n=4; arcs=(1,\uff13)", 13),
+])
+def test_reduce_takes_ascii_digits_only(capsys, literal, position):
+    code, out, err = run(capsys, "reduce", literal)
+    assert code == 2
+    assert out == ""
+    *_, text, caret = err.splitlines()
+    assert text == literal
+    assert caret == " " * position + "^ expected an integer"
 
 
 def test_reduce_invalid_matching_distinct_error(capsys):
@@ -422,3 +442,32 @@ def test_golden_stdout(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# the characters of element and matching literals, non-ASCII digits and
+# whitespace
+_LITERAL_TEXT = st.text(
+    st.sampled_from(list("0123456789at*/+-n=rcs;(), ") + ["\t", "\u00a0", "\u00b2",
+                                                          "\u0663", "\uff11"]),
+    max_size=24,
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(_LITERAL_TEXT)
+@example("t99")
+@example("n=\u00b2")
+@example("n=14; at=14")
+@example("1" * 5000)
+@example("n=" + "1" * 5000)
+def test_literals_never_escape_as_internal_errors(text):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["reduce", text])
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+    try:
+        ex.parse_element(text)
+    except ex.LiteralParseError:
+        pass

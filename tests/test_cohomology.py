@@ -133,9 +133,10 @@ def test_invariants_basis_n2_diagonal():
         ex.parse_element("1*a1 t2 + 1*a2 t1", 2),
     ]
     mat = _basis_matrix(basis)
-    order = basis.monomial_order()
-    for v in expected_span:
-        assert mat.coordinates(co.element_coordinates(v, order)) is not None
+    order = co.bidegree_monomials(2, (1, 1))
+    vecs = co.coordinate_matrix(expected_span, order).transpose().rows()
+    for x in mat.solve_many(vecs):
+        assert x is not None
 
 
 def test_invariants_basis_empty_when_zero():
@@ -300,21 +301,87 @@ def test_block_caches_under_threads():
 
 
 # ---------------------------------------------------------------------------
+# coordinate matrices against the dense route they replace: one coefficient
+# list per element over the whole monomial list, read back as rows
+
+def dense_coordinate_matrix(vectors, basis):
+    columns = [[f.coefficient(m) for m in basis] for f in vectors]
+    for f, col in zip(vectors, columns):
+        if sum(1 for c in col if c) != len(f):
+            raise ValueError("element has support outside the given monomial basis")
+    return la.Matrix(
+        len(basis), len(vectors), [col[r] for r in range(len(basis)) for col in columns]
+    )
+
+
+def _random_homogeneous(rng, n, d, count=3):
+    masks = [m.mask for m in co.bidegree_monomials(n, d)]
+    return [
+        ex.Element(n, {
+            m: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            for m in rng.sample(masks, rng.randint(0, min(4, len(masks))))
+        })
+        for _ in range(count)
+    ]
+
+
+def _assert_same_coordinates(vectors, basis):
+    got = co.coordinate_matrix(vectors, basis)
+    want = dense_coordinate_matrix(vectors, basis)
+    assert got.shape == (len(basis), len(vectors))
+    assert got == want
+    assert got.to_csv() == want.to_csv()
+    assert [list(map(type, row)) for row in got.rows()] == [
+        list(map(type, row)) for row in want.rows()
+    ]
+    return got
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_coordinate_matrix_matches_dense_route(n):
+    rng = random.Random(300 + n)
+    for i in range(n + 1):
+        for j in range(n + 1):
+            order = co.bidegree_monomials(n, (i, j))
+            _assert_same_coordinates(co.invariants_basis(n, (i, j)).vectors, order)
+            _assert_same_coordinates(co.coinvariants_representatives(n, (i, j)).vectors, order)
+            _assert_same_coordinates(_random_homogeneous(rng, n, (i, j)), order)
+            raised = [
+                ex.raising(ex.Element.from_monomial(m))
+                for m in co.bidegree_monomials(n, (i - 1, j + 1))
+            ]
+            got = _assert_same_coordinates(raised, order)
+            assert co.raising_matrix(n, (i - 1, j + 1)) == got
+
+
+def test_coordinate_matrix_refuses_support_off_the_basis():
+    order = co.bidegree_monomials(2, (1, 1))
+    inside = ex.parse_element("1*a1 t2 + 1*a2 t1", 2)
+    stray = ex.parse_element("1*a1 t1 + 1/2*a1 a2", 2)
+    for build in (co.coordinate_matrix, dense_coordinate_matrix):
+        with pytest.raises(ValueError, match="support outside the given monomial basis"):
+            build([inside, stray], order)
+    assert co.coordinate_matrix([], order).shape == (4, 0)
+    assert co.coordinate_matrix([ex.Element.zero(2)], []).shape == (0, 1)
+
+
+# ---------------------------------------------------------------------------
 # read-offs against the dense oracles: coordinate lists over the whole
 # bidegree, an augmented solve, and one pairing per Gram entry
 
 def _basis_matrix(basis):
     """Columns are the basis vectors in monomial coordinates."""
-    order = basis.monomial_order()
-    return la.Matrix.from_columns(
-        [co.element_coordinates(v, order) for v in basis.vectors],
-        nrows=len(order),
-    )
+    return co.coordinate_matrix(basis.vectors, co.bidegree_monomials(basis.n, basis.bidegree))
+
+
+def _monomial_coordinates(vectors, basis):
+    """Each vector's coordinate list over the monomials of the basis's bidegree."""
+    order = co.bidegree_monomials(basis.n, basis.bidegree)
+    return co.coordinate_matrix(vectors, order).transpose().rows()
 
 
 def _trace_oracle(w, basis):
-    order = basis.monomial_order()
-    images = [co.element_coordinates(ex.permute(w, v), order) for v in basis]
+    images = _monomial_coordinates([ex.permute(w, v) for v in basis], basis)
     total = Fraction(0)
     for k, x in enumerate(_basis_matrix(basis).solve_many(images)):
         if x is None:
@@ -327,12 +394,13 @@ def _lefschetz_oracle(n, i, j):
     source = co.invariants_basis(n, (i, j))
     target = co.invariants_basis(n, (n - j, n - i))
     power = ex.lefschetz_element(n) ** (n - i - j)
-    order = target.monomial_order()
     columns = _basis_matrix(target).solve_many(
-        [co.element_coordinates(v * power, order) for v in source]
+        _monomial_coordinates([v * power for v in source], target)
     )
     assert None not in columns
-    return la.Matrix.from_columns(columns, nrows=len(target))
+    return la.Matrix(
+        len(target), len(source), [col[r] for r in range(len(target)) for col in columns]
+    )
 
 
 def _gram_oracle(n, i, j):

@@ -116,6 +116,39 @@ def test_constructor_drops_zero_coefficients():
     assert (e - e) == ex.Element.zero(2)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: ex.Element(2, {1: 0.5}),
+    lambda: ex.Element(2, {1: Fraction(1), 2: 2.0}),
+    lambda: ex.Element.from_monomial(ex.Monomial(2, 1), 0.1),
+    lambda: ex.Element.one(2).scale(0.25),
+    lambda: ex.Element.one(2) * 0.5,
+    lambda: 0.5 * ex.Element.one(2),
+    lambda: ex.Element.one(2) * "2",
+], ids=["init", "init-mixed", "from-monomial", "scale", "mul", "rmul", "mul-str"])
+def test_element_refuses_floats_and_other_scalars(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+@pytest.mark.parametrize("n, mask", [(2, 99), (2, 16), (2, -1), (0, 1)])
+def test_element_refuses_out_of_range_masks(n, mask):
+    with pytest.raises(ValueError) as monomial:
+        ex.Monomial(n, mask)
+    with pytest.raises(ValueError) as element:
+        ex.Element(n, {mask: Fraction(1)})
+    assert str(element.value) == str(monomial.value)
+
+
+def test_element_keeps_exact_coefficient_types():
+    m = ex.Monomial(2, 0b1001)
+    assert type(ex.Element(2, {m.mask: 3}).coefficient(m)) is int
+    assert type(ex.Element(2, {m.mask: Fraction(1, 2)}).coefficient(m)) is Fraction
+    assert type(ex.Element.from_monomial(m, 3).coefficient(m)) is Fraction
+    assert type(ex.Element.from_monomial(m).scale(2).coefficient(m)) is Fraction
+    assert ex.Element(2, {15: Fraction(1)}) == ex.Element.from_monomial(ex.Monomial(2, 15))
+    assert 2 * ex.Element.one(2) == ex.Element.one(2) * Fraction(2) == ex.Element.one(2).scale(2)
+
+
 # ---------------------------------------------------------------------------
 # derivatives
 
@@ -505,6 +538,26 @@ def test_parse_element_errors():
     except ex.LiteralParseError as e:
         err = e
     assert err is not None and "exceeds rank" in str(err)
+
+
+def test_parse_element_reports_an_index_over_the_guard_at_its_generator():
+    with pytest.raises(ex.LiteralParseError) as info:
+        ex.parse_element("1*a1 + t99")
+    assert info.value.position == 7
+    assert info.value.caret_diagnostic() == (
+        "1*a1 + t99\n       ^ generator index 99 exceeds the guard 14"
+    )
+    ex.parse_element("t14")  # the guard itself is admitted
+    with pytest.raises(ex.LiteralParseError) as info:
+        ex.parse_element("a1 + 2/" + "3" * 5000)
+    assert info.value.position == 7
+    assert info.value.message == "integer too long"
+
+
+@pytest.mark.parametrize("text", ["\u0663*a1", "2*a\u0661", "1/\u00b2*a1", "a\uff11"])
+def test_parse_element_takes_ascii_digits_only(text):
+    with pytest.raises(ex.LiteralParseError):
+        ex.parse_element(text)
 
 
 def test_format_parse_round_trip():

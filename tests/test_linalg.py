@@ -150,14 +150,14 @@ def test_kernel_vectors_are_exact():
 
 def test_coordinates_basic():
     m = la.Matrix.from_rows([[1, 0], [0, 1], [1, 1]])
-    assert m.coordinates(m.column(0)) == [1, 0]
-    assert m.coordinates([0, 0, 0]) == [0, 0]
-    assert m.coordinates([1, 0, 0]) is None
+    assert m.solve_many([m.column(0)]) == [[1, 0]]
+    assert m.solve_many([[0, 0, 0]]) == [[0, 0]]
+    assert m.solve_many([[1, 0, 0]]) == [None]
 
 
 def test_coordinates_rational():
     m = la.Matrix.from_rows([[Fraction(1, 2)], [Fraction(1, 3)]])
-    got = m.coordinates([Fraction(1, 4), Fraction(1, 6)])
+    (got,) = m.solve_many([[Fraction(1, 4), Fraction(1, 6)]])
     assert got == [Fraction(1, 2)]
 
 
@@ -492,6 +492,27 @@ def test_transpose_keeps_empty_shapes():
     assert m.transpose().rows() == [[Fraction(1, 2), 0], [Fraction(2, 3), 5]]
     assert m.transpose() == la.Matrix.from_rows([[Fraction(1, 2), 0], [Fraction(2, 3), 5]])
     assert m.transpose().transpose() == m
+
+
+def test_transpose_matches_fraction_reference():
+    rng = random.Random(23)
+    cases = [la.Matrix(3, 0), la.Matrix(0, 4), la.Matrix(0, 0)]
+    for _ in range(60):
+        nrows, ncols = rng.randint(0, 5), rng.randint(0, 5)
+        cases.append(la.Matrix(nrows, ncols, [
+            rng.choice((0, rng.randint(-4, 4))) for _ in range(nrows * ncols)
+        ]))
+        cases.append(rand_matrix(rng, nrows, ncols))
+    for m in cases:
+        rows = m.rows()
+        want = [[rows[r][c] for r in range(m.nrows)] for c in range(m.ncols)]
+        t = m.transpose()
+        assert t.shape == (m.ncols, m.nrows)
+        assert t.rows() == want
+        assert all(type(x) is Fraction for row in t.rows() for x in row)
+        assert t == la.Matrix(m.ncols, m.nrows, [x for row in want for x in row])
+        assert t.to_csv() == reference_csv(m.ncols, m.nrows, want)
+        assert t.transpose() == m
 
 
 def test_only_linalg_reads_the_matrix_storage():

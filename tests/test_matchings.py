@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from supertorus import cohomology as co
 from supertorus import exterior as ex
-from supertorus import linalg as la
 from supertorus import matchings as ma
 
 
@@ -25,10 +24,9 @@ def nc_coordinates(n, m):
     d = m.bidegree
     basis_ms = [x for x in ma.noncrossing_matchings(n) if x.bidegree == d]
     order = co.bidegree_monomials(n, d)
-    cols = [co.element_coordinates(ma.matching_invariant(x), order) for x in basis_ms]
-    mat = la.Matrix.from_columns(cols, nrows=len(order))
-    vec = co.element_coordinates(ma.matching_invariant(m), order)
-    x = mat.coordinates(vec)
+    mat = co.coordinate_matrix([ma.matching_invariant(x) for x in basis_ms], order)
+    (vec,) = co.coordinate_matrix([ma.matching_invariant(m)], order).transpose().rows()
+    (x,) = mat.solve_many([vec])
     assert x is not None
     return {bm: c for bm, c in zip(basis_ms, x) if c}
 
