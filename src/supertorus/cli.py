@@ -211,33 +211,32 @@ def cmd_bijection(args) -> Table:
     if not 0 <= k <= 2 * n:
         raise UsageError(f"degree k={k} out of range 0..{2 * n}")
     _guard_rows(math.comb(n, k // 2) * math.comb(n, (k + 1) // 2))
-    vertices = range(1, n + 1)
+    # Each subset once: (mask, vertices, csv text, text-line text).
+    subsets = {
+        size: [(ma._mask(S), S, " ".join(map(str, S)), ",".join(map(str, S)))
+               for S in itertools.combinations(range(1, n + 1), size)]
+        for size in {k // 2, (k + 1) // 2}
+    }
 
     def rows():
-        for A in itertools.combinations(vertices, k // 2):
-            for B in itertools.combinations(vertices, (k + 1) // 2):
-                m = ma.matching_from_subsets(A, B, n)
-                pair = ma.subsets_from_matching(m)
-                yield {
-                    "A": list(A),
-                    "B": list(B),
-                    "matching": m.to_json_dict(),
-                    "literal": m.literal(),
-                    "round_trip": (sorted(pair.A), sorted(pair.B)) == (list(A), list(B)),
-                }
+        for A in subsets[k // 2]:
+            for B in subsets[(k + 1) // 2]:
+                m = ma._matching_from_masks(A[0], B[0], n)
+                yield A, B, m, m.literal(), ma._masks_from_matching(m) == (A[0], B[0])
 
     return Table(
         {"command": "bijection", "n": n, "k": k},
         "rows",
         rows(),
+        record=lambda r: {"A": list(r[0][1]), "B": list(r[1][1]), "matching": r[2].to_json_dict(),
+                          "literal": r[3], "round_trip": r[4]},
         header=["A", "B", "literal", "round_trip"],
-        cells=lambda r: [" ".join(map(str, r["A"])), " ".join(map(str, r["B"])),
-                         r["literal"], r["round_trip"]],
+        cells=lambda r: [r[0][2], r[1][2], r[3], r[4]],
         title=f"subset pairs and matchings, n={n}, degree k={k}",
-        line=lambda r: f"A={{{','.join(map(str, r['A']))}}} B={{{','.join(map(str, r['B']))}}}"
-        f"  ->  [{r['literal']}]" + ("" if r["round_trip"] else "  ROUND TRIP FAILED"),
+        line=lambda r: f"A={{{r[0][3]}}} B={{{r[1][3]}}}  ->  [{r[3]}]"
+        + ("" if r[4] else "  ROUND TRIP FAILED"),
         footer=lambda count: [f"count {count}"],
-        ok=lambda r: r["round_trip"],
+        ok=lambda r: r[4],
     )
 
 

@@ -67,6 +67,25 @@ class LabelledMatching:
                     raise ValueError(f"vertex {v} appears in more than one role")
                 used.add(v)
 
+    @classmethod
+    def _trusted(
+        cls,
+        n: int,
+        arcs: tuple[tuple[int, int], ...],
+        alpha: tuple[int, ...],
+        alphatheta: tuple[int, ...],
+    ) -> "LabelledMatching":
+        """A matching from tuples already in canonical form: arcs sorted with
+        each pair increasing, sorted labels, every vertex in 1..n used once.
+        Skips the sorting and the checks of the public constructor, so only
+        builders whose output is canonical by construction call it."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "n", n)
+        object.__setattr__(m, "arcs", arcs)
+        object.__setattr__(m, "alpha", alpha)
+        object.__setattr__(m, "alphatheta", alphatheta)
+        return m
+
     def _check_vertex(self, v: int) -> None:
         if not 1 <= v <= self.n:
             raise ValueError(f"vertex {v} out of range 1..{self.n}")
@@ -186,6 +205,9 @@ class MatchingCombination:
         ]
 
 
+_ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
+
+
 def matching_invariant(m: LabelledMatching) -> Element:
     """Product of basic invariants indexed by the matching.
 
@@ -219,7 +241,7 @@ def matching_invariant(m: LabelledMatching) -> Element:
                     s = -s
                 step[new | 1 << t_pos] = s
         terms = step
-    return Element._make(m.n, {mask: Fraction(s) for mask, s in terms.items()})
+    return Element._make(m.n, {mask: _ONE if s > 0 else _MINUS_ONE for mask, s in terms.items()})
 
 
 def crossing_quadruples(m: LabelledMatching) -> list[tuple[int, int, int, int]]:
@@ -439,14 +461,12 @@ def noncrossing_matchings(
             raise ValueError(f"degree {k} disagrees with bidegree ({i}, {j})")
         degrees = [(i, j)]
     memo: dict = {}
-    out = [
-        LabelledMatching(n, arcs, a, at)
-        for i, j in degrees
-        if i >= j
-        for arcs, a, at in _reduced_labellings(1, n + 1, i - j, j, memo)
+    # Each triple is canonical and is its matching's sort_key.
+    triples = [
+        t for i, j in degrees if i >= j for t in _reduced_labellings(1, n + 1, i - j, j, memo)
     ]
-    out.sort(key=LabelledMatching.sort_key)
-    return out
+    triples.sort()
+    return [LabelledMatching._trusted(n, *t) for t in triples]
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +485,111 @@ class SubsetPair(tuple):
     @property
     def B(self) -> frozenset:
         return self[1]
+
+
+# The bijection runs on vertex masks: bit v - 1 stands for vertex v.
+
+def _mask(vertices: Iterable[int]) -> int:
+    out = 0
+    for v in vertices:
+        out |= 1 << (v - 1)
+    return out
+
+
+def _vertices(mask: int) -> tuple[int, ...]:
+    """The vertices of a mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return tuple(out)
+
+
+def _pair_text(a: int, b: int) -> str:
+    return f"({list(_vertices(a))}, {list(_vertices(b))})"
+
+
+def _is_reduced(m: LabelledMatching) -> bool:
+    """No two arcs cross and no 'a' label lies under an arc.
+
+    One left-to-right pass over the arcs and labels: a stack holds the right
+    ends of the arcs still open, innermost last, and ``reach`` the furthest
+    right end so far.  An arc crosses the innermost open arc when it ends
+    beyond it; a label is nested when it lies short of ``reach``.
+    """
+    labels = m.alpha
+    open_ends: list[int] = []
+    reach = 0
+    t = 0
+    for i, j in m.arcs:
+        while t < len(labels) and labels[t] < i:
+            if labels[t] < reach:
+                return False
+            t += 1
+        while open_ends and open_ends[-1] < i:
+            open_ends.pop()
+        if open_ends and open_ends[-1] < j:
+            return False
+        open_ends.append(j)
+        reach = max(reach, j)
+    return t == len(labels) or labels[t] > reach
+
+
+def _matching_from_masks(a: int, b: int, n: int) -> LabelledMatching:
+    """``matching_from_subsets`` on masks that the caller has checked: inside
+    1..n, with |B| - 1 <= |A| <= |B|."""
+    # A - B opens an arc, B - A closes the nearest open one, A & B is
+    # neutral: equally many A and B elements lie between the two ends.
+    arcs = []
+    alphas = []
+    opened: list[int] = []
+    rest = a ^ b
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        v = low.bit_length()
+        if a & low:
+            opened.append(v)
+        elif opened:
+            arcs.append((opened.pop(), v))
+        else:
+            alphas.append(v)
+    split = len(alphas)  # labels from B - A, then the arcs left open in A - B
+    alphas.extend(opened)
+    if 2 * len(arcs) + len(alphas) != (a ^ b).bit_count():
+        raise AssertionError(f"subset pair {_pair_text(a, b)} produced a clash in {arcs}")
+    arcs.sort()
+    m = LabelledMatching._trusted(n, tuple(arcs), tuple(alphas), _vertices(a & b))
+    if not _is_reduced(m):
+        raise AssertionError(
+            f"subset pair {_pair_text(a, b)} produced a non-reduced matching {m}"
+        )
+    if 0 < split < len(alphas) and max(alphas[:split]) > min(alphas[split:]):
+        raise AssertionError(f"subset pair {_pair_text(a, b)} violates the left-right rule")
+    return m
+
+
+def _masks_from_matching(m: LabelledMatching) -> tuple[int, int]:
+    """``subsets_from_matching`` as the masks (a, b)."""
+    if not _is_reduced(m):
+        if crossings(m):
+            raise ValueError(f"{m} has a crossing")
+        raise ValueError(f"{m} has an 'a' label under an arc")
+    k = m.degree
+    a = b = _mask(m.alphatheta)
+    for i, j in m.arcs:
+        a |= 1 << (i - 1)
+        b |= 1 << (j - 1)
+    to_b = (k + 1) // 2 - b.bit_count()
+    labels = m.alpha
+    if not 0 <= to_b <= len(labels):
+        raise AssertionError(f"label split failed for {m}")
+    b |= _mask(labels[:to_b])
+    a |= _mask(labels[to_b:])
+    if a.bit_count() != k // 2 or b.bit_count() != (k + 1) // 2:
+        raise AssertionError(f"subset sizes failed for {m}")
+    return a, b
 
 
 def matching_from_subsets(A: Iterable[int], B: Iterable[int], n: int) -> LabelledMatching:
@@ -486,56 +611,13 @@ def matching_from_subsets(A: Iterable[int], B: Iterable[int], n: int) -> Labelle
             f"sizes |A|={len(A)}, |B|={len(B)} do not fit a degree "
             f"{len(A) + len(B)} index pair"
         )
-    # A - B opens an arc, B - A closes the nearest open one, A & B is
-    # neutral: equally many A and B elements lie between the two ends.
-    arcs = []
-    alphas = []
-    opened: list[int] = []
-    for v in sorted(A ^ B):
-        if v in A:
-            opened.append(v)
-        elif opened:
-            arcs.append((opened.pop(), v))
-        else:
-            alphas.append(v)
-    alphas.extend(opened)
-    ends = [v for arc in arcs for v in arc]
-    if len(set(ends)) != len(ends):
-        raise AssertionError(
-            f"subset pair ({sorted(A)}, {sorted(B)}) produced a clash in {arcs}"
-        )
-    m = LabelledMatching(n, tuple(arcs), tuple(alphas), tuple(sorted(A & B)))
-    if crossings(m) or alpha_nestings(m):
-        raise AssertionError(
-            f"subset pair ({sorted(A)}, {sorted(B)}) produced a non-reduced matching {m}"
-        )
-    unmatched_b = [v for v in m.alpha if v in B]
-    unmatched_a = [v for v in m.alpha if v in A]
-    if unmatched_b and unmatched_a and max(unmatched_b) > min(unmatched_a):
-        raise AssertionError(
-            f"subset pair ({sorted(A)}, {sorted(B)}) violates the left-right rule"
-        )
-    return m
+    return _matching_from_masks(_mask(A), _mask(B), n)
 
 
 def subsets_from_matching(m: LabelledMatching) -> SubsetPair:
     """Inverse of ``matching_from_subsets``; rejects non-reduced matchings."""
-    if crossings(m):
-        raise ValueError(f"{m} has a crossing")
-    if alpha_nestings(m):
-        raise ValueError(f"{m} has an 'a' label under an arc")
-    k = m.degree
-    A = {i for i, _ in m.arcs} | set(m.alphatheta)
-    B = {j for _, j in m.arcs} | set(m.alphatheta)
-    to_b = (k + 1) // 2 - len(B)
-    labels = sorted(m.alpha)
-    if not 0 <= to_b <= len(labels):
-        raise AssertionError(f"label split failed for {m}")
-    B.update(labels[:to_b])
-    A.update(labels[to_b:])
-    if len(A) != k // 2 or len(B) != (k + 1) // 2:
-        raise AssertionError(f"subset sizes failed for {m}")
-    return SubsetPair(A, B)
+    a, b = _masks_from_matching(m)
+    return SubsetPair(_vertices(a), _vertices(b))
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,15 @@ def test_verify_fault_injection_fails(capsys, negated_raising):
     assert "FAIL" in out
 
 
+def test_bijection_tie_break_fault_is_caught(capsys, oldest_arc_first):
+    code, out, _ = run(capsys, "verify", "--suite", "matchings", "--n-max", "4")
+    assert code == 1
+    assert "FAIL [matchings] bijection round trip" in out
+    assert out.count("FAIL") == 1
+    code, _, _ = run(capsys, "bijection", "--n", "6", "--k", "6")
+    assert code != 0
+
+
 def test_closed_stdout_pipe_ends_output_quietly():
     # 4,900 rows, several times a 64 KB pipe buffer: the command is still
     # writing when the reader goes away after two lines
@@ -214,7 +223,7 @@ def test_internal_error_is_not_a_usage_error(capsys, monkeypatch):
     "fmt, marker", [("text", "ROUND TRIP FAILED"), ("json", '"round_trip": false'), ("csv", "False")]
 )
 def test_bijection_round_trip_failure_exits_1(capsys, monkeypatch, fmt, marker):
-    monkeypatch.setattr(ma, "subsets_from_matching", lambda m: ma.SubsetPair((), ()))
+    monkeypatch.setattr(ma, "_masks_from_matching", lambda m: (0, 0))
     code, out, err = run(capsys, "bijection", "--n", "3", "--k", "3", "--format", fmt)
     assert code == 1
     assert marker in out

@@ -406,9 +406,9 @@ def test_json_round_trip():
 
 
 @st.composite
-def labelled_matchings(draw):
-    """Any valid labelled matching, crossing or not, with n <= 10."""
-    n = draw(st.integers(0, 10))
+def labelled_matchings(draw, min_n=0, max_n=10):
+    """Any valid labelled matching, crossing or not, with min_n <= n <= max_n."""
+    n = draw(st.integers(min_n, max_n))
     vertices = draw(st.permutations(range(1, n + 1)))
     k = draw(st.integers(0, n // 2))
     arcs = [(vertices[2 * t], vertices[2 * t + 1]) for t in range(k)]
@@ -539,6 +539,75 @@ def old_matching_from_subsets(A, B, n):
     return ma.LabelledMatching(n, tuple(arcs), tuple(alphas), tuple(sorted(A & B)))
 
 
+def set_matching_from_subsets(A, B, n):
+    """The set-based route that the mask core replaced: the same stack pass
+    over sorted sets, checked with the quadratic crossing and nesting counts."""
+    A, B = set(A), set(B)
+    for v in A | B:
+        if not 1 <= v <= n:
+            raise ValueError(f"index {v} out of range 1..{n}")
+    if not (len(B) - 1 <= len(A) <= len(B)):
+        raise ValueError(
+            f"sizes |A|={len(A)}, |B|={len(B)} do not fit a degree "
+            f"{len(A) + len(B)} index pair"
+        )
+    arcs = []
+    alphas = []
+    opened = []
+    for v in sorted(A ^ B):
+        if v in A:
+            opened.append(v)
+        elif opened:
+            arcs.append((opened.pop(), v))
+        else:
+            alphas.append(v)
+    alphas.extend(opened)
+    ends = [v for arc in arcs for v in arc]
+    if len(set(ends)) != len(ends):
+        raise AssertionError(
+            f"subset pair ({sorted(A)}, {sorted(B)}) produced a clash in {arcs}"
+        )
+    m = ma.LabelledMatching(n, tuple(arcs), tuple(alphas), tuple(sorted(A & B)))
+    if ma.crossings(m) or ma.alpha_nestings(m):
+        raise AssertionError(
+            f"subset pair ({sorted(A)}, {sorted(B)}) produced a non-reduced matching {m}"
+        )
+    unmatched_b = [v for v in m.alpha if v in B]
+    unmatched_a = [v for v in m.alpha if v in A]
+    if unmatched_b and unmatched_a and max(unmatched_b) > min(unmatched_a):
+        raise AssertionError(
+            f"subset pair ({sorted(A)}, {sorted(B)}) violates the left-right rule"
+        )
+    return m
+
+
+def set_subsets_from_matching(m):
+    """The set-based inverse that the mask core replaced."""
+    if ma.crossings(m):
+        raise ValueError(f"{m} has a crossing")
+    if ma.alpha_nestings(m):
+        raise ValueError(f"{m} has an 'a' label under an arc")
+    k = m.degree
+    A = {i for i, _ in m.arcs} | set(m.alphatheta)
+    B = {j for _, j in m.arcs} | set(m.alphatheta)
+    to_b = (k + 1) // 2 - len(B)
+    labels = sorted(m.alpha)
+    if not 0 <= to_b <= len(labels):
+        raise AssertionError(f"label split failed for {m}")
+    B.update(labels[:to_b])
+    A.update(labels[to_b:])
+    if len(A) != k // 2 or len(B) != (k + 1) // 2:
+        raise AssertionError(f"subset sizes failed for {m}")
+    return ma.SubsetPair(A, B)
+
+
+def same_as_public(m):
+    """The matching equals, and hashes like, its rebuild through the public,
+    checking constructor."""
+    public = ma.LabelledMatching(m.n, m.arcs, m.alpha, m.alphatheta)
+    return public == m and hash(public) == hash(m)
+
+
 @pytest.mark.parametrize("n", range(0, 8))
 def test_noncrossing_by_bidegree_matches_filter_oracle(n):
     old = old_noncrossing_matchings(n)
@@ -624,3 +693,80 @@ def test_matching_from_subsets_matches_quadratic_oracle(n):
                     ma.matching_from_subsets(A, B, n)
                 continue
             assert ma.matching_from_subsets(A, B, n) == expected
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_bijection_mask_core_matches_set_routes(n):
+    vertices = range(1, n + 1)
+    for k in range(2 * n + 1):
+        for A in itertools.combinations(vertices, k // 2):
+            for B in itertools.combinations(vertices, (k + 1) // 2):
+                a, b = ma._mask(A), ma._mask(B)
+                m = set_matching_from_subsets(A, B, n)
+                core = ma._matching_from_masks(a, b, n)
+                assert core == m and ma.matching_from_subsets(A, B, n) == m
+                assert same_as_public(core)
+                assert ma._masks_from_matching(m) == (a, b)
+                pair = ma.subsets_from_matching(m)
+                assert pair == set_subsets_from_matching(m) == ma.SubsetPair(A, B)
+
+
+def test_bijection_errors_match_set_routes():
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except (ValueError, AssertionError) as err:
+            return type(err), str(err)
+
+    subsets = [s for r in range(5) for s in itertools.combinations(range(0, 6), r)]
+    for A in subsets:
+        for B in subsets:
+            assert outcome(ma.matching_from_subsets, A, B, 4) == outcome(
+                set_matching_from_subsets, A, B, 4
+            )
+    for n in range(0, 6):
+        for m in ma.labelled_matchings(n):
+            expected = outcome(set_subsets_from_matching, m)
+            assert outcome(ma.subsets_from_matching, m) == expected
+            if not isinstance(expected, ma.SubsetPair):  # an error
+                assert outcome(ma._masks_from_matching, m) == expected
+
+
+def test_enumerated_matchings_equal_public_ones():
+    for n in range(0, 9):
+        for m in ma.noncrossing_matchings(n):
+            assert same_as_public(m)
+
+
+def test_reducedness_scan_matches_counts():
+    for n in range(0, 7):
+        for m in ma.labelled_matchings(n):
+            assert ma._is_reduced(m) == (ma.crossings(m) == 0 and ma.alpha_nestings(m) == 0)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(labelled_matchings(min_n=7, max_n=14))
+def test_reducedness_scan_property(m):
+    assert ma._is_reduced(m) == (ma.crossings(m) == 0 and ma.alpha_nestings(m) == 0)
+
+
+@st.composite
+def subset_pairs(draw, min_n, max_n):
+    """(n, A, B) with |A| = k // 2 and |B| = (k + 1) // 2 for some degree k."""
+    n = draw(st.integers(min_n, max_n))
+    k = draw(st.integers(0, 2 * n))
+    A = draw(st.sets(st.integers(1, n), min_size=k // 2, max_size=k // 2))
+    B = draw(st.sets(st.integers(1, n), min_size=(k + 1) // 2, max_size=(k + 1) // 2))
+    return n, A, B
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(subset_pairs(9, 14))
+def test_bijection_round_trip_property(case):
+    n, A, B = case
+    m = ma.matching_from_subsets(A, B, n)
+    assert m == set_matching_from_subsets(A, B, n)
+    assert same_as_public(m)
+    assert m.degree == len(A) + len(B)
+    assert ma._is_reduced(m) and ma.crossings(m) == 0 and ma.alpha_nestings(m) == 0
+    assert ma.subsets_from_matching(m) == set_subsets_from_matching(m) == ma.SubsetPair(A, B)
