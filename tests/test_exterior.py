@@ -560,6 +560,35 @@ def test_parse_element_takes_ascii_digits_only(text):
         ex.parse_element(text)
 
 
+# One literal per LiteralParseError branch of the element grammar, with the
+# exact position and message: whitespace is skipped before a position is
+# taken, except that the rank and denominator failures point at their term.
+@pytest.mark.parametrize("text, n, position, message", [
+    ("a1 + 2/0*a2", None, 5, "zero denominator"),
+    ("a1 + 12/ 0 t2", None, 5, "zero denominator"),
+    ("1 + 3*  %", None, 8, "expected a generator after '*'"),
+    ("1*", None, 2, "expected a generator after '*'"),
+    ("3*a1 t0", None, 5, "generator index must be >= 1"),
+    ("a1 -  t15", None, 6, "generator index 15 exceeds the guard 14"),
+    ("a1 t2 3*a2", None, 6, "expected '+' or '-' between terms"),
+    # '/' is read across ASCII whitespace only, so this is two terms
+    ("1\u00a0/2*a1", None, 2, "expected '+' or '-' between terms"),
+    ("a1 + %", None, 5, "expected a term"),
+    ("a1 +  ", None, 6, "expected a term"),
+    ("", None, 0, "empty element literal"),
+    (" \t ", None, 3, "empty element literal"),
+    ("a1 - \t1*a9 t1", 2, 6, "generator index 9 exceeds rank 2"),
+    ("7" * 5000 + "*a1", None, 0, "integer too long"),
+    ("a1 + 2/" + "3" * 5000, None, 7, "integer too long"),
+    ("a1 t" + "1" * 5000, None, 4, "integer too long"),
+], ids=lambda v: v[:12] if isinstance(v, str) else None)
+def test_parse_element_error_positions(text, n, position, message):
+    with pytest.raises(ex.LiteralParseError) as info:
+        ex.parse_element(text, n)
+    assert (info.value.position, info.value.message) == (position, message)
+    assert info.value.text == text
+
+
 def test_format_parse_round_trip():
     rng = random.Random(13)
     from supertorus.verify import random_element

@@ -388,6 +388,41 @@ def test_parse_matching_errors_carry_position():
         ma.parse_matching("n=4; n=5")
 
 
+# One literal per LiteralParseError branch of the matching grammar, with the
+# exact position and message: whitespace is skipped before a position is
+# taken, and a missing n= points past the end.
+@pytest.mark.parametrize("text, position, message", [
+    ("n=4; b=1", 5, "expected a section like n=, arcs=, a=, at="),
+    ("  ; n=3", 2, "expected a section like n=, arcs=, a=, at="),
+    # between a section name and its '=' only ASCII whitespace is skipped
+    ("n=4; a\u00a0=1", 5, "expected a section like n=, arcs=, a=, at="),
+    ("n=3;;", 4, "expected a section like n=, arcs=, a=, at="),
+    ("n=4;  at = 1; at=2", 14, "duplicate section 'at'"),
+    ("n=4; n=5", 5, "duplicate section 'n'"),
+    ("", 0, "missing required section n="),
+    ("arcs=(1,2) ", 11, "missing required section n="),
+    ("a=1;", 4, "missing required section n="),
+    ("n=4 arcs=(1,2)", 4, "expected ';'"),
+    ("n=4; arcs=1,2)", 10, "expected '('"),
+    ("n=4; arcs=(1,2), ", 17, "expected '('"),
+    ("n=4; arcs=(1 2)", 13, "expected ','"),
+    ("n=4; arcs=(1,2", 14, "expected ')'"),
+    ("n=", 2, "expected an integer"),
+    ("n= x", 3, "expected an integer"),
+    ("n=4; a=1,", 9, "expected an integer"),
+    ("n=4; arcs=( ,2)", 12, "expected an integer"),
+    ("n=\u00b2", 2, "expected an integer"),
+    ("n=" + "9" * 5000, 2, "integer too long"),
+    ("n=4; at=2, " + "7" * 5000, 11, "integer too long"),
+    ("n=4; arcs=(1, " + "7" * 5000 + ")", 14, "integer too long"),
+], ids=lambda v: v[:12] if isinstance(v, str) else None)
+def test_parse_matching_error_positions(text, position, message):
+    with pytest.raises(ex.LiteralParseError) as info:
+        ma.parse_matching(text)
+    assert (info.value.position, info.value.message) == (position, message)
+    assert info.value.text == text
+
+
 def test_parse_matching_invalid_structure_is_value_error():
     with pytest.raises(ValueError) as info:
         ma.parse_matching("n=4; arcs=(1,2),(2,3)")
