@@ -247,7 +247,6 @@ def cmd_reduce(args) -> Table:
         raise UsageError(f"matching literal parse error:\n{err.caret_diagnostic()}") from None
     except ValueError as err:
         raise UsageError(f"invalid matching: {err}") from None
-    _guard_rank(m.n, ex.MAX_RANK)
     return Table(
         {"command": "reduce", "input": m.to_json_dict()},
         "terms",

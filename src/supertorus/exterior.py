@@ -24,7 +24,7 @@ import functools
 import itertools
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, NoReturn
 
 from .linalg import _rational
 
@@ -568,79 +568,103 @@ class LiteralParseError(ValueError):
         return f"{self.text}\n{' ' * self.position}^ {self.message}"
 
 
-_COEFF_RE = re.compile(r"(\d+)(?:\s*/\s*(\d+))?", re.ASCII)
-_GEN_RE = re.compile(r"([at])(\d+)", re.ASCII)
+_INT_RE = re.compile(r"\d+", re.ASCII)
 
 
-def _literal_int(text: str, match: re.Match, group: int) -> int:
-    """The ASCII digits of one match group as an int; a run longer than the
-    interpreter converts is a parse error at its first digit."""
-    try:
-        return int(match.group(group))
-    except ValueError:
-        raise LiteralParseError(text, match.start(group), "integer too long") from None
+class _Reader:
+    """A cursor over one literal, shared by the element and matching grammars.
+
+    Whitespace is skipped before each token, integers are ASCII digits only,
+    and every failure is a LiteralParseError at the cursor unless a position
+    is given.
+    """
+
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def fail(self, message: str, position: int | None = None) -> NoReturn:
+        raise LiteralParseError(self.text, self.pos if position is None else position, message)
+
+    def more(self) -> bool:
+        """Skip whitespace; whether any text is left."""
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+        return self.pos < len(self.text)
+
+    def match(self, pattern: re.Pattern) -> re.Match | None:
+        """Consume what ``pattern`` matches at the cursor, if it matches."""
+        found = pattern.match(self.text, self.pos)
+        if found:
+            self.pos = found.end()
+        return found
+
+    def take(self, chars: str) -> str:
+        """Consume the next character if it is one of ``chars``; '' if not."""
+        if self.more() and self.text[self.pos] in chars:
+            self.pos += 1
+            return self.text[self.pos - 1]
+        return ""
+
+    def expect(self, char: str) -> None:
+        if not self.take(char):
+            self.fail(f"expected {char!r}")
+
+    def integer(self) -> int:
+        """The next ASCII integer; a run longer than the interpreter converts
+        fails at its first digit."""
+        self.more()
+        digits = self.match(_INT_RE)
+        if not digits:
+            self.fail("expected an integer")
+        try:
+            return int(digits.group())
+        except ValueError:
+            self.fail("integer too long", digits.start())
+
+
+# Each is matched at a non-space cursor and ends before the digits of the
+# integer it announces, so the ``integer()`` that follows cannot fail to
+# find one.
+_COEFF_RE = re.compile(r"(?=\d)", re.ASCII)
+_SLASH_RE = re.compile(r"\s*/\s*(?=\d)", re.ASCII)
+_GEN_RE = re.compile(r"[at](?=\d)", re.ASCII)
 
 
 def parse_element(text: str, n: int | None = None) -> Element:
     """Parse an element literal; generator order in each term is respected."""
-    pos = 0
-    length = len(text)
-
-    def skip_ws() -> None:
-        nonlocal pos
-        while pos < length and text[pos].isspace():
-            pos += 1
-
+    r = _Reader(text)
     terms: list[tuple[int, Fraction, list[Generator]]] = []
-    first = True
-    while True:
-        skip_ws()
-        if pos >= length:
-            if first:
-                raise LiteralParseError(text, pos, "empty element literal")
-            break
-        sign = 1
-        if text[pos] in "+-":
-            sign = -1 if text[pos] == "-" else 1
-            pos += 1
-            skip_ws()
-        elif not first:
-            raise LiteralParseError(text, pos, "expected '+' or '-' between terms")
-        start = pos
-        coeff = None
-        gens: list[Generator] = []
-        m = _COEFF_RE.match(text, pos)
-        if m:
-            num = _literal_int(text, m, 1)
-            den = _literal_int(text, m, 2) if m.group(2) else 1
+    while r.more():
+        sign = r.take("+-")
+        if terms and not sign:
+            r.fail("expected '+' or '-' between terms")
+        r.more()
+        start = r.pos
+        coeff = Fraction(-1 if sign == "-" else 1)
+        star = False
+        if r.match(_COEFF_RE):
+            num = r.integer()
+            den = r.integer() if r.match(_SLASH_RE) else 1
             if den == 0:
-                raise LiteralParseError(text, pos, "zero denominator")
-            coeff = Fraction(num, den)
-            pos = m.end()
-            skip_ws()
-            if pos < length and text[pos] == "*":
-                pos += 1
-                skip_ws()
-                if not _GEN_RE.match(text, pos):
-                    raise LiteralParseError(text, pos, "expected a generator after '*'")
-        while True:
-            g = _GEN_RE.match(text, pos)
-            if not g:
-                break
-            idx = _literal_int(text, g, 2)
+                r.fail("zero denominator", start)
+            coeff *= Fraction(num, den)
+            star = bool(r.take("*"))
+        gens: list[Generator] = []
+        while r.more() and (letter := r.match(_GEN_RE)):
+            idx = r.integer()
             if idx < 1:
-                raise LiteralParseError(text, pos, "generator index must be >= 1")
+                r.fail("generator index must be >= 1", letter.start())
             if idx > MAX_RANK:
-                raise LiteralParseError(
-                    text, pos, f"generator index {idx} exceeds the guard {MAX_RANK}"
-                )
-            gens.append(Generator("alpha" if g.group(1) == "a" else "theta", idx))
-            pos = g.end()
-            skip_ws()
-        if coeff is None and not gens:
-            raise LiteralParseError(text, pos, "expected a term")
-        terms.append((start, (coeff if coeff is not None else Fraction(1)) * sign, gens))
-        first = False
+                r.fail(f"generator index {idx} exceeds the guard {MAX_RANK}", letter.start())
+            gens.append(Generator("alpha" if letter.group() == "a" else "theta", idx))
+        if star and not gens:
+            r.fail("expected a generator after '*'")
+        if r.pos == start:
+            r.fail("expected a term")
+        terms.append((start, coeff, gens))
+    if not terms:
+        r.fail("empty element literal")
 
     if n is None:
         indices = [g.index for _, _, gens in terms for g in gens]
@@ -650,9 +674,7 @@ def parse_element(text: str, n: int | None = None) -> Element:
     for start, coeff, gens in terms:
         for g in gens:
             if g.index > n:
-                raise LiteralParseError(
-                    text, start, f"generator index {g.index} exceeds rank {n}"
-                )
+                r.fail(f"generator index {g.index} exceeds rank {n}", start)
         out = out + generator_product(n, gens).scale(coeff)
     return out
 

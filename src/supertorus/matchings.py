@@ -22,13 +22,13 @@ from typing import Iterable, Iterator
 
 from .exterior import (
     Element,
-    LiteralParseError,
-    _literal_int,
+    _Reader,
     alpha,
     generator_product,
     theta,
     _check_rank,
 )
+from .linalg import _rational
 
 Rational = Fraction | int
 
@@ -47,6 +47,7 @@ class LabelledMatching:
     alphatheta: tuple[int, ...] = ()
 
     def __post_init__(self):
+        _check_rank(self.n)
         arcs = tuple(sorted(tuple(sorted(arc)) for arc in self.arcs))
         object.__setattr__(self, "arcs", arcs)
         object.__setattr__(self, "alpha", tuple(sorted(self.alpha)))
@@ -55,17 +56,10 @@ class LabelledMatching:
         for i, j in self.arcs:
             if i == j:
                 raise ValueError(f"arc ({i}, {j}) joins a vertex to itself")
-            for v in (i, j):
-                self._check_vertex(v)
-                if v in used:
-                    raise ValueError(f"vertex {v} appears in more than one role")
-                used.add(v)
-        for name, group in (("a", self.alpha), ("at", self.alphatheta)):
-            for v in group:
-                self._check_vertex(v)
-                if v in used:
-                    raise ValueError(f"vertex {v} appears in more than one role")
-                used.add(v)
+            self._claim(i, used)
+            self._claim(j, used)
+        for v in self.alpha + self.alphatheta:
+            self._claim(v, used)
 
     @classmethod
     def _trusted(
@@ -86,9 +80,15 @@ class LabelledMatching:
         object.__setattr__(m, "alphatheta", alphatheta)
         return m
 
-    def _check_vertex(self, v: int) -> None:
+    def _claim(self, v: int, used: set[int]) -> None:
+        """Check that v is a vertex in 1..n not yet in ``used``, and add it."""
+        if type(v) is not int:
+            raise TypeError(f"vertex must be an integer, got {v!r}")
         if not 1 <= v <= self.n:
             raise ValueError(f"vertex {v} out of range 1..{self.n}")
+        if v in used:
+            raise ValueError(f"vertex {v} appears in more than one role")
+        used.add(v)
 
     @property
     def degree(self) -> int:
@@ -145,13 +145,13 @@ class MatchingCombination:
             for m, c in terms.items():
                 if m.n != n:
                     raise ValueError("matching size mismatch")
-                c = Fraction(c)
+                c = Fraction(_rational(c))
                 if c:
                     self._terms[m] = c
 
     @classmethod
     def single(cls, m: LabelledMatching, coeff: Rational = 1) -> "MatchingCombination":
-        return cls(m.n, {m: Fraction(coeff)})
+        return cls(m.n, {m: Fraction(_rational(coeff))})
 
     def items(self) -> list[tuple[LabelledMatching, Fraction]]:
         return sorted(self._terms.items(), key=lambda t: t[0].sort_key())
@@ -177,7 +177,7 @@ class MatchingCombination:
         return MatchingCombination(self.n, acc)
 
     def scale(self, c: Rational) -> "MatchingCombination":
-        c = Fraction(c)
+        c = Fraction(_rational(c))
         return MatchingCombination(self.n, {m: c * v for m, v in self._terms.items()})
 
     def __eq__(self, other) -> bool:
@@ -602,8 +602,11 @@ def matching_from_subsets(A: Iterable[int], B: Iterable[int], n: int) -> Labelle
     label, with every surviving B element left of every surviving A element.
     One left-to-right pass with a stack of open arcs finds every partner.
     """
+    _check_rank(n)
     A, B = set(A), set(B)
     for v in A | B:
+        if type(v) is not int:
+            raise TypeError(f"index must be an integer, got {v!r}")
         if not 1 <= v <= n:
             raise ValueError(f"index {v} out of range 1..{n}")
     if not (len(B) - 1 <= len(A) <= len(B)):
@@ -693,8 +696,16 @@ def verify_presentation(n: int) -> PresentationReport:
 # ---------------------------------------------------------------------------
 # Literals and JSON.
 
-_SECTION_RE = re.compile(r"\s*(n|arcs|a|at)\s*=", re.ASCII)
-_INT_RE = re.compile(r"\d+", re.ASCII)
+_SECTION_RE = re.compile(r"(n|arcs|a|at)\s*=", re.ASCII)
+
+
+def _arc(r: _Reader) -> tuple[int, int]:
+    r.expect("(")
+    i = r.integer()
+    r.expect(",")
+    j = r.integer()
+    r.expect(")")
+    return i, j
 
 
 def parse_matching(text: str) -> LabelledMatching:
@@ -704,78 +715,28 @@ def parse_matching(text: str) -> LabelledMatching:
     raise LiteralParseError with the offending position; a structurally
     invalid matching (overlapping arcs or labels) raises ValueError instead.
     """
-    pos = 0
-    length = len(text)
+    r = _Reader(text)
     seen: dict[str, object] = {}
-
-    def skip_ws() -> None:
-        nonlocal pos
-        while pos < length and text[pos].isspace():
-            pos += 1
-
-    def parse_int() -> int:
-        nonlocal pos
-        skip_ws()
-        m = _INT_RE.match(text, pos)
-        if not m:
-            raise LiteralParseError(text, pos, "expected an integer")
-        pos = m.end()
-        return _literal_int(text, m, 0)
-
-    def expect(ch: str) -> None:
-        nonlocal pos
-        skip_ws()
-        if pos >= length or text[pos] != ch:
-            raise LiteralParseError(text, pos, f"expected {ch!r}")
-        pos += 1
-
-    first = True
-    while True:
-        skip_ws()
-        if pos >= length:
-            break
-        if not first:
-            expect(";")
-            skip_ws()
-            if pos >= length:
+    while r.more():
+        if seen:
+            r.expect(";")
+            if not r.more():
                 break
-        first = False
-        m = _SECTION_RE.match(text, pos)
-        if not m:
-            raise LiteralParseError(text, pos, "expected a section like n=, arcs=, a=, at=")
-        key = m.group(1)
+        section = r.match(_SECTION_RE)
+        if not section:
+            r.fail("expected a section like n=, arcs=, a=, at=")
+        key = section.group(1)
         if key in seen:
-            raise LiteralParseError(text, pos, f"duplicate section {key!r}")
-        pos = m.end()
+            r.fail(f"duplicate section {key!r}", section.start())
         if key == "n":
-            seen["n"] = parse_int()
-        elif key == "arcs":
-            arcs = []
-            while True:
-                expect("(")
-                i = parse_int()
-                expect(",")
-                j = parse_int()
-                expect(")")
-                arcs.append((i, j))
-                skip_ws()
-                if pos < length and text[pos] == ",":
-                    pos += 1
-                    continue
-                break
-            seen["arcs"] = tuple(arcs)
+            seen[key] = r.integer()
         else:
-            values = [parse_int()]
-            while True:
-                skip_ws()
-                if pos < length and text[pos] == ",":
-                    pos += 1
-                    values.append(parse_int())
-                else:
-                    break
+            values = []
+            while not values or r.take(","):
+                values.append(_arc(r) if key == "arcs" else r.integer())
             seen[key] = tuple(values)
     if "n" not in seen:
-        raise LiteralParseError(text, length, "missing required section n=")
+        r.fail("missing required section n=", len(text))
     return LabelledMatching(
         n=seen["n"],
         arcs=seen.get("arcs", ()),

@@ -4,8 +4,20 @@ import inspect
 
 import pytest
 
+from supertorus import cohomology as co
 from supertorus import exterior as ex
 from supertorus import matchings as ma
+
+
+def _mutant(module, name, old, new):
+    """``module.name`` rebuilt from its own source with ``old`` replaced by
+    ``new``, so every other line of it, its checks too, stays."""
+    source = inspect.getsource(getattr(module, name))
+    mutated = source.replace(old, new)
+    assert mutated != source
+    namespace = dict(vars(module))
+    exec(compile(mutated, module.__file__, "exec"), namespace)
+    return namespace[name]
 
 
 @pytest.fixture
@@ -20,11 +32,18 @@ def negated_raising(monkeypatch):
 @pytest.fixture
 def oldest_arc_first(monkeypatch):
     """The bijection's mask core with one change: a B element closes the
-    oldest open arc instead of the newest.  The fault comes from the core's
-    own source, so every other line of it, its checks too, stays."""
-    source = inspect.getsource(ma._matching_from_masks)
-    mutated = source.replace("opened.pop()", "opened.pop(0)")
-    assert mutated != source
-    namespace = dict(vars(ma))
-    exec(compile(mutated, ma.__file__, "exec"), namespace)
-    monkeypatch.setattr(ma, "_matching_from_masks", namespace["_matching_from_masks"])
+    oldest open arc instead of the newest."""
+    mutant = _mutant(ma, "_matching_from_masks", "opened.pop()", "opened.pop(0)")
+    monkeypatch.setattr(ma, "_matching_from_masks", mutant)
+
+
+@pytest.fixture
+def reversed_merge_sign(monkeypatch):
+    """``_merge_sign`` with one change: it counts the pairs (x in a, y in b)
+    with y above x instead of below, which makes the product that of the
+    opposite algebra.  Rebound in ``cohomology`` too, which imports it by
+    name; returns the mutant."""
+    mutant = _mutant(ex, "_merge_sign", "(b_mask & (low - 1))", "(b_mask & ~(low - 1))")
+    monkeypatch.setattr(ex, "_merge_sign", mutant)
+    monkeypatch.setattr(co, "_merge_sign", mutant)
+    return mutant

@@ -143,3 +143,20 @@ def test_14_negative_control_label_slide(monkeypatch):
     assert not holds(vf.check_presentation, 3), (
         "fault injection left the presentation intact")
     report("14 a negated label slide is caught by the normal-form and presentation checks")
+
+
+def test_15_negative_control_merge_sign(reversed_merge_sign):
+    def sign(a, b):
+        """(-1) to the number of pairs (x in a, y in b) with y below x."""
+        return (-1) ** sum(1 for x in range(4) for y in range(x) if a >> x & 1 and b >> y & 1)
+
+    pairs = [(a, b) for a in range(16) for b in range(16) if not a & b]  # n = 2
+    assert any(reversed_merge_sign(a, b) != sign(a, b) for a, b in pairs)
+    # the opposite algebra keeps every product law, so the checks that must
+    # catch the fault are those that fix a sign against another operator
+    assert not vf.check_translate_is_exp(3, random.Random(0)), (
+        "fault injection left the exponential identity intact")
+    assert not vf.check_sign_free_bases(3, random.Random(0)), (
+        "fault injection left the sign-free bases intact")
+    report("15 a merge sign counted the wrong way round is caught by the exponential "
+           "and sign-free basis checks")

@@ -100,6 +100,15 @@ def test_reduce_invalid_matching_distinct_error(capsys):
     assert "^" not in err
 
 
+@pytest.mark.parametrize("literal", ["n=99", "n=15; a=1", "n=16; arcs=(1,16)"])
+def test_reduce_refuses_a_rank_over_the_guard(capsys, literal):
+    code, out, err = run(capsys, "reduce", literal)
+    assert code == 2
+    assert out == ""
+    assert err.count("error:") == 1 and err.count("\n") == 1
+    assert "exceeds the guard 14" in err
+
+
 def test_basis_n1(capsys):
     code, out, _ = run(capsys, "basis", "--n", "1", "--i", "1", "--j", "1")
     assert code == 0
@@ -480,3 +489,39 @@ def test_literals_never_escape_as_internal_errors(text):
         ex.parse_element(text)
     except ex.LiteralParseError:
         pass
+
+
+# Values for the numeric options: small, negative, huge, the edges of the
+# rank guard (14/15) and of the suite guard (10/11), and non-numbers.
+_SMALL_VALUES = ["0", "1", "2", "3", "4", "-1", "-15", str(10**20), "x", "1.5", "", "\u0663"]
+_EDGE_VALUES = ["10", "11", "14", "15"]
+
+
+@st.composite
+def _numeric_command_lines(draw):
+    """Command lines whose numeric options take any of the values above, with
+    every accepted run cheap: a rank above 4 is drawn only for dims and
+    character, which are closed forms, and verify runs the matchings suite
+    with --n-max at most 2 or a value it refuses."""
+    value = st.sampled_from(_SMALL_VALUES + _EDGE_VALUES)
+    command = draw(st.sampled_from(["dims", "basis", "character", "bijection", "verify"]))
+    if command == "verify":
+        n_max = draw(st.sampled_from(["0", "1", "2", "-1", str(10**20), "11", "15", "x", ""]))
+        return ["verify", "--suite", "matchings", "--n-max", n_max, "--seed", draw(value)]
+    small_rank = st.sampled_from(_SMALL_VALUES + ["15"])
+    argv = [command, "--n", draw(value if command in ("dims", "character") else small_rank)]
+    for option in {"basis": ["--i", "--j"], "character": ["--i", "--j"],
+                   "bijection": ["--k"]}.get(command, []):
+        argv += [option, draw(value)]
+    return argv + ["--format", draw(st.sampled_from(["text", "json", "csv"]))]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(_numeric_command_lines())
+def test_numeric_options_never_escape_as_internal_errors(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in ((0, 1, 2) if argv[0] == "verify" else (0, 2)), err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""

@@ -47,6 +47,29 @@ def test_validation_rejects_overlaps():
         ma.LabelledMatching(2, alpha=(5,))
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: ma.LabelledMatching(20, arcs=((1, 20),)), ValueError, "rank 20 exceeds the guard 14"),
+    (lambda: ma.LabelledMatching(-1), ValueError, "rank must be nonnegative"),
+    (lambda: ma.LabelledMatching(2.0), TypeError, "rank must be an integer"),
+    (lambda: ma.LabelledMatching(3, alpha=(1.0,)), TypeError, "vertex must be an integer"),
+    (lambda: ma.LabelledMatching(3, alpha=(True,)), TypeError, "vertex must be an integer"),
+    (lambda: ma.LabelledMatching(3, alphatheta=(2, True)), TypeError, "vertex must be an integer"),
+    (lambda: ma.LabelledMatching(3, arcs=((1.0, 3),)), TypeError, "vertex must be an integer"),
+    (lambda: ma.LabelledMatching.from_json_dict({"n": 3, "alpha": [1.5]}), TypeError,
+     "vertex must be an integer"),
+    (lambda: ma.matching_from_subsets([1], [2], 20), ValueError, "rank 20 exceeds the guard 14"),
+    (lambda: ma.matching_from_subsets([1], [2], -1), ValueError, "rank must be nonnegative"),
+    (lambda: ma.matching_from_subsets([True], [2], 3), TypeError, "index must be an integer"),
+], ids=["rank-over-guard", "rank-negative", "rank-float", "label-float", "label-bool",
+        "at-label-bool", "arc-float", "json-float", "subsets-rank-over-guard",
+        "subsets-rank-negative", "subsets-bool"])
+def test_validation_checks_rank_and_vertex_type(build, error, message):
+    # each of these was accepted once: the rank past the guard reached
+    # matching_invariant, and a=1.0 printed a literal parse_matching refuses
+    with pytest.raises(error, match=message):
+        build()
+
+
 def test_canonical_sorting():
     m = ma.LabelledMatching(6, arcs=((4, 2), (1, 6)), alpha=(5, 3))
     assert m.arcs == ((1, 6), (2, 4))
@@ -465,6 +488,16 @@ def test_literal_and_json_round_trip_property(m):
     assert ma.LabelledMatching.from_json_dict(m.to_json_dict()) == m
     data = json.loads(json.dumps(m.to_json_dict()))
     assert ma.LabelledMatching.from_json_dict(data) == m
+
+
+@pytest.mark.parametrize("build", [
+    lambda m: ma.MatchingCombination(m.n, {m: 0.5}),
+    lambda m: ma.MatchingCombination.single(m, 0.1),
+    lambda m: ma.MatchingCombination.single(m).scale(0.1),
+], ids=["init", "single", "scale"])
+def test_combination_refuses_floats(build):
+    with pytest.raises(TypeError):
+        build(ma.LabelledMatching(2, arcs=((1, 2),)))
 
 
 def test_combination_json():
