@@ -584,7 +584,8 @@ class _Reader:
         self.pos = 0
 
     def fail(self, message: str, position: int | None = None) -> NoReturn:
-        raise LiteralParseError(self.text, self.pos if position is None else position, message)
+        at = self.pos if position is None else position
+        raise LiteralParseError(self.text, at, message) from None
 
     def more(self) -> bool:
         """Skip whitespace; whether any text is left."""
