@@ -31,6 +31,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
@@ -123,6 +124,17 @@ def _guard_rank(n: int, guard: int) -> None:
         raise UsageError("n must be nonnegative")
     if n > guard:
         raise UsageError(f"n={n} exceeds the guard {guard} for this command")
+
+
+def _ascii_int(text: str) -> int:
+    """A numeric option: an optional '-' and ASCII digits only, where
+    ``int()`` would also take other scripts' digits, '_', '+' and spaces."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r} (ASCII digits 0-9 only)")
+    try:
+        return int(text)
+    except ValueError:  # more digits than the interpreter converts
+        raise argparse.ArgumentTypeError(f"integer too long: {len(text)} characters") from None
 
 
 def _guard_rows(count: int) -> None:
@@ -300,27 +312,27 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p = sub.add_parser("dims", help="dimension table for every bidegree")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_ascii_int, required=True)
     add_common(p)
     p.set_defaults(fn=cmd_dims)
 
     p = sub.add_parser("basis", help="noncrossing basis of one bidegree")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
+    p.add_argument("--n", type=_ascii_int, required=True)
+    p.add_argument("--i", type=_ascii_int, required=True)
+    p.add_argument("--j", type=_ascii_int, required=True)
     add_common(p)
     p.set_defaults(fn=cmd_basis)
 
     p = sub.add_parser("character", help="character row over all cycle types")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
+    p.add_argument("--n", type=_ascii_int, required=True)
+    p.add_argument("--i", type=_ascii_int, required=True)
+    p.add_argument("--j", type=_ascii_int, required=True)
     add_common(p)
     p.set_defaults(fn=cmd_character)
 
     p = sub.add_parser("bijection", help="subset pairs against matchings of one degree")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--n", type=_ascii_int, required=True)
+    p.add_argument("--k", type=_ascii_int, required=True)
     add_common(p)
     p.set_defaults(fn=cmd_bijection)
 
@@ -331,8 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", default="all")
-    p.add_argument("--n-max", type=int, default=4, dest="n_max")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n-max", type=_ascii_int, default=4, dest="n_max")
+    p.add_argument("--seed", type=_ascii_int, default=0)
     add_common(p)
     p.set_defaults(fn=cmd_verify)
 

@@ -197,15 +197,16 @@ def _merge_sign(a_mask: int, b_mask: int) -> int:
     """Sign of reordering the concatenation (a, b) into canonical order.
 
     Counts pairs (x in a, y in b) with y below x; the masks must be disjoint.
+    Bit y of ``above`` is the parity of the bits of a above y: the shifts
+    fold 32 bits, more than the 2 * MAX_RANK a mask holds.
     """
-    sign = 1
-    a = a_mask
-    while a:
-        low = a & -a
-        if (b_mask & (low - 1)).bit_count() & 1:
-            sign = -sign
-        a ^= low
-    return sign
+    above = a_mask >> 1
+    above ^= above >> 1
+    above ^= above >> 2
+    above ^= above >> 4
+    above ^= above >> 8
+    above ^= above >> 16
+    return -1 if (b_mask & above).bit_count() & 1 else 1
 
 
 class Element:
@@ -315,7 +316,9 @@ class Element:
                 if ma & mb:
                     continue
                 mask = ma | mb
-                c = ca * cb * _merge_sign(ma, mb)
+                c = ca * cb
+                if _merge_sign(ma, mb) < 0:
+                    c = -c
                 acc[mask] = acc.get(mask, Fraction(0)) + c
         return Element._make(self.n, acc)
 
@@ -626,9 +629,9 @@ class _Reader:
 
 # Each is matched at a non-space cursor and ends before the digits of the
 # integer it announces, so the ``integer()`` that follows cannot fail to
-# find one.
+# find one.  ``\s`` is unicode, the whitespace ``_Reader.more`` skips.
 _COEFF_RE = re.compile(r"(?=\d)", re.ASCII)
-_SLASH_RE = re.compile(r"\s*/\s*(?=\d)", re.ASCII)
+_SLASH_RE = re.compile(r"\s*/\s*(?=[0-9])")
 _GEN_RE = re.compile(r"[at](?=\d)", re.ASCII)
 
 

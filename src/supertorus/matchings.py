@@ -696,7 +696,8 @@ def verify_presentation(n: int) -> PresentationReport:
 # ---------------------------------------------------------------------------
 # Literals and JSON.
 
-_SECTION_RE = re.compile(r"(n|arcs|a|at)\s*=", re.ASCII)
+# ``\s`` is unicode, the whitespace ``_Reader.more`` skips
+_SECTION_RE = re.compile(r"(n|arcs|a|at)\s*=")
 
 
 def _arc(r: _Reader) -> tuple[int, int]:

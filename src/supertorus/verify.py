@@ -20,15 +20,29 @@ Every check takes ``n_max`` and covers these ranks n:
   at min(that, 5).
 * Regardless of n_max: Boolean incidence n = 1..12; random matrices of at
   most 6 rows and columns for the rank and kernel checks.
+
+``run_suite`` runs its checks in forked worker processes, one per usable
+CPU, and reads their results back in suite order, so the order and bytes of
+the output are those of a run in one process.  It runs them in-process
+instead when fewer than two CPUs are usable, when the platform cannot fork,
+or when the process has other Python threads, which a fork would copy
+mid-lock.  Peak memory can reach one check's peak in every worker at once,
+and a pool costs about 20 ms to start (40 ms for a process's first, which
+imports the pool modules), which a suite of tiny checks notices.
+A worker that dies fails each check it did not finish, with the pool's
+error as the detail.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
 import random
+import threading
+import time
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import cohomology as co
@@ -43,6 +57,8 @@ class CheckResult:
     name: str
     passed: bool
     detail: str = ""
+    # wall time of the check where it ran; never printed
+    seconds: float = field(default=0.0, compare=False)
 
 
 def random_element(rng: random.Random, n: int, terms: int = 4) -> ex.Element:
@@ -577,17 +593,54 @@ def suite_names(suite: str) -> list[str]:
     return [suite]
 
 
+def _run_check(suite: str, index: int, n_max: int, seed: int) -> CheckResult:
+    """Check ``index`` of ``suite`` with a fresh generator; an exception is a
+    failure whose detail names it, not a crash.  Workers look the check up in
+    their own forked ``SUITES``, so a check replaced in the parent is the one
+    they run."""
+    check_name, fn = SUITES[suite][index]
+    rng = random.Random(seed)
+    start = time.perf_counter()
+    try:
+        passed = fn(n_max, rng)
+        detail = ""
+    except Exception as exc:  # surfaced as a failure, not a crash
+        passed = False
+        detail = f"{type(exc).__name__}: {exc}"
+    return CheckResult(suite, check_name, passed, detail, time.perf_counter() - start)
+
+
+def _pool_size(tasks: int) -> int:
+    """Worker processes for ``tasks`` checks; below 2 they run in-process."""
+    import multiprocessing
+
+    if threading.active_count() > 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return 0
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, tasks)
+
+
 def run_suite(suite: str, n_max: int = 4, seed: int = 0) -> list[CheckResult]:
     """Run one named suite (or "all"); deterministic for a fixed seed."""
+    tasks = [(name, index, n_max, seed)
+             for name in suite_names(suite) for index in range(len(SUITES[name]))]
+    workers = _pool_size(len(tasks))
+    if workers < 2:
+        return [_run_check(*task) for task in tasks]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     results = []
-    for name in suite_names(suite):
-        for check_name, fn in SUITES[name]:
-            rng = random.Random(seed)
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
+        futures = [pool.submit(_run_check, *task) for task in tasks]
+        for (name, index, _, _), future in zip(tasks, futures):
             try:
-                passed = fn(n_max, rng)
-                detail = ""
-            except Exception as exc:  # surfaced as a failure, not a crash
-                passed = False
+                results.append(future.result())
+            except BrokenProcessPool as exc:
                 detail = f"{type(exc).__name__}: {exc}"
-            results.append(CheckResult(name, check_name, passed, detail))
+                results.append(CheckResult(name, SUITES[name][index][0], False, detail))
     return results

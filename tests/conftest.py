@@ -39,11 +39,11 @@ def oldest_arc_first(monkeypatch):
 
 @pytest.fixture
 def reversed_merge_sign(monkeypatch):
-    """``_merge_sign`` with one change: it counts the pairs (x in a, y in b)
-    with y above x instead of below, which makes the product that of the
-    opposite algebra.  Rebound in ``cohomology`` too, which imports it by
-    name; returns the mutant."""
-    mutant = _mutant(ex, "_merge_sign", "(b_mask & (low - 1))", "(b_mask & ~(low - 1))")
+    """``_merge_sign`` with one change: its shifts run the other way, so it
+    counts the pairs (x in a, y in b) with y above x instead of below, which
+    makes the product that of the opposite algebra.  Rebound in
+    ``cohomology`` too, which imports it by name; returns the mutant."""
+    mutant = _mutant(ex, "_merge_sign", ">>", "<<")
     monkeypatch.setattr(ex, "_merge_sign", mutant)
     monkeypatch.setattr(co, "_merge_sign", mutant)
     return mutant

@@ -161,6 +161,31 @@ def test_verify_unknown_suite(capsys):
     assert "unknown suite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["dims", "--n", "\u0663"],
+    ["bijection", "--n", "1_0", "--k", "0"],
+    ["dims", "--n", "+3"],
+    ["dims", "--n", " 3"],
+    ["basis", "--n", "2", "--i", "\uff11", "--j", "1"],
+    ["verify", "--suite", "matchings", "--n-max", "-\u0661"],
+    ["dims", "--n", "9" * 5000],
+], ids=["arabic-indic", "underscore", "plus", "space", "fullwidth", "minus-arabic-indic",
+        "too-long"])
+def test_numeric_options_take_ascii_digits_only(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("error:") == 1
+    assert "error: argument --" in err
+
+
+def test_numeric_options_take_a_minus_sign(capsys):
+    code, out, err = run(capsys, "dims", "--n", "-3")
+    assert (code, out, err) == (2, "", "error: n must be nonnegative\n")
+    code, out, _ = run(capsys, "dims", "--n", "007")
+    assert code == 0 and out.startswith("invariant and coinvariant dimensions, n=7\n")
+
+
 def test_verify_guard(capsys):
     code, _, err = run(capsys, "verify", "--n-max", "11")
     assert code == 2

@@ -89,6 +89,34 @@ def test_product_signs_against_bubble_oracle():
             assert prod == ex.Element.from_monomial(mono, expected_sign)
 
 
+def loop_merge_sign(a_mask, b_mask):
+    """The loop form of ``_merge_sign``, kept as its oracle: one step per bit
+    of a, each counting the bits of b below it."""
+    sign = 1
+    a = a_mask
+    while a:
+        low = a & -a
+        if (b_mask & (low - 1)).bit_count() & 1:
+            sign = -sign
+        a ^= low
+    return sign
+
+
+def test_merge_sign_matches_loop_oracle():
+    for a in range(1 << 10):  # every disjoint pair of 10-bit masks
+        rest = b = ~a & 0x3FF
+        while True:
+            assert ex._merge_sign(a, b) == loop_merge_sign(a, b), (a, b)
+            if not b:
+                break
+            b = (b - 1) & rest
+    rng = random.Random(17)
+    for _ in range(200_000):  # masks of the full 2 * MAX_RANK = 28 bits
+        a = rng.getrandbits(28)
+        b = rng.getrandbits(28) & ~a
+        assert ex._merge_sign(a, b) == loop_merge_sign(a, b), (a, b)
+
+
 def test_supercommutativity_exhaustive_n2():
     for a, b in itertools.product(ex.all_monomials(2), repeat=2):
         fa, fb = ex.Element.from_monomial(a), ex.Element.from_monomial(b)
@@ -571,8 +599,9 @@ def test_parse_element_takes_ascii_digits_only(text):
     ("3*a1 t0", None, 5, "generator index must be >= 1"),
     ("a1 -  t15", None, 6, "generator index 15 exceeds the guard 14"),
     ("a1 t2 3*a2", None, 6, "expected '+' or '-' between terms"),
-    # '/' is read across ASCII whitespace only, so this is two terms
-    ("1\u00a0/2*a1", None, 2, "expected '+' or '-' between terms"),
+    # '/' is read across any whitespace, a no-break space too, so the
+    # first term ends after a1
+    ("1\u00a0/\u00a02*a1 3", None, 9, "expected '+' or '-' between terms"),
     ("a1 + %", None, 5, "expected a term"),
     ("a1 +  ", None, 6, "expected a term"),
     ("", None, 0, "empty element literal"),
@@ -587,6 +616,11 @@ def test_parse_element_error_positions(text, n, position, message):
         ex.parse_element(text, n)
     assert (info.value.position, info.value.message) == (position, message)
     assert info.value.text == text
+
+
+def test_parse_element_skips_unicode_whitespace_around_a_slash():
+    assert elem("1\u00a0/2*a1") == elem("1 /2*a1") == elem("1/2*a1")
+    assert elem("3\u2003/\u30004 t2") == elem("3/4 t2")
 
 
 def test_format_parse_round_trip():

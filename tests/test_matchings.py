@@ -417,8 +417,9 @@ def test_parse_matching_errors_carry_position():
 @pytest.mark.parametrize("text, position, message", [
     ("n=4; b=1", 5, "expected a section like n=, arcs=, a=, at="),
     ("  ; n=3", 2, "expected a section like n=, arcs=, a=, at="),
-    # between a section name and its '=' only ASCII whitespace is skipped
-    ("n=4; a\u00a0=1", 5, "expected a section like n=, arcs=, a=, at="),
+    # between a section name and its '=' any whitespace is skipped, a
+    # no-break space too, so the second a= is a duplicate
+    ("n=4; a\u00a0=1; a\u00a0=2", 11, "duplicate section 'a'"),
     ("n=3;;", 4, "expected a section like n=, arcs=, a=, at="),
     ("n=4;  at = 1; at=2", 14, "duplicate section 'at'"),
     ("n=4; n=5", 5, "duplicate section 'n'"),
@@ -444,6 +445,12 @@ def test_parse_matching_error_positions(text, position, message):
         ma.parse_matching(text)
     assert (info.value.position, info.value.message) == (position, message)
     assert info.value.text == text
+
+
+def test_parse_matching_skips_unicode_whitespace_before_equals():
+    assert ma.parse_matching("n=4; a\u00a0=1") == ma.parse_matching("n=4; a =1")
+    assert ma.parse_matching("n\u2003=4;\u3000arcs\u00a0=(1,2)") == ma.parse_matching(
+        "n=4; arcs=(1,2)")
 
 
 def test_parse_matching_invalid_structure_is_value_error():
