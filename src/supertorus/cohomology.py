@@ -30,12 +30,16 @@ in the tests, it is built by ``coordinate_matrix`` from the nonzeros.
 Every kernel vector has an own monomial, its free column: it is nonzero there
 and every other kernel vector is zero.  So the coordinates of any x in their
 span read off as x[m_k] / v_k[m_k], and one exact check that x minus the
-combination is zero certifies that x lies in the span.  The Lefschetz matrix
-and the permutation traces are read this way, with no coordinate lists over
-the bidegree and no solve.  The coinvariant representatives are monomials
-r_l, so the Gram entry of an invariant v and r_l is v's coefficient on the
-complement of r_l times one merge sign.  The tests keep the dense solves and
-the per-entry pairings these replace as oracles.
+combination is zero certifies that x lies in the span.  The permutation
+traces are read this way, with no coordinate lists over the bidegree and no
+solve.  The Lefschetz matrix needs no product at all: multiplying by
+ell**k only relabels each kernel vector into the classes (D + C, I + C), so
+its nonzeros, each k!, come from the class labels alone.  The coinvariant
+representatives are monomials r_l, so the Gram entry of an invariant v and
+r_l is v's coefficient on the complement of r_l times one merge sign.  The
+Gram and Lefschetz builders read the kernel vectors straight from the
+cached blocks, without building elements.  The tests keep the dense solves,
+the products and the per-entry pairings these replace as oracles.
 """
 
 from __future__ import annotations
@@ -56,7 +60,6 @@ from .exterior import (
     Permutation,
     _check_rank,
     _merge_sign,
-    lefschetz_element,
     permute,
     raising,
     volume_form,
@@ -168,16 +171,17 @@ class BidegreeBasis:
 _BLOCK_CACHE_SIZE = 128
 
 
-def _block_classes(masks: list[int], i: int) -> list[tuple[int, int, list[int]]]:
+def _block_classes(masks: list[int], i: int) -> list[tuple[int, int, int, int, list[int]]]:
     """The (A | B, A & B) classes of the masks of one bidegree with alpha
-    degree i, as (d0, i0, positions): the block shape and the class's
-    positions in ``masks``, in monomial order."""
+    degree i, as (union, meet, d0, i0, positions): the class, as masks of
+    alpha bits, its block shape and its positions in ``masks``, in monomial
+    order."""
     classes: dict[tuple[int, int], list[int]] = {}
     for k, m in enumerate(masks):
         a, b = m & _ALPHA_BITS, (m >> 1) & _ALPHA_BITS
         classes.setdefault((a | b, a & b), []).append(k)
     return [
-        ((union ^ meet).bit_count(), i - meet.bit_count(), cols)
+        (union, meet, (union ^ meet).bit_count(), i - meet.bit_count(), cols)
         for (union, meet), cols in classes.items()
     ]
 
@@ -214,26 +218,66 @@ def _cokernel_block(d0: int, i0: int) -> tuple[int, ...]:
     return tuple(sorted(size - 1 - v[-1][0] for v in _kernel_block(d0, d0 - i0)))
 
 
-def invariants_basis(n: int, d: tuple[int, int]) -> BidegreeBasis:
-    """Canonical kernel basis of raising on bidegree d, one per free column."""
-    d = Bidegree(*d)
+class _KernelVector(NamedTuple):
+    """One canonical kernel vector of raising: the block vector ``vector``,
+    the ``t``-th of ``_kernel_block`` for its block shape, relabelled into the
+    class (union, meet) through the class's positions ``cols``."""
+
+    free: int  # the position of its free column in the bidegree's masks
+    union: int
+    meet: int
+    t: int
+    cols: list[int]
+    vector: tuple[tuple[int, Fraction], ...]
+
+
+def _kernel_vectors(n: int, d: Bidegree) -> tuple[list[int], list[_KernelVector]]:
+    """The masks of bidegree d and the canonical kernel basis of raising on
+    it, in free-column order, checked against the closed dimension."""
     _check_bidegree(n, *d)
     source = _bidegree_masks(n, d)
     kernel = sorted(
         (
-            [(cols[c], x) for c, x in v]
-            for d0, i0, cols in _block_classes(source, d.i)
-            for v in _kernel_block(d0, i0)
+            _KernelVector(cols[v[-1][0]], union, meet, t, cols, v)
+            for union, meet, d0, i0, cols in _block_classes(source, d.i)
+            for t, v in enumerate(_kernel_block(d0, i0))
         ),
-        key=lambda v: v[-1][0],
+        key=lambda k: k.free,
     )
-    vectors = tuple(Element._make(n, {source[c]: x for c, x in v}) for v in kernel)
     expected = invariants_dimension(n, d.i, d.j)
-    if len(vectors) != expected:
+    if len(kernel) != expected:
         raise AssertionError(
-            f"kernel dimension {len(vectors)} disagrees with formula {expected}"
+            f"kernel dimension {len(kernel)} disagrees with formula {expected}"
         )
+    return source, kernel
+
+
+def invariants_basis(n: int, d: tuple[int, int]) -> BidegreeBasis:
+    """Canonical kernel basis of raising on bidegree d, one per free column."""
+    d = Bidegree(*d)
+    source, kernel = _kernel_vectors(n, d)
+    vectors = tuple(
+        Element._make(n, {source[k.cols[c]]: x for c, x in k.vector}) for k in kernel
+    )
     return BidegreeBasis(n, d, vectors)
+
+
+def _cokernel_masks(n: int, d: Bidegree) -> list[int]:
+    """The masks of the greedy coset representatives for the cokernel in
+    bidegree d, in monomial order, checked against the closed dimension."""
+    _check_bidegree(n, *d)
+    target = _bidegree_masks(n, d)
+    picks = sorted(
+        cols[k]
+        for _, _, d0, i0, cols in _block_classes(target, d.i)
+        for k in _cokernel_block(d0, i0)
+    )
+    expected = coinvariants_dimension(n, d.i, d.j)
+    if len(picks) != expected:
+        raise AssertionError(
+            f"cokernel dimension {len(picks)} disagrees with formula {expected}"
+        )
+    return [target[c] for c in picks]
 
 
 def coinvariants_representatives(n: int, d: tuple[int, int]) -> BidegreeBasis:
@@ -244,19 +288,7 @@ def coinvariants_representatives(n: int, d: tuple[int, int]) -> BidegreeBasis:
     span until the whole component is covered.
     """
     d = Bidegree(*d)
-    _check_bidegree(n, *d)
-    target = _bidegree_masks(n, d)
-    picks = sorted(
-        cols[k]
-        for d0, i0, cols in _block_classes(target, d.i)
-        for k in _cokernel_block(d0, i0)
-    )
-    reps = tuple(Element._make(n, {target[c]: Fraction(1)}) for c in picks)
-    expected = coinvariants_dimension(n, d.i, d.j)
-    if len(reps) != expected:
-        raise AssertionError(
-            f"cokernel dimension {len(reps)} disagrees with formula {expected}"
-        )
+    reps = tuple(Element._make(n, {m: Fraction(1)}) for m in _cokernel_masks(n, d))
     return BidegreeBasis(n, d, reps)
 
 
@@ -300,21 +332,34 @@ def lefschetz_matrix(n: int, i: int, j: int) -> Matrix:
     """Matrix of multiplication by the Lefschetz power between invariants.
 
     Maps the invariants in bidegree (i, j) to those in (n-j, n-i) through
-    multiplication by ell**(n-i-j); square and invertible.
+    multiplication by ell**k, k = n-i-j; square and invertible.  Since
+    ell**k = k! times the sum of the products of a_c t_c over the k-subsets
+    C of 1..n, and each a_c t_c is even and adjacent in the generator order,
+    ell**k sends the monomial (A, B) to k! (A + C, B + C) for each C outside
+    A | B, with no sign.  So it sends the kernel vector t of class (D, I) to
+    k! times the kernel vector t of each class (D + C, I + C), which has the
+    same block shape: every entry is 0 or k!.
     """
     _check_bidegree(n, i, j)
     if i + j > n:
         raise ValueError(f"need i + j <= n, got i={i}, j={j}, n={n}")
-    source = invariants_basis(n, (i, j))
-    target = invariants_basis(n, (n - j, n - i)).vectors
-    own = _own_monomials(target)
-    power = lefschetz_element(n) ** (n - i - j)
+    k = n - i - j
+    _, source = _kernel_vectors(n, Bidegree(i, j))
+    _, target = _kernel_vectors(n, Bidegree(n - j, n - i))
+    if len(source) != len(target):
+        raise AssertionError("the Lefschetz map between invariants is not square")
+    row_of = {(v.union, v.meet, v.t): row for row, v in enumerate(target)}
+    scale = math.factorial(k)
+    pairs = [1 << 2 * x for x in range(n)]
     nonzeros = []
     for col, v in enumerate(source):
-        coords = _coordinates(target, own, v * power)
-        if coords is None:
-            raise AssertionError("Lefschetz image left the invariant subspace")
-        nonzeros += ((row, col, x) for row, x in coords.items())
+        outside = [b for b in pairs if not v.union & b]
+        for extra in combinations(outside, k):
+            c = sum(extra)
+            row = row_of.get((v.union | c, v.meet | c, v.t))
+            if row is None:
+                raise AssertionError("Lefschetz image left the invariant subspace")
+            nonzeros.append((row, col, scale))
     return Matrix._from_nonzeros(len(target), len(source), nonzeros)
 
 
@@ -322,22 +367,19 @@ def duality_gram(n: int, i: int, j: int) -> Matrix:
     """Gram matrix of the volume pairing between invariants in (i, j) and
     coinvariant representatives in (n-i, n-j); square and invertible."""
     _check_bidegree(n, i, j)
-    left = invariants_basis(n, (i, j))
-    right = coinvariants_representatives(n, (n - i, n - j))
+    source, left = _kernel_vectors(n, Bidegree(i, j))
+    right = _cokernel_masks(n, Bidegree(n - i, n - j))
     vol = volume_form(n).mask
     # v pairs with the monomial r (coefficient 1) through its coefficient on
     # the complement vol ^ r, times the sign of reordering (vol ^ r, r)
-    partner = {}
-    for col, rep in enumerate(right):
-        (r,) = rep._terms
-        partner[vol ^ r] = (col, _merge_sign(vol ^ r, r))
+    partner = {vol ^ r: (col, _merge_sign(vol ^ r, r)) for col, r in enumerate(right)}
     nonzeros = []
     for row, v in enumerate(left):
-        for m, c in v._terms.items():
-            hit = partner.get(m)
+        for c, x in v.vector:
+            hit = partner.get(source[v.cols[c]])
             if hit:
                 col, sign = hit
-                nonzeros.append((row, col, c if sign > 0 else -c))
+                nonzeros.append((row, col, x if sign > 0 else -x))
     return Matrix._from_nonzeros(len(left), len(right), nonzeros)
 
 

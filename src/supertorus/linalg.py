@@ -1,19 +1,20 @@
-"""Dense exact rational linear algebra and Boolean-poset incidence matrices.
+"""Sparse exact rational linear algebra and Boolean-poset incidence matrices.
 
-A matrix stores integer rows, one denominator each: row r is kept as its
-entries times the lcm of their reduced denominators, together with that
-lcm, and its entries read back as Fractions.  Eliminations run on the
-stored rows directly.  A reduction modulo a fixed large prime certifies full
-rank, since the rank modulo a prime never exceeds the rank over the
-rationals.  One exact engine, integer Gauss-Jordan on primitive rows, serves
-the rank when that certificate fails, reduced echelon forms, kernels and
-solves.
+A matrix stores each row as its nonzeros, a dict from column to integer,
+over one denominator: row r is kept as its entries times the lcm of their
+reduced denominators, together with that lcm, and its entries read back as
+Fractions.  The rank splits the nonzeros into the connected components of
+the row-column graph by union-find and adds up the ranks of the components.
+A component with one row or one column has rank 1; any other is copied to
+dense integer rows, where a reduction modulo a fixed large prime certifies
+full rank, since the rank modulo a prime never exceeds the rank over the
+rationals.  One exact engine, integer Gauss-Jordan on primitive dense rows,
+serves the rank of a component when that certificate fails, reduced echelon
+forms, kernels and solves.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import math
 from fractions import Fraction
@@ -30,11 +31,12 @@ _ZERO = Fraction(0)
 
 
 class Matrix:
-    """Immutable dense rational matrix, row major.
+    """Immutable sparse rational matrix, row major.
 
-    Row r is stored as the integers ``_rows[r]`` over the positive
-    denominator ``_dens[r]``, the lcm of the row's reduced denominators, so
-    equal matrices store equal rows.  Only this module reads the storage.
+    Row r is stored as the dict ``_rows[r]`` from each column where the row
+    is nonzero to an integer, over the positive denominator ``_dens[r]``, the
+    lcm of the row's reduced denominators, so equal matrices store equal
+    rows.  Only this module reads the storage.
     """
 
     __slots__ = ("nrows", "ncols", "_rows", "_dens")
@@ -45,18 +47,18 @@ class Matrix:
         self.nrows = nrows
         self.ncols = ncols
         if entries is None:
-            self._rows = [[0] * ncols for _ in range(nrows)]
+            self._rows = [{} for _ in range(nrows)]
             self._dens = [1] * nrows
             return
         flat = [_rational(e) for e in entries]
         if len(flat) != nrows * ncols:
             raise ValueError(f"expected {nrows * ncols} entries, got {len(flat)}")
-        scaled = [_integer_row(flat[r * ncols : (r + 1) * ncols]) for r in range(nrows)]
-        self._rows = [row for row, _ in scaled]
-        self._dens = [den for _, den in scaled]
+        self._rows, self._dens = _scaled_rows(
+            dict(enumerate(flat[r * ncols : (r + 1) * ncols])) for r in range(nrows)
+        )
 
     @classmethod
-    def _make(cls, ncols: int, rows: list[list[int]], dens: list[int]) -> "Matrix":
+    def _make(cls, ncols: int, rows: list[dict[int, int]], dens: list[int]) -> "Matrix":
         """The matrix of stored rows and their denominators, taken as given."""
         out = cls.__new__(cls)
         out.nrows, out.ncols, out._rows, out._dens = len(rows), ncols, rows, dens
@@ -71,16 +73,10 @@ class Matrix:
         position replaces an earlier one."""
         spread: list[dict[int, int | Fraction]] = [{} for _ in range(nrows)]
         for r, c, x in nonzeros:
+            if not 0 <= c < ncols:
+                raise IndexError(f"column {c} out of range for {ncols} columns")
             spread[r][c] = x
-        rows, dens = [], []
-        for entries in spread:
-            scaled, den = _integer_row(list(entries.values()))
-            row = [0] * ncols
-            for c, x in zip(entries, scaled):
-                row[c] = x
-            rows.append(row)
-            dens.append(den)
-        return cls._make(ncols, rows, dens)
+        return cls._make(ncols, *_scaled_rows(spread))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
@@ -93,20 +89,27 @@ class Matrix:
 
     @classmethod
     def identity(cls, k: int) -> "Matrix":
-        return cls._make(k, [[int(r == c) for c in range(k)] for r in range(k)], [1] * k)
+        return cls._make(k, [{r: 1} for r in range(k)], [1] * k)
+
+    def _column_index(self, c: int) -> int:
+        """c as a list index into a dense row: negative counts from the end."""
+        if not -self.ncols <= c < self.ncols:
+            raise IndexError(f"column {c} out of range for {self.ncols} columns")
+        return c % self.ncols
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         r, c = key
-        return Fraction(self._rows[r][c], self._dens[r])
+        return Fraction(self._rows[r].get(self._column_index(c), 0), self._dens[r])
 
     def row(self, r: int) -> list[Fraction]:
-        return _fractions(self._rows[r], self._dens[r])
+        return _fractions(self._rows[r], self._dens[r], self.ncols)
 
     def column(self, c: int) -> list[Fraction]:
-        return [Fraction(row[c], den) for row, den in zip(self._rows, self._dens)]
+        c = self._column_index(c)
+        return [Fraction(row.get(c, 0), den) for row, den in zip(self._rows, self._dens)]
 
     def rows(self) -> list[list[Fraction]]:
-        return [_fractions(row, den) for row, den in zip(self._rows, self._dens)]
+        return [_fractions(row, den, self.ncols) for row, den in zip(self._rows, self._dens)]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -130,16 +133,15 @@ class Matrix:
         return Matrix._from_nonzeros(self.ncols, self.nrows, (
             (c, r, x if den == 1 else Fraction(x, den))
             for r, (row, den) in enumerate(zip(self._rows, self._dens))
-            for c, x in enumerate(row)
-            if x
+            for c, x in row.items()
         ))
 
     def mat_vec(self, v: Sequence) -> list[Fraction]:
         if len(v) != self.ncols:
             raise ValueError("vector length mismatch")
-        vv = [Fraction(x) for x in v]
+        vv = [_rational(x) for x in v]
         return [
-            sum((vv[c] * x for c, x in enumerate(row) if x), _ZERO) / den
+            sum((vv[c] * x for c, x in row.items()), _ZERO) / den
             for row, den in zip(self._rows, self._dens)
         ]
 
@@ -148,25 +150,43 @@ class Matrix:
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError("inner dimensions mismatch")
-        columns = other.transpose().rows()
-        return Matrix(self.nrows, other.ncols, [
-            sum((a * b for a, b in zip(row, col)), _ZERO)
-            for row in self.rows()
-            for col in columns
-        ])
+        products = []
+        for row, den in zip(self._rows, self._dens):
+            acc: dict[int, Fraction] = {}
+            for k, a in row.items():
+                f = Fraction(a, den * other._dens[k])
+                for c, b in other._rows[k].items():
+                    acc[c] = acc.get(c, _ZERO) + f * b
+            products.append(acc)
+        return Matrix._make(other.ncols, *_scaled_rows(products))
 
     def scaled_integer_rows(self) -> list[list[int]]:
-        """Each row times the lcm of its denominators; rank preserving."""
-        return [row[:] for row in self._rows]
+        """Each row times the lcm of its denominators, as a dense list;
+        rank preserving."""
+        return [_dense(row, self.ncols) for row in self._rows]
 
     def rank(self) -> int:
-        if self.nrows == 0 or self.ncols == 0:
-            return 0
-        r = _modp_rank(self._rows)
-        if r == min(self.nrows, self.ncols):
-            # full rank modulo the prime certifies full rank over Q
-            return r
-        return _bareiss_rank(self._rows)
+        """The sum of the ranks of the connected components.  A component
+        with one row or one column has rank 1; any other is ranked on the
+        dense integer rows of its own rows and columns."""
+        total = 0
+        for block in _components(self._rows):
+            if len(block) == 1:
+                total += 1
+                continue
+            cols = sorted({c for r in block for c in self._rows[r]})
+            if len(cols) == 1:
+                total += 1
+                continue
+            index = {c: k for k, c in enumerate(cols)}
+            dense = []
+            for r in block:
+                out = [0] * len(cols)
+                for c, x in self._rows[r].items():
+                    out[index[c]] = x
+                dense.append(out)
+            total += _block_rank(dense)
+        return total
 
     def is_invertible(self) -> bool:
         if self.nrows != self.ncols:
@@ -184,7 +204,8 @@ class Matrix:
                 g = -g
             rows[r] = [x // g for x in rows[r]]
             dens[r] = rows[r][p]
-        return Matrix._make(self.ncols, rows, dens), tuple(pivots)
+        sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
+        return Matrix._make(self.ncols, sparse, dens), tuple(pivots)
 
     def kernel_basis(self) -> list[list[Fraction]]:
         """Canonical basis of the right null space, one vector per free column."""
@@ -208,12 +229,15 @@ class Matrix:
         for v in vectors:
             if len(v) != self.nrows:
                 raise ValueError("vector length mismatch")
+        rhs_rows, rhs_dens = _scaled_rows(
+            {k: _rational(v[r]) for k, v in enumerate(vectors)} for r in range(self.nrows)
+        )
         aug = []
-        for r, (row, den) in enumerate(zip(self._rows, self._dens)):
-            rhs, rhs_den = _integer_row([v[r] for v in vectors])
+        for row, den, rhs, rhs_den in zip(self._rows, self._dens, rhs_rows, rhs_dens):
             scale = math.lcm(den, rhs_den)
             aug.append(
-                [x * (scale // den) for x in row] + [x * (scale // rhs_den) for x in rhs]
+                [x * (scale // den) for x in _dense(row, self.ncols)]
+                + [x * (scale // rhs_den) for x in _dense(rhs, len(vectors))]
             )
         pivots = _integer_rref(aug, self.ncols + len(vectors))
         results: list[list[Fraction] | None] = []
@@ -230,13 +254,15 @@ class Matrix:
         return results
 
     def to_csv(self) -> str:
-        """Serialize with a leading "rows,cols" line; entries as p or p/q."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([self.nrows, self.ncols])
+        """Serialize with a leading "rows,cols" line; entries as p or p/q.
+        No cell needs csv quoting, so the lines are joined directly."""
+        lines = [f"{self.nrows},{self.ncols}"]
         for row, den in zip(self._rows, self._dens):
-            writer.writerow(row if den == 1 else [str(x) for x in _fractions(row, den)])
-        return buf.getvalue()
+            cells = ["0"] * self.ncols
+            for c, x in row.items():
+                cells[c] = str(x) if den == 1 else str(Fraction(x, den))
+            lines.append(",".join(cells))
+        return "\n".join(lines) + "\n"
 
 
 def _rational(x) -> int | Fraction:
@@ -248,18 +274,77 @@ def _rational(x) -> int | Fraction:
     return Fraction(x)
 
 
-def _integer_row(row: Sequence[Fraction | int]) -> tuple[list[int], int]:
-    """The row times the lcm of its denominators, and that lcm."""
-    den = math.lcm(*(x.denominator for x in row))
-    if den == 1:
-        return [x.numerator for x in row], 1
-    return [x.numerator * (den // x.denominator) for x in row], den
+def _scaled_rows(
+    spread: Iterable[dict[int, int | Fraction]]
+) -> tuple[list[dict[int, int]], list[int]]:
+    """The stored rows and denominators of rows given as dicts from column to
+    int or Fraction: each row's nonzeros times the lcm of their
+    denominators, and that lcm."""
+    rows, dens = [], []
+    for entries in spread:
+        den = math.lcm(*(x.denominator for x in entries.values()))
+        if den == 1:
+            rows.append({c: x.numerator for c, x in entries.items() if x})
+        else:
+            rows.append({c: x.numerator * (den // x.denominator) for c, x in entries.items() if x})
+        dens.append(den)
+    return rows, dens
 
 
-def _fractions(row: list[int], den: int) -> list[Fraction]:
-    if den == 1:
-        return [Fraction(x) if x else _ZERO for x in row]
-    return [Fraction(x, den) if x else _ZERO for x in row]
+def _dense(row: dict[int, int], ncols: int) -> list[int]:
+    out = [0] * ncols
+    for c, x in row.items():
+        out[c] = x
+    return out
+
+
+def _fractions(row: dict[int, int], den: int, ncols: int) -> list[Fraction]:
+    out = [_ZERO] * ncols
+    for c, x in row.items():
+        out[c] = Fraction(x, den) if den != 1 else Fraction(x)
+    return out
+
+
+def _components(rows: list[dict[int, int]]) -> Iterable[list[int]]:
+    """The row sets, each in increasing order, of the connected components
+    of the graph joining each row to the columns where it is nonzero; zero
+    rows belong to none.
+
+    Union-find over the columns: each row joins its columns to the root of
+    its first one, and path halving keeps the trees shallow.
+    """
+    parent: dict[int, int] = {}
+    firsts = []
+    for r, row in enumerate(rows):
+        if not row:
+            continue
+        cols = iter(row)
+        root = next(cols)
+        root = parent.setdefault(root, root)
+        while parent[root] != root:
+            parent[root] = root = parent[parent[root]]
+        for c in cols:
+            c = parent.setdefault(c, c)
+            while parent[c] != c:
+                parent[c] = c = parent[parent[c]]
+            if c != root:
+                parent[c] = root
+        firsts.append((r, root))
+    members: dict[int, list[int]] = {}
+    for r, c in firsts:
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        members.setdefault(c, []).append(r)
+    return members.values()
+
+
+def _block_rank(rows: list[list[int]]) -> int:
+    """Rank of one component's dense integer rows: the mod-p rank when it is
+    full, which certifies it, else the exact rank."""
+    r = _modp_rank(rows)
+    if r == min(len(rows), len(rows[0])):
+        return r
+    return _bareiss_rank(rows)
 
 
 def _integer_rref(rows: list[list[int]], ncols: int) -> list[int]:
@@ -369,9 +454,6 @@ def boolean_incidence(n: int, i: int, j: int) -> Matrix:
     index = {t: c for c, t in enumerate(cols)}
     out = []
     for s in rows:
-        row = [0] * len(cols)
         outside = [1 << x for x in range(1, n + 1) if not s >> x & 1]
-        for extra in itertools.combinations(outside, j - i):
-            row[index[s | sum(extra)]] = 1
-        out.append(row)
+        out.append({index[s | sum(extra)]: 1 for extra in itertools.combinations(outside, j - i)})
     return Matrix._make(len(cols), out, [1] * len(rows))

@@ -6,6 +6,7 @@ import pytest
 
 from supertorus import cohomology as co
 from supertorus import exterior as ex
+from supertorus import linalg as la
 from supertorus import matchings as ma
 
 
@@ -47,3 +48,11 @@ def reversed_merge_sign(monkeypatch):
     monkeypatch.setattr(ex, "_merge_sign", mutant)
     monkeypatch.setattr(co, "_merge_sign", mutant)
     return mutant
+
+
+@pytest.fixture
+def full_rank_components(monkeypatch):
+    """``linalg._block_rank`` with one change: it takes every component as
+    full rank, never asking the certificate or the exact fallback."""
+    mutant = _mutant(la, "_block_rank", "r = _modp_rank(rows)", "r = min(len(rows), len(rows[0]))")
+    monkeypatch.setattr(la, "_block_rank", mutant)

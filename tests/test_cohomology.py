@@ -1,5 +1,6 @@
 """Tests for the per-bidegree invariants, coinvariants, and characters."""
 
+import hashlib
 import math
 import random
 import sys
@@ -455,6 +456,115 @@ def test_read_offs_match_dense_oracles_n6():
     basis = co.invariants_basis(6, (2, 2))
     for _ in range(3):
         _assert_same_trace(random_permutation(rng, 6), basis)
+
+
+def _lefschetz_product_oracle(n, i, j):
+    """The Lefschetz matrix through the products: each source vector times
+    ell**(n-i-j), read through the target's own monomials."""
+    source = co.invariants_basis(n, (i, j))
+    target = co.invariants_basis(n, (n - j, n - i)).vectors
+    own = co._own_monomials(target)
+    power = ex.lefschetz_element(n) ** (n - i - j)
+    nonzeros = []
+    for col, v in enumerate(source):
+        coords = co._coordinates(target, own, v * power)
+        assert coords is not None
+        nonzeros += ((row, col, x) for row, x in coords.items())
+    return la.Matrix._from_nonzeros(len(target), len(source), nonzeros)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_lefschetz_matches_product_oracle(n):
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            got = co.lefschetz_matrix(n, i, j)
+            want = _lefschetz_product_oracle(n, i, j)
+            assert got == want and got.to_csv() == want.to_csv(), (i, j)
+            entries = got.to_csv().split("\n", 1)[1].replace("\n", ",").split(",")
+            assert set(entries) <= {"", "0", str(math.factorial(n - i - j))}
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda kernel: kernel[:-1], "not square"),
+    (lambda kernel: kernel[:-1] + [kernel[-1]._replace(t=kernel[-1].t + 1000)],
+     "left the invariant subspace"),
+])
+def test_lefschetz_refuses_a_broken_target(monkeypatch, change, message):
+    kernel_vectors = co._kernel_vectors
+
+    def broken(n, d):
+        # the target of lefschetz_matrix(5, 2, 1) only
+        source, kernel = kernel_vectors(n, d)
+        return source, change(kernel) if d == (4, 3) else kernel
+
+    monkeypatch.setattr(co, "_kernel_vectors", broken)
+    with pytest.raises(AssertionError, match=message):
+        co.lefschetz_matrix(5, 2, 1)
+
+
+# ``Matrix.to_csv`` of every matrix of one builder at one n, hashed in order:
+# duality_gram and raising_matrix at every bidegree (i, j), lefschetz_matrix
+# at every i + j <= n, boolean_incidence at every i <= j; index n.
+CSV_DIGESTS = {
+    "duality_gram": [
+        "ff5e62191d0b9be6ffcd4976cd1db16a9e311336c049022fb64f131135d8554e",
+        "82cdc51afd53c4a6721a70433a64a6288f711fce0ce0b73d9ab4375c21e390ac",
+        "3689137b1a1ad7a2811153b91dc1eb503edf0d3497d6ee853dd7b285ac538ec2",
+        "3b6a8cc5f5a2f806f2fa7ed19d314004786f0564f031abcbed06cbdb9f54122e",
+        "575bae102b545e5a104b989ed0dbb9faf9380ffc1b52d8f7beb6fc4e4323064b",
+        "27742e4b314df4c2a036e9fe03f76c74bea18b76858dc7d7f8c1f9beea1d58bf",
+        "b8fd4466f62d3ea5a29a62ba3126eea2645157e9669deda2d8344321bbeb5507",
+    ],
+    "lefschetz_matrix": [
+        "ff5e62191d0b9be6ffcd4976cd1db16a9e311336c049022fb64f131135d8554e",
+        "24a7feab6914e8e0d8958cfefda4e0756f4ddddce734b54ea5f4f711c4dbb2cc",
+        "ca0db40209fe05f171ed313800760f48e227f6868c7a22b4d63f9ec8f63774d6",
+        "33368cd3348dc5e382d02d2d6b622d7527169436c7d32241d085394df2210c70",
+        "cd14cba5e91ae964de801093666445cb73d2ed640d19333b2a18c3d8d10c6886",
+        "1a5fafc158cd5bbadd6520e861328adf07b12da5de86aee415581068344356eb",
+        "a39463abe00c4c0351963d48f3ad91ea62258f8c12c6dd6768809c5fcd422cf4",
+    ],
+    "raising_matrix": [
+        "8d66c089414bb76bc2ee5c11465c93257821752b4e08be4f1d70737b9fa10f0c",
+        "991fabbfc0952f5d87b1dccc02cfe3f5d0395243964d2840df86f809fad49d52",
+        "1a0f20b6b4715da622f539c850e8afe967b1c0bf9be07dd473e15db2079bd480",
+        "e66a2e43d1443e3228274e7edf7c19b16c6b4aefd801d7ec9beb37e39b18c244",
+        "1edb893e9aa6c4bad7d9e1f1347106ae84f5c277f8ff5498d84ebb942f7a244f",
+        "0abb9fbad1fbf108d5828304bf956d4e0c6d469bf8277a6a7b8541dcc6356545",
+        "179c25f7f894e2944eaab790ddea08c41b7780859cbd43133cc675970089cd27",
+    ],
+    "boolean_incidence": [
+        "ff5e62191d0b9be6ffcd4976cd1db16a9e311336c049022fb64f131135d8554e",
+        "0712a867f0c7dabaef42c1421dfdf1c7d2ac596b724e031528086fb3d3313e98",
+        "53a2df5023159e337e29f1bd43adfca1f3a0eb1abcccad9b5f57fa4833ca7c4b",
+        "61d55f62ee3ac169b542bdfb558d8b2d2e1ba492b50f827266ba980d774c7dc7",
+        "a9f9d381ee30b3ee401f86165e3df29ebc238e0f3afab02abcbb87c0c095a4a6",
+        "de6006832c8694c3a88d82f3ac5a6dde4582965b642340ec338fd228c3dc9348",
+        "0482aface23bfe53cddc788142add6ade752adda81ad03cd6036e2846be76739",
+        "3319da3eb8e624810723b725f06bb32cae9b3afe1822eb0ccd17388617f460dc",
+        "b70ff6c159f9ae1f85e8b5beb06ea6050ed496886a526d521a6bed0bc672e6f5",
+    ],
+}
+
+
+def _builder_calls(name, n):
+    if name == "boolean_incidence":
+        return la.boolean_incidence, [(n, i, j) for i in range(n + 1) for j in range(i, n + 1)]
+    if name == "lefschetz_matrix":
+        return co.lefschetz_matrix, [(n, i, j) for i in range(n + 1) for j in range(n + 1 - i)]
+    if name == "raising_matrix":
+        return co.raising_matrix, [(n, (i, j)) for i in range(n + 1) for j in range(n + 1)]
+    return co.duality_gram, [(n, i, j) for i in range(n + 1) for j in range(n + 1)]
+
+
+@pytest.mark.parametrize("name", sorted(CSV_DIGESTS))
+def test_matrix_csv_bytes_are_pinned(name):
+    for n, want in enumerate(CSV_DIGESTS[name]):
+        fn, calls = _builder_calls(name, n)
+        digest = hashlib.sha256()
+        for args in calls:
+            digest.update(fn(*args).to_csv().encode())
+        assert digest.hexdigest() == want, (name, n)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -485,6 +486,22 @@ def test_float_entries_are_refused(entries):
         la.Matrix.from_rows([entries])
 
 
+@pytest.mark.parametrize("v", [[0.5, 1], [Fraction(1), 2.0], [np.float64(0.5), 0]])
+def test_float_vectors_are_refused(v):
+    with pytest.raises(TypeError, match="float"):
+        la.Matrix.identity(2).mat_vec(v)
+    with pytest.raises(TypeError, match="float"):
+        la.Matrix.identity(2).solve_many([v])
+    with pytest.raises(TypeError, match="float"):
+        la.Matrix.identity(2).solve_many([[1, 2], v])
+
+
+def test_exact_vectors_still_accepted():
+    m = la.Matrix.from_rows([[1, 2], [0, Fraction(1, 2)]])
+    assert m.mat_vec([1, Fraction(1, 3)]) == [Fraction(5, 3), Fraction(1, 6)]
+    assert m.solve_many([[3, Fraction(1, 2)], [True, 0]]) == [[1, 1], [1, 0]]
+
+
 def test_transpose_keeps_empty_shapes():
     assert la.Matrix(3, 0).transpose().shape == (0, 3)
     assert la.Matrix(0, 3).transpose().shape == (3, 0)
@@ -522,3 +539,146 @@ def test_only_linalg_reads_the_matrix_storage():
         if path.name != "linalg.py":
             text = path.read_text()
             assert "._rows" not in text and "._dens" not in text, path.name
+
+
+# ---------------------------------------------------------------------------
+# The block-wise rank: one certificate per connected component.
+
+def components_oracle(dense):
+    """The dense rows of each connected component of the graph joining a row
+    to the columns where it is nonzero, found by breadth-first search; rows
+    and columns in increasing order."""
+    nrows = len(dense)
+    ncols = len(dense[0]) if dense else 0
+    seen = set()
+    out = []
+    for start in range(nrows):
+        if start in seen or not any(dense[start]):
+            continue
+        rows, cols, frontier = {start}, set(), [start]
+        while frontier:
+            new_cols = {c for r in frontier for c in range(ncols) if dense[r][c]} - cols
+            cols |= new_cols
+            frontier = [
+                r for r in range(nrows) if r not in rows and any(dense[r][c] for c in new_cols)
+            ]
+            rows.update(frontier)
+        seen |= rows
+        out.append([[dense[r][c] for c in sorted(cols)] for r in sorted(rows)])
+    return out
+
+
+_small = st.integers(-3, 3)
+_huge = st.integers(2**63, 2**70) | st.integers(-(2**70), -(2**63))
+
+
+@st.composite
+def integer_block(draw):
+    """A random nonzero integer block of at most 4 x 4, 1 x k and k x 1
+    included; some are singular (a row combining the others) and some
+    have entries beyond int64."""
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entries = _huge | _small if draw(st.booleans()) else _small
+    rows = [draw(st.lists(entries, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    if nrows >= 2 and draw(st.booleans()):
+        factors = draw(st.lists(_small | _huge, min_size=nrows - 1, max_size=nrows - 1))
+        rows[-1] = [sum(f * row[c] for f, row in zip(factors, rows)) for c in range(ncols)]
+    if not any(any(row) for row in rows):
+        rows[0][0] = 1
+    return rows
+
+
+def block_diagonal_rows(blocks, zero_rows=0, zero_cols=0):
+    """The blocks placed block-diagonally, then that many zero rows and
+    zero columns."""
+    nrows = sum(len(b) for b in blocks) + zero_rows
+    ncols = sum(len(b[0]) for b in blocks) + zero_cols
+    dense = [[0] * ncols for _ in range(nrows)]
+    r0 = c0 = 0
+    for b in blocks:
+        for r, row in enumerate(b):
+            dense[r0 + r][c0 : c0 + len(row)] = row
+        r0, c0 = r0 + len(b), c0 + len(b[0])
+    return dense
+
+
+@st.composite
+def block_diagonal(draw):
+    """Blocks placed block-diagonally, with zero rows and zero columns
+    added, then the rows and the columns permuted."""
+    dense = block_diagonal_rows(
+        draw(st.lists(integer_block(), max_size=5)),
+        draw(st.integers(0, 2)),
+        draw(st.integers(0, 2)),
+    )
+    row_order = draw(st.permutations(range(len(dense))))
+    col_order = draw(st.permutations(range(len(dense[0]) if dense else 0)))
+    return [[row[c] for c in col_order] for row in (dense[r] for r in row_order)]
+
+
+def _check_block_rank(dense):
+    """The rank of the permuted block matrix against the exact rank of its
+    dense rows, and the components the exact fallback ran on: exactly those
+    whose certificate is short, the singular ones among them."""
+    fallbacks = []
+    exact = la._bareiss_rank
+
+    def counted(rows):
+        fallbacks.append(rows)
+        return exact(rows)
+
+    m = la.Matrix.from_rows(dense) if dense else la.Matrix(0, 0)
+    with patch.object(la, "_bareiss_rank", counted):
+        got = m.rank()
+    assert got == exact(dense)
+    short = [
+        c for c in components_oracle(dense)
+        if len(c) > 1 and len(c[0]) > 1 and modp_rank_oracle(c) < min(len(c), len(c[0]))
+    ]
+    assert sorted(fallbacks) == sorted(short)
+    singular = [c for c in components_oracle(dense) if exact(c) < min(len(c), len(c[0]))]
+    assert all(c in fallbacks for c in singular)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(block_diagonal())
+@example([[1, 2, 0], [0, 0, 0], [2, 4, 0], [0, 0, 5]])
+@example([[2**64, 0, 2**65], [0, 3, 0], [1, 0, 2]])
+def test_block_rank_matches_exact_rank(dense):
+    _check_block_rank(dense)
+
+
+def test_fallback_counts_per_component():
+    # three singular 2 x 2 blocks, one nonsingular 2 x 2 block, a 1 x 3 and a
+    # 3 x 1 block, interleaved: the exact fallback runs once per singular block
+    dense = block_diagonal_rows([
+        [[1, 2], [2, 4]], [[1, 0], [0, 1]], [[3, 3], [1, 1]],
+        [[7, 8, 9]], [[1], [2], [3]], [[2**64, 2**65], [1, 2]],
+    ])
+    dense = [dense[r] for r in (3, 0, 8, 11, 1, 5, 7, 2, 4, 6, 9, 10)]
+    calls = []
+    exact = la._bareiss_rank
+    with patch.object(la, "_bareiss_rank", lambda rows: calls.append(rows) or exact(rows)):
+        assert la.Matrix.from_rows(dense).rank() == 1 + 2 + 1 + 1 + 1 + 1
+    assert len(calls) == 3
+    _check_block_rank(dense)
+
+
+def test_block_rank_sees_a_rank_taken_as_full(full_rank_components):
+    assert la.Matrix.from_rows([[1, 2], [2, 4]]).rank() == 2
+    with pytest.raises(AssertionError):
+        test_block_rank_matches_exact_rank()
+    with pytest.raises(AssertionError):
+        test_fallback_counts_per_component()
+
+
+def test_signed_permutations_need_no_certificate(monkeypatch):
+    def refuse(rows):
+        raise AssertionError("a 1 x 1 component reached the certificate")
+
+    monkeypatch.setattr(la, "_modp_rank", refuse)
+    m = la.Matrix.from_rows([[0, -3, 0], [Fraction(1, 2), 0, 0], [0, 0, 0]])
+    assert m.rank() == 2
+    assert la.Matrix.identity(5).is_invertible()
+    assert la.Matrix.from_rows([[1, 2, 3], [0, 0, 0]]).rank() == 1
+    assert la.Matrix.from_rows([[1, 0], [2, 0], [-1, 0]]).rank() == 1
