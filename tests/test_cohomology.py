@@ -301,6 +301,31 @@ def test_block_caches_under_threads():
         assert 0 < info.currsize <= 28
 
 
+# The repr of every kernel and cokernel block at one d0, hashed in order of
+# i0 = 0..d0 as "i0:kernel:cokernel" lines; index d0.
+BLOCK_DIGESTS = [
+    "c1ee635ad9d576562ef17dd6b9ca4643cf86602c2d0436cd37f0bbc87428340c",
+    "7bb3d5c1479b0bbfce4096be51f476bcd568429b9487faea82d6dfe771e9a4f1",
+    "06d0146fcc9f2b5d3d5a41e79e851e169fcdd7cc50f80c2a416370cb39305728",
+    "f487838c4e8fa9987d7de406c41efcd9a2b79f4c9d5df3ca648614e863378284",
+    "693c1934de8cb40bd9cbff62813d64f3f393c0a4b29a538bcc260a47d13bfeac",
+    "22fc8701f2685dc97971e41386dacbebcf1cbbfd8c0f5536f8b9fe3fc86075a0",
+    "91a7cc6b73196e08b3b800c16c1c328c4d75fc945a37584df7421f16a4ddef49",
+    "ed0b567319ab37f12ca91201d0babbf2259dad177f8bc6f471463670e7a1e470",
+    "83d560e185d6822e675a1d9ca670f3fb9ed07254482f3b43124ae2dfb646b693",
+    "4b86a13e30644496bbe84fd558151e5a304824df66167a2a529fb08e7f07df85",
+]
+
+
+@pytest.mark.parametrize("d0", range(len(BLOCK_DIGESTS)))
+def test_block_bytes_are_pinned(d0):
+    digest = hashlib.sha256()
+    for i0 in range(d0 + 1):
+        line = f"{i0}:{co._kernel_block(d0, i0)!r}:{co._cokernel_block(d0, i0)!r}\n"
+        digest.update(line.encode())
+    assert digest.hexdigest() == BLOCK_DIGESTS[d0]
+
+
 # ---------------------------------------------------------------------------
 # coordinate matrices against the dense route they replace: one coefficient
 # list per element over the whole monomial list, read back as rows
