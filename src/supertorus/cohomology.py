@@ -429,7 +429,8 @@ def wedge_character(cycle_type: Sequence[int], i: int) -> int:
 
 def invariants_character(n: int, i: int, j: int, cycle_type: Sequence[int]) -> int:
     """Character of the invariants in bidegree (i, j) at a cycle type."""
-    if sum(cycle_type) != n:
+    _check_bidegree(n, i, j)
+    if sum(cycle_type) != n or any(part < 1 for part in cycle_type):
         raise ValueError(f"cycle type {cycle_type} is not a partition of {n}")
     if i < j:
         raise ValueError(

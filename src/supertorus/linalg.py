@@ -8,9 +8,9 @@ the row-column graph by union-find and adds up the ranks of the components.
 A component with one row or one column has rank 1; any other is copied to
 dense integer rows, where a reduction modulo a fixed large prime certifies
 full rank, since the rank modulo a prime never exceeds the rank over the
-rationals.  One exact engine, integer Gauss-Jordan on primitive dense rows,
-serves the rank of a component when that certificate fails, reduced echelon
-forms, kernels and solves.
+rationals.  One exact engine, integer Gauss-Jordan on copies of the sparse
+rows, serves the rank of a component when that certificate fails, reduced
+echelon forms, kernels and solves.
 """
 
 from __future__ import annotations
@@ -124,7 +124,15 @@ class Matrix:
         )
 
     def __hash__(self):
-        return hash((self.shape, tuple(tuple(row) for row in self.rows())))
+        # equal numbers hash alike, whether int or Fraction, so each row
+        # hashes as the dense tuple of its entries as read, with zeros as ints
+        cells = []
+        for row, den in zip(self._rows, self._dens):
+            out = [0] * self.ncols
+            for c, x in row.items():
+                out[c] = x if den == 1 else Fraction(x, den)
+            cells.append(tuple(out))
+        return hash((self.shape, tuple(cells)))
 
     def __repr__(self) -> str:
         return f"Matrix({self.nrows}x{self.ncols})"
@@ -160,11 +168,6 @@ class Matrix:
             products.append(acc)
         return Matrix._make(other.ncols, *_scaled_rows(products))
 
-    def scaled_integer_rows(self) -> list[list[int]]:
-        """Each row times the lcm of its denominators, as a dense list;
-        rank preserving."""
-        return [_dense(row, self.ncols) for row in self._rows]
-
     def rank(self) -> int:
         """The sum of the ranks of the connected components.  A component
         with one row or one column has rank 1; any other is ranked on the
@@ -194,34 +197,32 @@ class Matrix:
         return self.rank() == self.nrows
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        rows = self.scaled_integer_rows()
-        pivots = _integer_rref(rows, self.ncols)
+        rows = [dict(row) for row in self._rows]
+        pivots = _integer_rref(rows)
         dens = [1] * self.nrows
         for r, p in enumerate(pivots):
             # row r over its pivot entry, which the gcd of the row divides
-            g = math.gcd(*rows[r])
+            g = math.gcd(*rows[r].values())
             if rows[r][p] < 0:
                 g = -g
-            rows[r] = [x // g for x in rows[r]]
+            rows[r] = {c: x // g for c, x in rows[r].items()}
             dens[r] = rows[r][p]
-        sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
-        return Matrix._make(self.ncols, sparse, dens), tuple(pivots)
+        return Matrix._make(self.ncols, rows, dens), tuple(pivots)
 
     def kernel_basis(self) -> list[list[Fraction]]:
         """Canonical basis of the right null space, one vector per free column."""
-        rows = self.scaled_integer_rows()
-        pivots = _integer_rref(rows, self.ncols)
+        rows = [dict(row) for row in self._rows]
+        pivots = _integer_rref(rows)
         pivot_set = set(pivots)
-        basis = []
-        for free in range(self.ncols):
-            if free in pivot_set:
-                continue
-            v = [_ZERO] * self.ncols
-            v[free] = _ONE
-            for row, p in zip(rows, pivots):
-                v[p] = Fraction(-row[free], row[p])
-            basis.append(v)
-        return basis
+        basis = {c: [_ZERO] * self.ncols for c in range(self.ncols) if c not in pivot_set}
+        for c, v in basis.items():
+            v[c] = _ONE
+        # a reduced row is nonzero off its pivot on free columns only
+        for row, p in zip(rows, pivots):
+            for c, x in row.items():
+                if c != p:
+                    basis[c][p] = Fraction(-x, row[p])
+        return list(basis.values())
 
     def solve_many(self, vectors: Sequence[Sequence]) -> list[list[Fraction] | None]:
         """Coordinates of each vector (of ints or Fractions) in the column
@@ -232,25 +233,22 @@ class Matrix:
         rhs_rows, rhs_dens = _scaled_rows(
             {k: _rational(v[r]) for k, v in enumerate(vectors)} for r in range(self.nrows)
         )
+        n = self.ncols
         aug = []
         for row, den, rhs, rhs_den in zip(self._rows, self._dens, rhs_rows, rhs_dens):
             scale = math.lcm(den, rhs_den)
-            aug.append(
-                [x * (scale // den) for x in _dense(row, self.ncols)]
-                + [x * (scale // rhs_den) for x in _dense(rhs, len(vectors))]
-            )
-        pivots = _integer_rref(aug, self.ncols + len(vectors))
-        results: list[list[Fraction] | None] = []
-        for col in range(self.ncols, self.ncols + len(vectors)):
-            x: list[Fraction] | None = [_ZERO] * self.ncols
-            for row, p in zip(aug, pivots):
-                if row[col]:
-                    if p >= self.ncols:
-                        # it needs a pivot among the vectors: outside the span
-                        x = None
-                        break
-                    x[p] = Fraction(row[col], row[p])
-            results.append(x)
+            a, b = scale // den, scale // rhs_den
+            aug.append({c: x * a for c, x in row.items()} | {n + k: x * b for k, x in rhs.items()})
+        pivots = _integer_rref(aug)
+        results: list[list[Fraction] | None] = [[_ZERO] * n for _ in vectors]
+        # the rows with a pivot among the vectors come last
+        for row, p in zip(aug, pivots):
+            for c, x in row.items():
+                if c >= n and p >= n:
+                    # it needs a pivot among the vectors: outside the span
+                    results[c - n] = None
+                elif c >= n:
+                    results[c - n][p] = Fraction(x, row[p])
         return results
 
     def to_csv(self) -> str:
@@ -289,13 +287,6 @@ def _scaled_rows(
             rows.append({c: x.numerator * (den // x.denominator) for c, x in entries.items() if x})
         dens.append(den)
     return rows, dens
-
-
-def _dense(row: dict[int, int], ncols: int) -> list[int]:
-    out = [0] * ncols
-    for c, x in row.items():
-        out[c] = x
-    return out
 
 
 def _fractions(row: dict[int, int], den: int, ncols: int) -> list[Fraction]:
@@ -347,44 +338,53 @@ def _block_rank(rows: list[list[int]]) -> int:
     return _bareiss_rank(rows)
 
 
-def _integer_rref(rows: list[list[int]], ncols: int) -> list[int]:
-    """Gauss-Jordan elimination of integer rows in place; returns the pivots.
+def _integer_rref(rows: list[dict[int, int]]) -> list[int]:
+    """Gauss-Jordan elimination in place of integer rows stored as their
+    nonzeros; returns the pivots.
 
-    A column's pivot is its first nonzero entry at or below the current row;
-    each updated row is divided by the gcd of its entries.  Row r below the
-    rank ends as the rational reduced echelon row r times its pivot entry.
+    Only columns where some row is nonzero are visited, in order: an update
+    fills in only the pivot row's columns.  A column's pivot is its first
+    nonzero entry at or below the current row; each updated row is divided
+    by the gcd of its entries.  Row r below the rank ends as the rational
+    reduced echelon row r times its pivot entry.
     """
     nrows = len(rows)
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
+    for c in sorted({c for row in rows for c in row}):
         if r == nrows:
             break
-        piv = next((k for k in range(r, nrows) if rows[k][c]), None)
+        piv = next((k for k in range(r, nrows) if c in rows[k]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         prow = rows[r]
         p = prow[c]
         for k in range(nrows):
-            f = rows[k][c]
+            row = rows[k]
+            f = row.get(c)
             if f and k != r:
                 g = math.gcd(p, f)
                 a, b = p // g, f // g
-                new = [a * x - b * y for x, y in zip(rows[k], prow)]
-                g = math.gcd(*new)
-                rows[k] = [x // g for x in new] if g > 1 else new
+                if a != 1:
+                    rows[k] = row = {col: a * x for col, x in row.items()}
+                for col, y in prow.items():
+                    row[col] = x = row.get(col, 0) - b * y
+                    if not x:
+                        del row[col]
+                g = math.gcd(*row.values())
+                if g > 1:
+                    rows[k] = {col: x // g for col, x in row.items()}
         pivots.append(c)
         r += 1
     return pivots
 
 
 def _bareiss_rank(int_rows: list[list[int]]) -> int:
-    """Exact rank of integer rows by the engine, on a copy: the fallback of
+    """Exact rank of dense integer rows by the engine: the fallback of
     ``Matrix.rank``, under the name ``perfbench/tracing.py`` rebinds to
     count it."""
-    ncols = len(int_rows[0]) if int_rows else 0
-    return len(_integer_rref([row[:] for row in int_rows], ncols))
+    return len(_integer_rref([{c: x for c, x in enumerate(row) if x} for row in int_rows]))
 
 
 def _modp_rank(int_rows: list[list[int]]) -> int:

@@ -727,6 +727,23 @@ def test_invariants_character_rejects_zero_module():
         co.invariants_character(3, 1, 1, (2, 2))
 
 
+@pytest.mark.parametrize("i, j", [(4, 0), (2, -1), (-1, -2), (4, 4)])
+def test_invariants_character_rejects_out_of_range_bidegree(i, j):
+    with pytest.raises(ValueError) as dims:
+        co.invariants_dimension(3, i, j)
+    with pytest.raises(ValueError) as char:
+        co.invariants_character(3, i, j, (1, 1, 1))
+    assert str(char.value) == str(dims.value)
+    with pytest.raises(ValueError):
+        co.character_table(3, i, j)
+
+
+@pytest.mark.parametrize("cycle_type", [(0, 3), (4, -1), (3, 0), (1, 1, 1, 0)])
+def test_invariants_character_rejects_nonpositive_parts(cycle_type):
+    with pytest.raises(ValueError, match="is not a partition of 3"):
+        co.invariants_character(3, 1, 1, cycle_type)
+
+
 def test_characters_match_trace_oracle():
     for n in (1, 2, 3):
         for i in range(n + 1):
