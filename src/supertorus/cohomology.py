@@ -456,9 +456,8 @@ def trace_on_basis(w: Permutation, basis: BidegreeBasis) -> Fraction:
     own = _own_monomials(vectors)
     if own is None:
         support = sorted({m for v in vectors for m in v._terms})
-        reduced, pivots = Matrix.from_rows(
-            [[v._terms.get(m, 0) for m in support] for v in vectors]
-        ).rref()
+        monomials = [Monomial(basis.n, m) for m in support]
+        reduced, pivots = coordinate_matrix(vectors, monomials).transpose().rref()
         vectors = [
             Element._make(basis.n, dict(zip(support, reduced.row(r))))
             for r in range(len(pivots))

@@ -428,10 +428,11 @@ def weight(f: Element) -> Element:
 def translate(f: Element) -> Element:
     """The algebra map sending t_i to t_i + a_i and fixing a_i.
 
-    Computed by expanding each monomial as a product of its factors; it is
-    deliberately independent of ``raising`` so the two can be compared.
+    Computed by expanding each monomial as a product of its factors, on
+    bits: an alpha bit is its own image and a theta bit's image adds the
+    alpha bit just below it.  It is deliberately independent of ``raising``
+    so the two can be compared.
     """
-    n = f.n
     out: dict[int, Fraction] = {}
     for mask, coeff in f._terms.items():
         acc = {0: coeff}
@@ -439,22 +440,19 @@ def translate(f: Element) -> Element:
         while m:
             low = m & -m
             m ^= low
-            g = _generator_at(low.bit_length() - 1)
+            images = (low,) if low & _ALPHA_BITS else (low, low >> 1)
             step: dict[int, Fraction] = {}
-            images = [1 << g.position]
-            if g.kind == "theta":
-                images.append(1 << alpha(g.index).position)
             for part, c in acc.items():
                 for bit in images:
                     if part & bit:
                         continue
                     new = part | bit
                     s = _merge_sign(part, bit)
-                    step[new] = step.get(new, Fraction(0)) + s * c
+                    step[new] = step.get(new, _ZERO) + s * c
             acc = step
         for m2, c2 in acc.items():
-            out[m2] = out.get(m2, Fraction(0)) + c2
-    return Element._make(n, out)
+            out[m2] = out.get(m2, _ZERO) + c2
+    return Element._make(f.n, out)
 
 
 def exp_raising(f: Element) -> Element:

@@ -5,12 +5,12 @@ over one denominator: row r is kept as its entries times the lcm of their
 reduced denominators, together with that lcm, and its entries read back as
 Fractions.  The rank splits the nonzeros into the connected components of
 the row-column graph by union-find and adds up the ranks of the components.
-A component with one row or one column has rank 1; any other is copied to
-dense integer rows, where a reduction modulo a fixed large prime certifies
-full rank, since the rank modulo a prime never exceeds the rank over the
-rationals.  One exact engine, integer Gauss-Jordan on copies of the sparse
-rows, serves the rank of a component when that certificate fails, reduced
-echelon forms, kernels and solves.
+A component with one row or one column has rank 1; any other hands its
+stored rows to a reduction modulo a fixed large prime, filled straight from
+their nonzeros, which certifies full rank, since the rank modulo a prime
+never exceeds the rank over the rationals.  One exact engine, integer
+Gauss-Jordan on copies of the sparse rows, serves the rank of a component
+when that certificate fails, reduced echelon forms, kernels and solves.
 """
 
 from __future__ import annotations
@@ -170,25 +170,16 @@ class Matrix:
 
     def rank(self) -> int:
         """The sum of the ranks of the connected components.  A component
-        with one row or one column has rank 1; any other is ranked on the
-        dense integer rows of its own rows and columns."""
+        with one row or one column has rank 1; any other is ranked on its
+        stored rows and the sorted list of their columns."""
         total = 0
         for block in _components(self._rows):
             if len(block) == 1:
                 total += 1
                 continue
-            cols = sorted({c for r in block for c in self._rows[r]})
-            if len(cols) == 1:
-                total += 1
-                continue
-            index = {c: k for k, c in enumerate(cols)}
-            dense = []
-            for r in block:
-                out = [0] * len(cols)
-                for c, x in self._rows[r].items():
-                    out[index[c]] = x
-                dense.append(out)
-            total += _block_rank(dense)
+            rows = [self._rows[r] for r in block]
+            cols = sorted({c for row in rows for c in row})
+            total += 1 if len(cols) == 1 else _block_rank(rows, cols)
         return total
 
     def is_invertible(self) -> bool:
@@ -329,11 +320,11 @@ def _components(rows: list[dict[int, int]]) -> Iterable[list[int]]:
     return members.values()
 
 
-def _block_rank(rows: list[list[int]]) -> int:
-    """Rank of one component's dense integer rows: the mod-p rank when it is
-    full, which certifies it, else the exact rank."""
-    r = _modp_rank(rows)
-    if r == min(len(rows), len(rows[0])):
+def _block_rank(rows: list[dict[int, int]], cols: list[int]) -> int:
+    """Rank of one component, given its stored rows and their sorted columns:
+    the mod-p rank when it is full, which certifies it, else the exact rank."""
+    r = _modp_rank(rows, cols)
+    if r == min(len(rows), len(cols)):
         return r
     return _bareiss_rank(rows)
 
@@ -380,27 +371,32 @@ def _integer_rref(rows: list[dict[int, int]]) -> list[int]:
     return pivots
 
 
-def _bareiss_rank(int_rows: list[list[int]]) -> int:
-    """Exact rank of dense integer rows by the engine: the fallback of
-    ``Matrix.rank``, under the name ``perfbench/tracing.py`` rebinds to
-    count it."""
-    return len(_integer_rref([{c: x for c, x in enumerate(row) if x} for row in int_rows]))
+def _bareiss_rank(rows: list[dict[int, int]]) -> int:
+    """Exact rank of integer rows stored as their nonzeros, by the engine on
+    copies, since it eliminates in place: the fallback of ``Matrix.rank``,
+    under the name ``perfbench/tracing.py`` rebinds to count it."""
+    return len(_integer_rref([dict(row) for row in rows]))
 
 
-def _modp_rank(int_rows: list[list[int]]) -> int:
-    """Rank modulo the prime p; always a lower bound for the rank over Q.
+def _modp_rank(rows: list[dict[int, int]], cols: list[int]) -> int:
+    """Rank modulo the prime p of integer rows stored as their nonzeros,
+    on the sorted columns ``cols`` that hold them; always a lower bound for
+    the rank over Q.
 
-    Each column's pivot is the candidate row with the fewest nonzeros left,
-    which keeps the fill-in of the rows it updates low.
+    Each entry is reduced modulo p before it reaches numpy, so entries of
+    any size take the same path.  Each column's pivot is the candidate row
+    with the fewest nonzeros left, which keeps the fill-in of the rows it
+    updates low.
     """
-    if not int_rows or not int_rows[0]:
+    if not rows or not cols:
         return 0
     p = _CERT_PRIME
-    try:
-        a = np.array(int_rows, dtype=np.int64) % p
-    except OverflowError:
-        # some entry does not fit in int64
-        a = np.array([[x % p for x in row] for row in int_rows], dtype=np.int64)
+    index = {c: k for k, c in enumerate(cols)}
+    a = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    a[
+        [r for r, row in enumerate(rows) for _ in row],
+        [index[c] for row in rows for c in row],
+    ] = [x % p for row in rows for x in row.values()]
     nrows, ncols = a.shape
     # nonzeros of each row from the current column on; rows that already
     # gave a pivot are dead and keep their place

@@ -54,5 +54,6 @@ def reversed_merge_sign(monkeypatch):
 def full_rank_components(monkeypatch):
     """``linalg._block_rank`` with one change: it takes every component as
     full rank, never asking the certificate or the exact fallback."""
-    mutant = _mutant(la, "_block_rank", "r = _modp_rank(rows)", "r = min(len(rows), len(rows[0]))")
+    mutant = _mutant(la, "_block_rank", "r = _modp_rank(rows, cols)",
+                     "r = min(len(rows), len(cols))")
     monkeypatch.setattr(la, "_block_rank", mutant)

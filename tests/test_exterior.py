@@ -229,15 +229,6 @@ def test_lowering_and_weight():
     assert ex.weight(elem("1*a1 t1", 2)).is_zero()
 
 
-def test_sl2_relations_small():
-    for n in (1, 2, 3):
-        for m in ex.all_monomials(n):
-            f = ex.Element.from_monomial(m)
-            assert ex.raising(ex.lowering(f)) - ex.lowering(ex.raising(f)) == ex.weight(f)
-            assert ex.weight(ex.raising(f)) - ex.raising(ex.weight(f)) == ex.raising(f).scale(2)
-            assert ex.weight(ex.lowering(f)) - ex.lowering(ex.weight(f)) == ex.lowering(f).scale(-2)
-
-
 def test_translate_fixes_alphas():
     for i in (1, 2, 3):
         f = ex.generator_element(ex.alpha(i), 3)
@@ -261,13 +252,6 @@ def test_translate_is_algebra_map():
     for _ in range(25):
         f, g = random_element(rng, 3), random_element(rng, 3)
         assert ex.translate(f * g) == ex.translate(f) * ex.translate(g)
-
-
-def test_exp_raising_equals_translate_monomials():
-    for n in range(0, 5):
-        for m in ex.all_monomials(n):
-            f = ex.Element.from_monomial(m)
-            assert ex.exp_raising(f) == ex.translate(f)
 
 
 def test_exp_raising_scalar():
@@ -634,11 +618,11 @@ def test_format_parse_round_trip():
 
 
 @st.composite
-def elements(draw, max_rank=6):
-    """Random elements up to rank ``max_rank``: rational coefficients of
-    either sign, the constant term among the masks, and the zero element when
-    the drawn terms are empty or cancel."""
-    n = draw(st.integers(0, max_rank))
+def elements(draw, max_rank=6, min_rank=0):
+    """Random elements of rank ``min_rank`` to ``max_rank``: rational
+    coefficients of either sign, the constant term among the masks, and the
+    zero element when the drawn terms are empty or cancel."""
+    n = draw(st.integers(min_rank, max_rank))
     coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=7)
     terms = draw(st.lists(st.tuples(st.integers(0, (1 << (2 * n)) - 1), coeffs), max_size=6))
     f = ex.Element.zero(n)
@@ -663,3 +647,31 @@ def test_format_parse_round_trip_property(f):
 @given(elements(8))
 def test_translate_is_exp_raising_property(f):
     assert ex.translate(f) == ex.exp_raising(f)
+
+
+@st.composite
+def same_rank_elements(draw, count, max_rank=8):
+    """``count`` elements, each drawn by ``elements``, of one rank n <= max_rank."""
+    n = draw(st.integers(0, max_rank))
+    return [draw(elements(n, min_rank=n)) for _ in range(count)]
+
+
+def parity_part(f, parity):
+    """The terms of f whose total degree has the given parity."""
+    return ex.Element(f.n, {m.mask: c for m, c in f.terms() if m.degree % 2 == parity})
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(same_rank_elements(3))
+def test_product_is_associative_property(fgh):
+    f, g, h = fgh
+    assert (f * g) * h == f * (g * h)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(same_rank_elements(2))
+def test_product_is_graded_commutative_property(fg):
+    f, g = fg
+    for p, q in itertools.product((0, 1), repeat=2):
+        fp, gq = parity_part(f, p), parity_part(g, q)
+        assert fp * gq == (gq * fp).scale((-1) ** (p * q))
