@@ -403,6 +403,16 @@ def symmetric_group(n: int) -> Iterator[Permutation]:
         yield Permutation(images)
 
 
+def _check_partition(cycle_type: Sequence[int], n: int | None = None) -> None:
+    """Refuse a cycle type with a part that is not a positive int, or, given
+    n, one whose parts do not add up to n."""
+    if not all(type(part) is int and part > 0 for part in cycle_type) or (
+        n is not None and sum(cycle_type) != n
+    ):
+        of = "" if n is None else f" of {n}"
+        raise ValueError(f"cycle type {cycle_type} is not a partition{of}")
+
+
 def wedge_character(cycle_type: Sequence[int], i: int) -> int:
     """Trace of a permutation of the given cycle type on the i-th exterior
     power of the permutation representation.
@@ -410,6 +420,7 @@ def wedge_character(cycle_type: Sequence[int], i: int) -> int:
     Reads off the t**i coefficient of the product of (1 - (-t)**L) over the
     cycle lengths L.
     """
+    _check_partition(cycle_type)
     n = sum(cycle_type)
     coeffs = [0] * (n + 1)
     coeffs[0] = 1
@@ -430,8 +441,7 @@ def wedge_character(cycle_type: Sequence[int], i: int) -> int:
 def invariants_character(n: int, i: int, j: int, cycle_type: Sequence[int]) -> int:
     """Character of the invariants in bidegree (i, j) at a cycle type."""
     _check_bidegree(n, i, j)
-    if sum(cycle_type) != n or any(part < 1 for part in cycle_type):
-        raise ValueError(f"cycle type {cycle_type} is not a partition of {n}")
+    _check_partition(cycle_type, n)
     if i < j:
         raise ValueError(
             f"the invariant module in bidegree ({i}, {j}) is zero when i < j"

@@ -89,6 +89,9 @@ class Permutation:
 
     def __init__(self, images: Iterable[int]):
         images = tuple(images)
+        for v in images:
+            if type(v) is not int:
+                raise TypeError(f"image must be an integer, got {v!r}")
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a permutation of 1..{len(images)}: {images}")
         self.images = images
@@ -282,17 +285,21 @@ class Element:
         return hash((self.n, frozenset(self._terms.items())))
 
     def __add__(self, other: "Element") -> "Element":
+        if not isinstance(other, Element):
+            return NotImplemented
         self._require_same_rank(other)
         acc = dict(self._terms)
         for m, c in other._terms.items():
-            acc[m] = acc.get(m, Fraction(0)) + c
+            acc[m] = acc.get(m, _ZERO) + c
         return Element._make(self.n, acc)
 
     def __sub__(self, other: "Element") -> "Element":
+        if not isinstance(other, Element):
+            return NotImplemented
         self._require_same_rank(other)
         acc = dict(self._terms)
         for m, c in other._terms.items():
-            acc[m] = acc.get(m, Fraction(0)) - c
+            acc[m] = acc.get(m, _ZERO) - c
         return Element._make(self.n, acc)
 
     def __neg__(self) -> "Element":
@@ -319,7 +326,7 @@ class Element:
                 c = ca * cb
                 if _merge_sign(ma, mb) < 0:
                     c = -c
-                acc[mask] = acc.get(mask, Fraction(0)) + c
+                acc[mask] = acc.get(mask, _ZERO) + c
         return Element._make(self.n, acc)
 
     def __rmul__(self, other):
@@ -383,7 +390,7 @@ def derivative(f: Element, g: Generator) -> Element:
         # removing g from behind an odd number of factors changes the sign
         sign = -1 if (mask & (bit - 1)).bit_count() & 1 else 1
         new = mask ^ bit
-        acc[new] = acc.get(new, Fraction(0)) + sign * c
+        acc[new] = acc.get(new, _ZERO) + sign * c
     return Element._make(f.n, acc)
 
 

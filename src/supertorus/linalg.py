@@ -20,8 +20,6 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-
 # Largest Mersenne prime below 2**31; products of two residues fit in int64.
 _CERT_PRIME = 2**31 - 1
 
@@ -390,6 +388,8 @@ def _modp_rank(rows: list[dict[int, int]], cols: list[int]) -> int:
     """
     if not rows or not cols:
         return 0
+    import numpy as np  # here, so that importing the package leaves numpy unloaded
+
     p = _CERT_PRIME
     index = {c: k for k, c in enumerate(cols)}
     a = np.zeros((len(rows), len(cols)), dtype=np.int64)

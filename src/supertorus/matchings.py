@@ -169,6 +169,8 @@ class MatchingCombination:
         return len(self._terms)
 
     def __add__(self, other: "MatchingCombination") -> "MatchingCombination":
+        if not isinstance(other, MatchingCombination):
+            return NotImplemented
         if self.n != other.n:
             raise ValueError("matching size mismatch")
         acc = dict(self._terms)
@@ -399,41 +401,28 @@ def labelled_matchings(n: int) -> Iterator[LabelledMatching]:
             )
 
 
-def _reduced_labellings(lo: int, hi: int, p: int, q: int, memo: dict) -> list:
-    """(arcs, alpha, alphatheta) on vertices lo..hi-1: noncrossing, with p
-    'a' labels none of which lies under an arc, and q arcs plus 'at' labels.
+def _noncrossing_arc_sets(n: int, most: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The noncrossing sets of at most ``most`` arcs on 1..n, in
+    lexicographic order of their sorted arc tuples.
 
-    The first vertex is unlabelled, labelled 'a', labelled 'at', or the left
-    end of an arc (lo, w); the inside of an arc carries no 'a' label and is
-    generated independently of the rest.  Each tuple comes out sorted.
-    ``memo`` holds the lists already built for other (lo, hi, p, q).
+    Each set comes first, then its extensions by one arc (i, j) whose left
+    end lies beyond its last left end, in increasing order.  Every vertex
+    between i and the nearest right end above it is free, and an arc from i
+    crosses no other exactly when it stops short of that end.
     """
-    key = (lo, hi, p, q)
-    if key in memo:
-        return memo[key]
-    out = []
-    if lo == hi:
-        if p == q == 0:
-            out.append(((), (), ()))
-    elif p + q <= hi - lo:
-        out.extend(_reduced_labellings(lo + 1, hi, p, q, memo))
-        if p:
-            for arcs, a, at in _reduced_labellings(lo + 1, hi, p - 1, q, memo):
-                out.append((arcs, (lo,) + a, at))
-        if q:
-            for arcs, a, at in _reduced_labellings(lo + 1, hi, p, q - 1, memo):
-                out.append((arcs, a, (lo,) + at))
-            for w in range(lo + 1, hi):
-                for q_in in range(q):
-                    inside = _reduced_labellings(lo + 1, w, 0, q_in, memo)
-                    if not inside:
-                        continue
-                    rest = _reduced_labellings(w + 1, hi, p, q - 1 - q_in, memo)
-                    for arcs, a, at in rest:
-                        for in_arcs, _, in_at in inside:
-                            out.append((((lo, w),) + in_arcs + arcs, a, in_at + at))
-    memo[key] = out
-    return out
+
+    def extend(arcs, start):
+        yield arcs
+        if len(arcs) == most:
+            return
+        ends = [j for _, j in arcs]
+        for i in range(start, n):
+            if i not in ends:
+                limit = min((j for j in ends if j > i), default=n + 1)
+                for j in range(i + 1, limit):
+                    yield from extend(arcs + ((i, j),), i + 1)
+
+    return extend((), 1)
 
 
 def noncrossing_matchings(
@@ -460,11 +449,22 @@ def noncrossing_matchings(
         if k is not None and k != i + j:
             raise ValueError(f"degree {k} disagrees with bidegree ({i}, {j})")
         degrees = [(i, j)]
-    memo: dict = {}
+    sizes = [(i - j, j) for i, j in degrees if i >= j]
+    if not sizes:
+        return []
     # Each triple is canonical and is its matching's sort_key.
-    triples = [
-        t for i, j in degrees if i >= j for t in _reduced_labellings(1, n + 1, i - j, j, memo)
-    ]
+    triples = []
+    for arcs in _noncrossing_arc_sets(n, max(q for _, q in sizes)):
+        matched = {v for arc in arcs for v in arc}
+        free = [v for v in range(1, n + 1) if v not in matched]
+        outside = [v for v in free if not any(i < v < j for i, j in arcs)]
+        for p, q in sizes:
+            if q < len(arcs):
+                continue
+            for alphas in itertools.combinations(outside, p):
+                rest = [v for v in free if v not in alphas]
+                for ats in itertools.combinations(rest, q - len(arcs)):
+                    triples.append((arcs, alphas, ats))
     triples.sort()
     return [LabelledMatching._trusted(n, *t) for t in triples]
 

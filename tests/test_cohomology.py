@@ -723,6 +723,12 @@ def test_invariants_character_rejects_nonpositive_parts(cycle_type):
         co.invariants_character(3, 1, 1, cycle_type)
 
 
+@pytest.mark.parametrize("cycle_type", [(0, 3), (-1,), (3, 0), (1.0, 2), (True, 2)])
+def test_wedge_character_rejects_parts_that_are_not_positive_ints(cycle_type):
+    with pytest.raises(ValueError, match="is not a partition"):
+        co.wedge_character(cycle_type, 1)
+
+
 def test_trace_on_ambient_is_wedge_product():
     n = 3
     for i in range(n + 1):

@@ -152,7 +152,10 @@ def test_constructor_drops_zero_coefficients():
     lambda: ex.Element.one(2) * 0.5,
     lambda: 0.5 * ex.Element.one(2),
     lambda: ex.Element.one(2) * "2",
-], ids=["init", "init-mixed", "from-monomial", "scale", "mul", "rmul", "mul-str"])
+    lambda: ex.Element.one(2) + 1,
+    lambda: ex.Element.one(2) - Fraction(1),
+], ids=["init", "init-mixed", "from-monomial", "scale", "mul", "rmul", "mul-str", "add",
+        "sub"])
 def test_element_refuses_floats_and_other_scalars(build):
     with pytest.raises(TypeError):
         build()
@@ -450,6 +453,12 @@ def test_equivariance_with_raising():
         f = random_element(rng, 4)
         w = random_permutation(rng, 4)
         assert ex.permute(w, ex.raising(f)) == ex.raising(ex.permute(w, f))
+
+
+@pytest.mark.parametrize("images", [(2.0, 1.0), (True, 2), ("1",)])
+def test_permutation_refuses_non_integer_images(images):
+    with pytest.raises(TypeError, match="image must be an integer"):
+        ex.Permutation(images)
 
 
 def test_cycle_type():

@@ -484,7 +484,8 @@ def test_literal_and_json_round_trip_property(m):
     lambda m: ma.MatchingCombination(m.n, {m: 0.5}),
     lambda m: ma.MatchingCombination.single(m, 0.1),
     lambda m: ma.MatchingCombination.single(m).scale(0.1),
-], ids=["init", "single", "scale"])
+    lambda m: ma.MatchingCombination.single(m) + 0.5,
+], ids=["init", "single", "scale", "add"])
 def test_combination_refuses_floats(build):
     with pytest.raises(TypeError):
         build(ma.LabelledMatching(2, arcs=((1, 2),)))
@@ -526,6 +527,43 @@ def old_noncrossing_matchings(n):
                 )
             )
     out.sort(key=ma.LabelledMatching.sort_key)
+    return out
+
+
+def old_reduced_labellings(lo, hi, p, q, memo):
+    """The memoized interval recursion that the arc-set walk replaced:
+    (arcs, alpha, alphatheta) on vertices lo..hi-1, noncrossing, with p 'a'
+    labels none of which lies under an arc, and q arcs plus 'at' labels.
+
+    The first vertex is unlabelled, labelled 'a', labelled 'at', or the left
+    end of an arc (lo, w); the inside of an arc carries no 'a' label and is
+    generated independently of the rest.
+    """
+    key = (lo, hi, p, q)
+    if key in memo:
+        return memo[key]
+    out = []
+    if lo == hi:
+        if p == q == 0:
+            out.append(((), (), ()))
+    elif p + q <= hi - lo:
+        out.extend(old_reduced_labellings(lo + 1, hi, p, q, memo))
+        if p:
+            for arcs, a, at in old_reduced_labellings(lo + 1, hi, p - 1, q, memo):
+                out.append((arcs, (lo,) + a, at))
+        if q:
+            for arcs, a, at in old_reduced_labellings(lo + 1, hi, p, q - 1, memo):
+                out.append((arcs, a, (lo,) + at))
+            for w in range(lo + 1, hi):
+                for q_in in range(q):
+                    inside = old_reduced_labellings(lo + 1, w, 0, q_in, memo)
+                    if not inside:
+                        continue
+                    rest = old_reduced_labellings(w + 1, hi, p, q - 1 - q_in, memo)
+                    for arcs, a, at in rest:
+                        for in_arcs, _, in_at in inside:
+                            out.append((((lo, w),) + in_arcs + arcs, a, in_at + at))
+    memo[key] = out
     return out
 
 
@@ -676,6 +714,16 @@ def test_noncrossing_by_bidegree_matches_filter_oracle(n):
     assert ma.noncrossing_matchings(n) == old
     for k in range(2 * n + 1):
         assert ma.noncrossing_matchings(n, k) == [m for m in old if m.degree == k]
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_noncrossing_by_bidegree_matches_recursion_oracle(n):
+    memo = {}
+    for i in range(n + 1):
+        for j in range(i + 1):
+            expected = sorted(old_reduced_labellings(1, n + 1, i - j, j, memo))
+            got = ma.noncrossing_matchings(n, bidegree=(i, j))
+            assert [m.sort_key() for m in got] == expected
 
 
 def test_noncrossing_by_bidegree_closed_form():

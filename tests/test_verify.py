@@ -131,9 +131,9 @@ def test_pool_size_follows_the_usable_cpus(monkeypatch):
     assert vf._pool_size(3) == 3
 
 
-def test_import_and_parser_leave_the_pool_modules_unloaded():
+def test_import_and_parser_leave_numpy_and_the_pool_modules_unloaded():
     code = ("import sys, supertorus; from supertorus import cli; cli.build_parser(); "
-            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+            "print(sorted({'concurrent.futures', 'multiprocessing', 'numpy'} & set(sys.modules)))")
     src = str(Path(vf.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
