@@ -62,7 +62,6 @@ from .matchings import (
     skein_move_alpha,
     skein_uncross,
     subsets_from_matching,
-    verify_presentation,
 )
 
 __version__ = "0.1.0"

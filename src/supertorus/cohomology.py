@@ -58,6 +58,7 @@ from .exterior import (
     Element,
     Monomial,
     Permutation,
+    _check_bidegree,
     _check_rank,
     _merge_sign,
     permute,
@@ -126,11 +127,6 @@ def raising_matrix(n: int, d: tuple[int, int]) -> Matrix:
     if any(c != 1 for f in images for c in f._terms.values()):
         raise AssertionError("raising is not sign free in this basis")
     return coordinate_matrix(images, bidegree_monomials(n, (i + 1, j - 1)))
-
-
-def _check_bidegree(n: int, i: int, j: int) -> None:
-    if not (0 <= i <= n and 0 <= j <= n):
-        raise ValueError(f"bidegree ({i}, {j}) out of range for rank {n}")
 
 
 def invariants_dimension(n: int, i: int, j: int) -> int:

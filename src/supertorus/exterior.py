@@ -40,13 +40,25 @@ MAX_RANK = 14
 _ALPHA_BITS = int("01" * MAX_RANK, 2)
 
 
+def _check_int(value: object, what: str) -> None:
+    """Refuse anything but an ``int``; a ``bool`` or a float is refused too."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+
+
 def _check_rank(n: int) -> None:
-    if not isinstance(n, int):
-        raise TypeError(f"rank must be an integer, got {n!r}")
+    _check_int(n, "rank")
     if n < 0:
         raise ValueError(f"rank must be nonnegative, got {n}")
     if n > MAX_RANK:
         raise ValueError(f"rank {n} exceeds the guard {MAX_RANK}")
+
+
+def _check_bidegree(n: int, i: int, j: int) -> None:
+    _check_int(i, "bidegree part")
+    _check_int(j, "bidegree part")
+    if not (0 <= i <= n and 0 <= j <= n):
+        raise ValueError(f"bidegree ({i}, {j}) out of range for rank {n}")
 
 
 class Generator(NamedTuple):
@@ -90,8 +102,7 @@ class Permutation:
     def __init__(self, images: Iterable[int]):
         images = tuple(images)
         for v in images:
-            if type(v) is not int:
-                raise TypeError(f"image must be an integer, got {v!r}")
+            _check_int(v, "image")
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a permutation of 1..{len(images)}: {images}")
         self.images = images
@@ -105,6 +116,9 @@ class Permutation:
         return len(self.images)
 
     def __call__(self, i: int) -> int:
+        _check_int(i, "index")
+        if not 1 <= i <= len(self.images):
+            raise ValueError(f"index {i} out of range 1..{len(self.images)}")
         return self.images[i - 1]
 
     def __eq__(self, other) -> bool:
@@ -127,7 +141,7 @@ class Permutation:
             v = start
             while not seen[v - 1]:
                 seen[v - 1] = True
-                v = self(v)
+                v = self.images[v - 1]
                 length += 1
             lengths.append(length)
         return tuple(sorted(lengths, reverse=True))
@@ -140,6 +154,7 @@ class Monomial:
 
     def __init__(self, n: int, mask: int = 0):
         _check_rank(n)
+        _check_int(mask, "mask")
         if not 0 <= mask < (1 << (2 * n)):
             raise ValueError(f"mask {mask:#x} out of range for rank {n}")
         self.n = n
@@ -227,6 +242,7 @@ class Element:
         self.n = n
         self._terms = {}
         for m, c in (terms or {}).items():
+            _check_int(m, "mask")
             if not 0 <= m < (1 << (2 * n)):
                 raise ValueError(f"mask {m:#x} out of range for rank {n}")
             if c := _rational(c):

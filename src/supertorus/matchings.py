@@ -16,18 +16,11 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .exterior import (
-    Element,
-    _Reader,
-    alpha,
-    generator_product,
-    theta,
-    _check_rank,
-)
+from .exterior import Element, _Reader, _check_bidegree, _check_int, _check_rank
 from .linalg import _rational
 
 Rational = Fraction | int
@@ -82,8 +75,7 @@ class LabelledMatching:
 
     def _claim(self, v: int, used: set[int]) -> None:
         """Check that v is a vertex in 1..n not yet in ``used``, and add it."""
-        if type(v) is not int:
-            raise TypeError(f"vertex must be an integer, got {v!r}")
+        _check_int(v, "vertex")
         if not 1 <= v <= self.n:
             raise ValueError(f"vertex {v} out of range 1..{self.n}")
         if v in used:
@@ -139,6 +131,7 @@ class MatchingCombination:
     __slots__ = ("n", "_terms")
 
     def __init__(self, n: int, terms: dict[LabelledMatching, Fraction] | None = None):
+        _check_rank(n)
         self.n = n
         self._terms: dict[LabelledMatching, Fraction] = {}
         if terms:
@@ -436,16 +429,17 @@ def noncrossing_matchings(
     of degree k, or over all bidegrees.
     """
     _check_rank(n)
-    if k is not None and not 0 <= k <= 2 * n:
-        raise ValueError(f"degree {k} out of range 0..{2 * n}")
+    if k is not None:
+        _check_int(k, "degree")
+        if not 0 <= k <= 2 * n:
+            raise ValueError(f"degree {k} out of range 0..{2 * n}")
     if bidegree is None:
         degrees = [(i, j) for i in range(n + 1) for j in range(n + 1)]
         if k is not None:
             degrees = [(i, j) for i, j in degrees if i + j == k]
     else:
         i, j = bidegree
-        if not (0 <= i <= n and 0 <= j <= n):
-            raise ValueError(f"bidegree ({i}, {j}) out of range for n={n}")
+        _check_bidegree(n, i, j)
         if k is not None and k != i + j:
             raise ValueError(f"degree {k} disagrees with bidegree ({i}, {j})")
         degrees = [(i, j)]
@@ -605,8 +599,7 @@ def matching_from_subsets(A: Iterable[int], B: Iterable[int], n: int) -> Labelle
     _check_rank(n)
     A, B = set(A), set(B)
     for v in A | B:
-        if type(v) is not int:
-            raise TypeError(f"index must be an integer, got {v!r}")
+        _check_int(v, "index")
         if not 1 <= v <= n:
             raise ValueError(f"index {v} out of range 1..{n}")
     if not (len(B) - 1 <= len(A) <= len(B)):
@@ -621,76 +614,6 @@ def subsets_from_matching(m: LabelledMatching) -> SubsetPair:
     """Inverse of ``matching_from_subsets``; rejects non-reduced matchings."""
     a, b = _masks_from_matching(m)
     return SubsetPair(_vertices(a), _vertices(b))
-
-
-# ---------------------------------------------------------------------------
-# Presentation checks.
-
-@dataclass
-class PresentationReport:
-    n: int
-    checked: int = 0
-    violations: list[str] = field(default_factory=list)
-
-    def record(self, ok: bool, description: str) -> None:
-        self.checked += 1
-        if not ok:
-            self.violations.append(description)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def verify_presentation(n: int) -> PresentationReport:
-    """Check the quadratic relations among the basic invariants, and both
-    rewriting rules as expanded identities over all applicable patterns.
-
-    The displayed relations run over all index pairs i < j <= n.  The rule
-    sweeps run over every labelled matching of size min(n, 5), keeping the
-    sweep affordable.  One displayed relation appears twice in the source
-    presentation; it is checked once here.
-    """
-    report = PresentationReport(n)
-    for i in range(1, n + 1):
-        a_i = generator_product(n, [alpha(i)])
-        at_i = generator_product(n, [alpha(i), theta(i)])
-        report.record((a_i * a_i).is_zero(), f"a_{i}^2 = 0")
-        report.record((at_i * at_i).is_zero(), f"(a_{i} t_{i})^2 = 0")
-    for i, j in itertools.combinations(range(1, n + 1), 2):
-        a_i = generator_product(n, [alpha(i)])
-        a_j = generator_product(n, [alpha(j)])
-        at_i = generator_product(n, [alpha(i), theta(i)])
-        at_j = generator_product(n, [alpha(j), theta(j)])
-        cross = generator_product(n, [alpha(i), theta(j)]) + generator_product(
-            n, [alpha(j), theta(i)]
-        )
-        report.record(
-            (at_i * cross).is_zero(),
-            f"(a_{i} t_{i})(a_{i} t_{j} + a_{j} t_{i}) = 0",
-        )
-        report.record(
-            cross * cross == (at_i * at_j).scale(-2),
-            f"(a_{i} t_{j} + a_{j} t_{i})^2 = -2 (a_{i} t_{i})(a_{j} t_{j})",
-        )
-        report.record(
-            a_i * cross == -(a_j * at_i),
-            f"a_{i}(a_{i} t_{j} + a_{j} t_{i}) = -a_{j} (a_{i} t_{i})",
-        )
-    for m in labelled_matchings(min(n, 5)):
-        for quad in crossing_quadruples(m):
-            combo = skein_uncross(m, quad)
-            report.record(
-                matching_invariant(m) == combo.expand(),
-                f"uncross rule at {quad} on {m}",
-            )
-        for arc, vertex in nested_alpha_patterns(m):
-            combo = skein_move_alpha(m, arc, vertex)
-            report.record(
-                matching_invariant(m) == combo.expand(),
-                f"label slide at {vertex} under {arc} on {m}",
-            )
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -531,7 +531,34 @@ def check_nc_independence(n_max: int, rng: random.Random) -> bool:
 
 
 def check_presentation(n_max: int, rng: random.Random) -> bool:
-    return ma.verify_presentation(min(6, max(2, n_max))).ok
+    """The quadratic relations among the basic invariants, and both
+    rewriting rules as expanded identities over all applicable patterns.
+
+    The displayed relations run over all index pairs i < j <= n, with
+    n = min(6, max(2, n_max)).  The rule sweeps run over every labelled
+    matching of size min(n, 5), keeping the sweep affordable.  One displayed
+    relation appears twice in the source presentation; it is checked once
+    here.
+    """
+    n = min(6, max(2, n_max))
+    a = {i: ex.generator_product(n, [ex.alpha(i)]) for i in range(1, n + 1)}
+    at = {i: ex.generator_product(n, [ex.alpha(i), ex.theta(i)]) for i in a}
+    if any(a[i] * a[i] or at[i] * at[i] for i in a):
+        return False
+    for i, j in itertools.combinations(a, 2):
+        cross = ex.generator_product(n, [ex.alpha(i), ex.theta(j)]) + ex.generator_product(
+            n, [ex.alpha(j), ex.theta(i)]
+        )
+        if at[i] * cross or cross * cross != (at[i] * at[j]).scale(-2):
+            return False
+        if a[i] * cross != -(a[j] * at[i]):
+            return False
+    for m in ma.labelled_matchings(min(n, 5)):
+        rewrites = [ma.skein_uncross(m, quad) for quad in ma.crossing_quadruples(m)]
+        rewrites += [ma.skein_move_alpha(m, arc, v) for arc, v in ma.nested_alpha_patterns(m)]
+        if any(combo.expand() != ma.matching_invariant(m) for combo in rewrites):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,16 @@ def reversed_merge_sign(monkeypatch):
 
 
 @pytest.fixture
+def sign_free_product(monkeypatch):
+    """``_merge_sign`` with one change: it always returns 1, so no product
+    reorders with a sign and the algebra becomes commutative.  Rebound in
+    ``cohomology`` too, as ``reversed_merge_sign`` is."""
+    mutant = _mutant(ex, "_merge_sign", "return -1 if", "return 1 if")
+    monkeypatch.setattr(ex, "_merge_sign", mutant)
+    monkeypatch.setattr(co, "_merge_sign", mutant)
+
+
+@pytest.fixture
 def full_rank_components(monkeypatch):
     """``linalg._block_rank`` with one change: it takes every component as
     full rank, never asking the certificate or the exact fallback."""

@@ -160,3 +160,15 @@ def test_15_negative_control_merge_sign(reversed_merge_sign):
         "fault injection left the sign-free bases intact")
     report("15 a merge sign counted the wrong way round is caught by the exponential "
            "and sign-free basis checks")
+
+
+def test_16_negative_control_sign_free_product(sign_free_product):
+    # the relations half of the presentation check catches it; the exponential
+    # identity does not, because translate only appends a generator above
+    # every one it holds, where the merge sign is 1 anyway
+    assert not holds(vf.check_presentation, 3), (
+        "fault injection left the presentation intact")
+    assert not holds(vf.check_product_laws, 3), (
+        "fault injection left the product laws intact")
+    report("16 a product without reordering signs is caught by the presentation "
+           "and product-law checks")

@@ -12,7 +12,7 @@ import pytest
 from supertorus import cohomology as co
 from supertorus import exterior as ex
 from supertorus import linalg as la
-from supertorus.verify import random_permutation
+from supertorus.verify import check_duality_dimensions, random_permutation
 
 
 # ---------------------------------------------------------------------------
@@ -97,12 +97,7 @@ def test_coinvariants_dimension_examples():
 
 
 def test_duality_dimension_identity():
-    for n in range(0, 7):
-        for i in range(n + 1):
-            for j in range(n + 1):
-                assert co.invariants_dimension(n, i, j) == co.coinvariants_dimension(
-                    n, n - i, n - j
-                )
+    assert check_duality_dimensions(6, random.Random(0))
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +142,19 @@ def test_invariants_basis_empty_when_zero():
 def test_bases_reject_bad_rank_or_bidegree(fn, n, d, message):
     with pytest.raises(ValueError, match=message):
         fn(n, d)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: co.invariants_basis(3, (True, 0)),
+    lambda: co.coinvariants_representatives(3, (0, True)),
+    lambda: co.invariants_dimension(3, True, 0),
+    lambda: co.duality_gram(3, 1, True),
+], ids=["inv-basis", "coinv-reps", "inv-dim", "gram"])
+def test_bidegree_parts_must_be_ints(call):
+    # invariants_basis(3, (True, 0)) once returned a basis labelled
+    # Bidegree(i=True, j=0)
+    with pytest.raises(TypeError, match="bidegree part must be an integer"):
+        call()
 
 
 def test_invariants_bases_are_fixed_points():

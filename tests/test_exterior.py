@@ -461,6 +461,26 @@ def test_permutation_refuses_non_integer_images(images):
         ex.Permutation(images)
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: ex.Element(True), TypeError, "rank must be an integer"),
+    (lambda: ex.Monomial(True, 0), TypeError, "rank must be an integer"),
+    (lambda: ex.Monomial(2, 1.0), TypeError, "mask must be an integer"),
+    (lambda: ex.Monomial(2, True), TypeError, "mask must be an integer"),
+    (lambda: ex.Element(2, {True: 1}), TypeError, "mask must be an integer"),
+    (lambda: ex.Element(2, {1.0: 1}), TypeError, "mask must be an integer"),
+    (lambda: ex.Permutation([2, 1, 3])(0), ValueError, r"index 0 out of range 1\.\.3"),
+    (lambda: ex.Permutation([2, 1, 3])(4), ValueError, r"index 4 out of range 1\.\.3"),
+    (lambda: ex.Permutation([2, 1, 3])(True), TypeError, "index must be an integer"),
+], ids=["element-rank-bool", "monomial-rank-bool", "monomial-mask-float",
+        "monomial-mask-bool", "element-mask-bool", "element-mask-float", "call-0",
+        "call-past-n", "call-bool"])
+def test_ranks_masks_and_indices_must_be_ints(build, error, message):
+    # each was accepted once: Element(True) had rank True, Monomial(2, 1.0)
+    # failed only when printed, and Permutation(...)(0) gave the last image
+    with pytest.raises(error, match=message):
+        build()
+
+
 def test_cycle_type():
     assert ex.Permutation((2, 1, 3)).cycle_type() == (2, 1)
     assert ex.Permutation((2, 3, 1)).cycle_type() == (3,)

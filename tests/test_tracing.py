@@ -12,7 +12,8 @@ from pathlib import Path
 
 import supertorus
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def load_tracing():
@@ -32,6 +33,26 @@ def test_tracer_targets_exist():
             assert hasattr(holder, owner), f"{module_name}.{owner}"
             holder = getattr(holder, owner)
         assert hasattr(holder, attr), f"{module_name}.{owner or ''}.{attr}"
+
+
+def test_benchmark_names_one_metric_per_verify_check():
+    # the tracer unpacks each SUITES entry as (label, function) and names its
+    # span after the function, so a renamed or moved check would otherwise
+    # drop out of the benchmark's per-layer metrics without a failure
+    from supertorus import verify
+
+    checks = [entry for suite in verify.SUITES.values() for entry in suite]
+    for entry in checks:
+        assert isinstance(entry, tuple) and len(entry) == 2, entry
+        label, fn = entry
+        assert isinstance(label, str) and callable(fn), entry
+    declared = [metric["name"] for metric in
+                json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    per_check = [name for name in declared
+                 if name.startswith("verify.check_") and name.endswith(".self_s")]
+    expected = [f"verify.{fn.__name__}.self_s" for _, fn in checks]
+    assert len(expected) == 27
+    assert sorted(per_check) == sorted(expected)
 
 
 # Installs the tracer in a fresh interpreter, since it rebinds package
