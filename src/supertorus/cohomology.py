@@ -59,6 +59,7 @@ from .exterior import (
     Monomial,
     Permutation,
     _check_bidegree,
+    _check_int,
     _check_rank,
     _merge_sign,
     permute,
@@ -89,6 +90,8 @@ def _bidegree_masks(n: int, d: tuple[int, int]) -> list[int]:
     """Masks of ``bidegree_monomials(n, d)``, the rank checked up front."""
     _check_rank(n)
     i, j = d
+    _check_int(i, "bidegree part")
+    _check_int(j, "bidegree part")
     if not (0 <= i <= n and 0 <= j <= n):
         return []
     # index x + 1 holds a at bit 2x and t at bit 2x + 1
@@ -417,6 +420,7 @@ def wedge_character(cycle_type: Sequence[int], i: int) -> int:
     cycle lengths L.
     """
     _check_partition(cycle_type)
+    _check_int(i, "degree")
     n = sum(cycle_type)
     coeffs = [0] * (n + 1)
     coeffs[0] = 1

@@ -55,6 +55,7 @@ def _check_rank(n: int) -> None:
 
 
 def _check_bidegree(n: int, i: int, j: int) -> None:
+    _check_int(n, "rank")
     _check_int(i, "bidegree part")
     _check_int(j, "bidegree part")
     if not (0 <= i <= n and 0 <= j <= n):
@@ -351,6 +352,7 @@ class Element:
         return NotImplemented
 
     def __pow__(self, k: int) -> "Element":
+        _check_int(k, "exponent")
         if k < 0:
             raise ValueError("negative powers are not defined")
         out = Element.one(self.n)
@@ -374,9 +376,7 @@ class Element:
 
 
 def generator_element(g: Generator, n: int) -> Element:
-    if not 1 <= g.index <= n:
-        raise ValueError(f"generator {g} out of range for rank {n}")
-    return Element(n, {1 << g.position: Fraction(1)})
+    return generator_product(n, [g])
 
 
 def generator_product(n: int, gens: Iterable[Generator]) -> Element:
@@ -384,6 +384,7 @@ def generator_product(n: int, gens: Iterable[Generator]) -> Element:
     mask = 0
     sign = 1
     for g in gens:
+        _check_int(g.index, "index")
         if not 1 <= g.index <= n:
             raise ValueError(f"generator {g} out of range for rank {n}")
         bit = 1 << g.position
@@ -396,6 +397,7 @@ def generator_product(n: int, gens: Iterable[Generator]) -> Element:
 
 def derivative(f: Element, g: Generator) -> Element:
     """Fermionic partial derivative with respect to the generator g."""
+    _check_int(g.index, "index")
     if not 1 <= g.index <= f.n:
         raise ValueError(f"generator {g} out of range for rank {f.n}")
     bit = 1 << g.position
@@ -508,10 +510,12 @@ def subset_monomial(A: Iterable[int], B: Iterable[int], n: int) -> Monomial:
     """The monomial with a_a for a in A and t_b for b in B, canonical order."""
     mask = 0
     for a in A:
+        _check_int(a, "index")
         if not 1 <= a <= n:
             raise ValueError(f"index {a} out of range for rank {n}")
         mask |= 1 << alpha(a).position
     for b in B:
+        _check_int(b, "index")
         if not 1 <= b <= n:
             raise ValueError(f"index {b} out of range for rank {n}")
         mask |= 1 << theta(b).position

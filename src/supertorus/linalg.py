@@ -122,15 +122,7 @@ class Matrix:
         )
 
     def __hash__(self):
-        # equal numbers hash alike, whether int or Fraction, so each row
-        # hashes as the dense tuple of its entries as read, with zeros as ints
-        cells = []
-        for row, den in zip(self._rows, self._dens):
-            out = [0] * self.ncols
-            for c, x in row.items():
-                out[c] = x if den == 1 else Fraction(x, den)
-            cells.append(tuple(out))
-        return hash((self.shape, tuple(cells)))
+        return hash((self.shape, tuple(map(tuple, self.rows()))))
 
     def __repr__(self) -> str:
         return f"Matrix({self.nrows}x{self.ncols})"
@@ -244,11 +236,7 @@ class Matrix:
         """Serialize with a leading "rows,cols" line; entries as p or p/q.
         No cell needs csv quoting, so the lines are joined directly."""
         lines = [f"{self.nrows},{self.ncols}"]
-        for row, den in zip(self._rows, self._dens):
-            cells = ["0"] * self.ncols
-            for c, x in row.items():
-                cells[c] = str(x) if den == 1 else str(Fraction(x, den))
-            lines.append(",".join(cells))
+        lines.extend(",".join(map(str, row)) for row in self.rows())
         return "\n".join(lines) + "\n"
 
 

@@ -240,14 +240,16 @@ def matching_invariant(m: LabelledMatching) -> Element:
 
 
 def crossing_quadruples(m: LabelledMatching) -> list[tuple[int, int, int, int]]:
-    """All i<j<k<l with arcs (i,k) and (j,l), sorted lexicographically."""
-    quads = []
-    for (a, b), (c, d) in itertools.combinations(m.arcs, 2):
-        if a < c < b < d:
-            quads.append((a, c, b, d))
-        elif c < a < d < b:
-            quads.append((c, a, d, b))
-    return sorted(quads)
+    """All i<j<k<l with arcs (i,k) and (j,l), sorted lexicographically.
+
+    The arcs are sorted and disjoint, so in every pair the first arc starts
+    first, and the pairs come in order of (i, j), which fixes k and l.
+    """
+    return [
+        (a, c, b, d)
+        for (a, b), (c, d) in itertools.combinations(m.arcs, 2)
+        if c < b < d
+    ]
 
 
 def crossings(m: LabelledMatching) -> int:
@@ -255,14 +257,9 @@ def crossings(m: LabelledMatching) -> int:
 
 
 def nested_alpha_patterns(m: LabelledMatching) -> list[tuple[tuple[int, int], int]]:
-    """All (arc, vertex) pairs with an 'a' label strictly under the arc."""
-    out = []
-    for arc in m.arcs:
-        i, k = arc
-        for v in m.alpha:
-            if i < v < k:
-                out.append((arc, v))
-    return sorted(out)
+    """All (arc, vertex) pairs with an 'a' label strictly under the arc,
+    sorted: the walk takes the sorted arcs, then each one's sorted labels."""
+    return [(arc, v) for arc in m.arcs for v in m.alpha if arc[0] < v < arc[1]]
 
 
 def alpha_nestings(m: LabelledMatching) -> int:
@@ -374,19 +371,21 @@ def partial_matchings(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
         for idx, u in enumerate(rest):
             head = (v, u)
             for tail in rec(rest[:idx] + rest[idx + 1 :]):
-                yield tuple(sorted((head,) + tail))
+                yield (head,) + tail  # v is below every vertex of tail
 
     return rec(tuple(range(1, n + 1)))
 
 
 def labelled_matchings(n: int) -> Iterator[LabelledMatching]:
-    """The whole index set: every arc set with every labelling."""
+    """The whole index set: every arc set with every labelling.  The arcs
+    come sorted and the labels in the order of the free vertices, so each
+    matching is canonical by construction."""
     _check_rank(n)
     for arcs in partial_matchings(n):
         matched = {v for arc in arcs for v in arc}
         free = [v for v in range(1, n + 1) if v not in matched]
         for labels in itertools.product(("", "a", "at"), repeat=len(free)):
-            yield LabelledMatching(
+            yield LabelledMatching._trusted(
                 n,
                 arcs,
                 tuple(v for v, l in zip(free, labels) if l == "a"),
@@ -504,32 +503,6 @@ def _pair_text(a: int, b: int) -> str:
     return f"({list(_vertices(a))}, {list(_vertices(b))})"
 
 
-def _is_reduced(m: LabelledMatching) -> bool:
-    """No two arcs cross and no 'a' label lies under an arc.
-
-    One left-to-right pass over the arcs and labels: a stack holds the right
-    ends of the arcs still open, innermost last, and ``reach`` the furthest
-    right end so far.  An arc crosses the innermost open arc when it ends
-    beyond it; a label is nested when it lies short of ``reach``.
-    """
-    labels = m.alpha
-    open_ends: list[int] = []
-    reach = 0
-    t = 0
-    for i, j in m.arcs:
-        while t < len(labels) and labels[t] < i:
-            if labels[t] < reach:
-                return False
-            t += 1
-        while open_ends and open_ends[-1] < i:
-            open_ends.pop()
-        if open_ends and open_ends[-1] < j:
-            return False
-        open_ends.append(j)
-        reach = max(reach, j)
-    return t == len(labels) or labels[t] > reach
-
-
 def _matching_from_masks(a: int, b: int, n: int) -> LabelledMatching:
     """``matching_from_subsets`` on masks that the caller has checked: inside
     1..n, with |B| - 1 <= |A| <= |B|."""
@@ -555,7 +528,7 @@ def _matching_from_masks(a: int, b: int, n: int) -> LabelledMatching:
         raise AssertionError(f"subset pair {_pair_text(a, b)} produced a clash in {arcs}")
     arcs.sort()
     m = LabelledMatching._trusted(n, tuple(arcs), tuple(alphas), _vertices(a & b))
-    if not _is_reduced(m):
+    if crossing_quadruples(m) or nested_alpha_patterns(m):
         raise AssertionError(
             f"subset pair {_pair_text(a, b)} produced a non-reduced matching {m}"
         )
@@ -565,11 +538,8 @@ def _matching_from_masks(a: int, b: int, n: int) -> LabelledMatching:
 
 
 def _masks_from_matching(m: LabelledMatching) -> tuple[int, int]:
-    """``subsets_from_matching`` as the masks (a, b)."""
-    if not _is_reduced(m):
-        if crossings(m):
-            raise ValueError(f"{m} has a crossing")
-        raise ValueError(f"{m} has an 'a' label under an arc")
+    """``subsets_from_matching`` as the masks (a, b), for a matching that
+    the caller has checked is reduced."""
     k = m.degree
     a = b = _mask(m.alphatheta)
     for i, j in m.arcs:
@@ -612,6 +582,10 @@ def matching_from_subsets(A: Iterable[int], B: Iterable[int], n: int) -> Labelle
 
 def subsets_from_matching(m: LabelledMatching) -> SubsetPair:
     """Inverse of ``matching_from_subsets``; rejects non-reduced matchings."""
+    if crossings(m):
+        raise ValueError(f"{m} has a crossing")
+    if alpha_nestings(m):
+        raise ValueError(f"{m} has an 'a' label under an arc")
     a, b = _masks_from_matching(m)
     return SubsetPair(_vertices(a), _vertices(b))
 

@@ -149,12 +149,36 @@ def test_bases_reject_bad_rank_or_bidegree(fn, n, d, message):
     lambda: co.coinvariants_representatives(3, (0, True)),
     lambda: co.invariants_dimension(3, True, 0),
     lambda: co.duality_gram(3, 1, True),
-], ids=["inv-basis", "coinv-reps", "inv-dim", "gram"])
+    lambda: co.bidegree_monomials(3, (True, 0)),
+    lambda: co.raising_matrix(3, (True, 1)),
+], ids=["inv-basis", "coinv-reps", "inv-dim", "gram", "monomials", "raising"])
 def test_bidegree_parts_must_be_ints(call):
     # invariants_basis(3, (True, 0)) once returned a basis labelled
-    # Bidegree(i=True, j=0)
+    # Bidegree(i=True, j=0), and bidegree_monomials(3, (True, 0)) the three
+    # monomials of bidegree (1, 0)
     with pytest.raises(TypeError, match="bidegree part must be an integer"):
         call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: co.invariants_dimension(True, 1, 0), "rank must be an integer"),
+    (lambda: co.coinvariants_dimension(True, 1, 0), "rank must be an integer"),
+    (lambda: co.diagonal_census(True), "rank must be an integer"),
+    (lambda: co.dimension_table(True), "rank must be an integer"),
+    (lambda: co.character_table(True, 1, 0), "rank must be an integer"),
+    (lambda: co.invariants_character(True, 1, 0, (1,)), "rank must be an integer"),
+    (lambda: co.wedge_character((2, 1), True), "degree must be an integer"),
+], ids=["inv-dim", "coinv-dim", "census", "dims", "characters", "inv-character", "wedge"])
+def test_ranks_and_degrees_must_be_ints(call, message):
+    # each once took True for 1: invariants_dimension(True, 1, 0) gave 1 and
+    # wedge_character((2, 1), True) gave 1
+    with pytest.raises(TypeError, match=message):
+        call()
+
+
+def test_bidegree_masks_out_of_range_are_empty():
+    # check_dimension_formulas reads the empty neighbour at (i - 1, j + 1)
+    assert co.bidegree_monomials(3, (4, 0)) == co.bidegree_monomials(3, (-1, 2)) == []
 
 
 def test_invariants_bases_are_fixed_points():

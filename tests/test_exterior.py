@@ -471,12 +471,24 @@ def test_permutation_refuses_non_integer_images(images):
     (lambda: ex.Permutation([2, 1, 3])(0), ValueError, r"index 0 out of range 1\.\.3"),
     (lambda: ex.Permutation([2, 1, 3])(4), ValueError, r"index 4 out of range 1\.\.3"),
     (lambda: ex.Permutation([2, 1, 3])(True), TypeError, "index must be an integer"),
+    (lambda: ex.subset_monomial({True}, (), 2), TypeError, "index must be an integer"),
+    (lambda: ex.generator_product(2, [ex.alpha(True)]), TypeError,
+     "index must be an integer"),
+    (lambda: ex.generator_element(ex.theta(True), 2), TypeError, "index must be an integer"),
+    (lambda: ex.generator_element(ex.theta(3), 2), ValueError,
+     "generator t3 out of range for rank 2"),
+    (lambda: ex.derivative(ex.Element.one(2), ex.theta(True)), TypeError,
+     "index must be an integer"),
+    (lambda: ex.Element.one(2) ** True, TypeError, "exponent must be an integer"),
 ], ids=["element-rank-bool", "monomial-rank-bool", "monomial-mask-float",
         "monomial-mask-bool", "element-mask-bool", "element-mask-float", "call-0",
-        "call-past-n", "call-bool"])
+        "call-past-n", "call-bool", "subset-monomial-bool", "generator-product-bool",
+        "generator-element-bool", "generator-element-past-n", "derivative-bool",
+        "power-bool"])
 def test_ranks_masks_and_indices_must_be_ints(build, error, message):
     # each was accepted once: Element(True) had rank True, Monomial(2, 1.0)
-    # failed only when printed, and Permutation(...)(0) gave the last image
+    # failed only when printed, Permutation(...)(0) gave the last image,
+    # subset_monomial({True}, (), 2) built a1 and f ** True returned f
     with pytest.raises(error, match=message):
         build()
 

@@ -809,26 +809,38 @@ def test_bijection_errors_match_set_routes():
         for m in ma.labelled_matchings(n):
             expected = outcome(set_subsets_from_matching, m)
             assert outcome(ma.subsets_from_matching, m) == expected
-            if not isinstance(expected, ma.SubsetPair):  # an error
-                assert outcome(ma._masks_from_matching, m) == expected
 
 
 def test_enumerated_matchings_equal_public_ones():
     for n in range(0, 9):
         for m in ma.noncrossing_matchings(n):
             assert same_as_public(m)
-
-
-def test_reducedness_scan_matches_counts():
     for n in range(0, 7):
         for m in ma.labelled_matchings(n):
-            assert ma._is_reduced(m) == (ma.crossings(m) == 0 and ma.alpha_nestings(m) == 0)
+            assert same_as_public(m)
+
+
+def assert_patterns_match_oracle(m):
+    """The pattern lists, order included, against the quadratic definitions:
+    every i<j<k<l with arcs (i,k) and (j,l), and every arc over an 'a'."""
+    arcs = set(m.arcs)
+    quads = [(i, j, k, l) for i, j, k, l in itertools.combinations(range(1, m.n + 1), 4)
+             if (i, k) in arcs and (j, l) in arcs]
+    assert ma.crossing_quadruples(m) == sorted(quads)
+    nested = [(arc, v) for arc in arcs for v in set(m.alpha) if arc[0] < v < arc[1]]
+    assert ma.nested_alpha_patterns(m) == sorted(nested)
+
+
+def test_pattern_lists_match_oracle():
+    for n in range(0, 7):
+        for m in ma.labelled_matchings(n):
+            assert_patterns_match_oracle(m)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(labelled_matchings(min_n=7, max_n=14))
-def test_reducedness_scan_property(m):
-    assert ma._is_reduced(m) == (ma.crossings(m) == 0 and ma.alpha_nestings(m) == 0)
+def test_pattern_lists_match_oracle_property(m):
+    assert_patterns_match_oracle(m)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
@@ -857,5 +869,5 @@ def test_bijection_round_trip_property(case):
     assert m == set_matching_from_subsets(A, B, n)
     assert same_as_public(m)
     assert m.degree == len(A) + len(B)
-    assert ma._is_reduced(m) and ma.crossings(m) == 0 and ma.alpha_nestings(m) == 0
+    assert ma.crossings(m) == 0 and ma.alpha_nestings(m) == 0
     assert ma.subsets_from_matching(m) == set_subsets_from_matching(m) == ma.SubsetPair(A, B)
