@@ -315,7 +315,7 @@ def _coordinates(
     for m, c in x._terms.items():
         k = own.get(m)
         if k is not None:
-            coords[k] = c / vectors[k]._terms[m]
+            coords[k] = Fraction(c, vectors[k]._terms[m])
     rest = dict(x._terms)
     for k, c in coords.items():
         for m, a in vectors[k]._terms.items():

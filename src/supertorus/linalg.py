@@ -441,3 +441,80 @@ def boolean_incidence(n: int, i: int, j: int) -> Matrix:
         outside = [1 << x for x in range(1, n + 1) if not s >> x & 1]
         out.append({index[s | sum(extra)]: 1 for extra in itertools.combinations(outside, j - i)})
     return Matrix._make(len(cols), out, [1] * len(rows))
+
+
+def _complementary_coefficients(n: int, i: int) -> list[Fraction]:
+    """c_0..c_i such that N[T, S] = c_|T & S|, over the (n - i)-subsets T and
+    the i-subsets S of 1..n, inverts ``boolean_incidence(n, i, n - i)``.
+
+    Entry (S, S') of the product with |S & S'| = r adds c_k once for each
+    (n - i)-subset T above S with |T & S'| = k: T takes k - r of the i - r
+    elements of S' outside S, and its other n - 2i - k + r elements from the
+    n - 2i + r outside S | S'.  The product is the identity when, for
+    r = 0..i, sum_k C(i - r, k - r) C(n - 2i + r, n - 2i - k + r) c_k = [r = i];
+    the system is upper triangular with diagonal C(n - 2i + r, n - 2i) > 0,
+    so back substitution solves it exactly.
+    """
+
+    def comb(a: int, b: int) -> int:
+        return math.comb(a, b) if 0 <= b <= a else 0
+
+    m = n - 2 * i
+    c = [_ZERO] * (i + 1)
+    for r in range(i, -1, -1):
+        rest = sum(comb(i - r, k - r) * comb(m + r, m - k + r) * c[k] for k in range(r + 1, i + 1))
+        c[r] = Fraction(int(r == i) - rest) / math.comb(m + r, m)
+    return c
+
+
+def certify_complementary_block(w: Matrix, n: int, i: int) -> bool:
+    """Whether w, the block ``boolean_incidence(n, i, n - i)`` as built, is
+    invertible, by an exact inverse up to scale; 2i <= n <= 15.
+
+    With c from the triangular counting system and L the lcm of their
+    denominators, N[T, S] = L c_|T & S|.  True exactly when w is a 0/1
+    matrix and every entry of w N equals that of L times the identity, which
+    alone proves det w != 0, whatever suggested N; False otherwise, which
+    leaves the rank open.  Row r of w N sums the rows of N at the columns of
+    row r of w, padded to the largest row weight with a zero row, in chunks
+    of about 2**18 gathered entries and in a dtype no sum can overflow.
+    """
+    if not 0 <= 2 * i <= n <= 15:
+        raise ValueError(f"need 0 <= 2i <= n <= 15, got i={i}, n={n}")
+    import numpy as np  # here, so that importing the package leaves numpy unloaded
+
+    small, large = subset_masks(n, i), subset_masks(n, n - i)
+    size = len(small)
+    if w.shape != (size, size) or set(w._dens) != {1} or not all(w._rows):
+        return False
+    if set().union(*map(dict.values, w._rows)) != {1}:
+        return False
+    c = _complementary_coefficients(n, i)
+    scale = math.lcm(*(x.denominator for x in c))
+    scaled = [int(x * scale) for x in c]
+    top = max(map(abs, scaled))
+    lengths = [len(row) for row in w._rows]
+    weight = max(lengths)
+    # an entry of w N sums at most `weight` entries of N, each at most `top`
+    entry = np.int8 if top < 2**7 else np.int16
+    assert top < 2**15 and top * weight < 2**31, "w N could overflow int32"
+    ones = np.zeros(1 << (n + 1), dtype=np.uint8)  # popcount of each mask
+    for b in range(n + 1):
+        ones[1 << b : 2 << b] = ones[: 1 << b] + 1
+    meets = ones[np.array(large, dtype=np.uint16)[:, None] & np.array(small, dtype=np.uint16)]
+    inverse = np.zeros((size + 1, size), dtype=entry)  # the last row pads
+    inverse[:size] = np.array(scaled, dtype=entry)[meets]
+    gather = np.full((size, weight), size, dtype=np.intp)
+    ends = np.cumsum(lengths)
+    slots = np.arange(ends[-1]) - np.repeat(ends - lengths, lengths)
+    gather[np.repeat(np.arange(size), lengths), slots] = np.fromiter(
+        itertools.chain.from_iterable(w._rows), dtype=np.intp, count=ends[-1]
+    )
+    per_chunk = max(1, 2**18 // (weight * size))
+    for first in range(0, size, per_chunk):
+        last = min(first + per_chunk, size)
+        product = inverse[gather[first:last]].sum(axis=1, dtype=np.int32)
+        product[np.arange(last - first), np.arange(first, last)] -= scale
+        if product.any():
+            return False
+    return True

@@ -21,6 +21,11 @@ Every check takes ``n_max`` and covers these ranks n:
 * Regardless of n_max: Boolean incidence n = 1..12; random matrices of at
   most 6 rows and columns for the rank and kernel checks.
 
+Each complementary Boolean block W = ``boolean_incidence(n, i, n - i)`` is
+certified invertible by ``linalg.certify_complementary_block``, not by a
+rank: it builds an integer matrix N from a triangular counting system and
+checks every entry of W N = L I exactly, which alone proves det W != 0.
+
 ``run_suite`` runs its checks in forked worker processes, one per usable
 CPU, and reads their results back in suite order, so the order and bytes of
 the output are those of a run in one process.  It runs them in-process
@@ -266,7 +271,9 @@ def check_boolean_invertible(n_max: int, rng: random.Random) -> bool:
     for n in range(1, 13):
         for i in range(0, n // 2 + 1):
             m = la.boolean_incidence(n, i, n - i)
-            if not m.nrows == m.ncols == math.comb(n, i) or not m.is_invertible():
+            if not m.nrows == m.ncols == math.comb(n, i):
+                return False
+            if not la.certify_complementary_block(m, n, i):
                 return False
     return True
 

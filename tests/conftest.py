@@ -1,6 +1,7 @@
 """Fault injections shared by the negative controls."""
 
 import inspect
+from fractions import Fraction
 
 import pytest
 
@@ -67,3 +68,35 @@ def full_rank_components(monkeypatch):
     mutant = _mutant(la, "_block_rank", "r = _modp_rank(rows, cols)",
                      "r = min(len(rows), len(cols))")
     monkeypatch.setattr(la, "_block_rank", mutant)
+
+
+@pytest.fixture
+def dropped_incidence(monkeypatch):
+    """``boolean_incidence`` with one change: the block (12, 4, 8) loses the
+    last incidence of its last row."""
+    build = la.boolean_incidence
+
+    def mutant(n, i, j):
+        m = build(n, i, j)
+        if (n, i, j) != (12, 4, 8):
+            return m
+        rows = m.rows()
+        rows[-1][max(c for c, x in enumerate(rows[-1]) if x)] = 0
+        return la.Matrix.from_rows(rows)
+
+    monkeypatch.setattr(la, "boolean_incidence", mutant)
+
+
+@pytest.fixture
+def shifted_coefficient(monkeypatch):
+    """``linalg._complementary_coefficients`` with one change: c_2 of the
+    block (12, 4) grows by 1/210, one unit of the scaled inverse's entries."""
+    coefficients = la._complementary_coefficients
+
+    def mutant(n, i):
+        c = coefficients(n, i)
+        if (n, i) == (12, 4):
+            c[2] += Fraction(1, 210)
+        return c
+
+    monkeypatch.setattr(la, "_complementary_coefficients", mutant)

@@ -9,6 +9,8 @@ from ``supertorus.verify`` at a fixed ``n_max``, so the checklist and
 
 import random
 
+import pytest
+
 from supertorus import cohomology as co
 from supertorus import exterior as ex
 from supertorus import matchings as ma
@@ -172,3 +174,14 @@ def test_16_negative_control_sign_free_product(sign_free_product):
         "fault injection left the product laws intact")
     report("16 a product without reordering signs is caught by the presentation "
            "and product-law checks")
+
+
+@pytest.mark.parametrize("fault", ["dropped_incidence", "shifted_coefficient"])
+def test_17_negative_control_boolean_certificate(request, fault):
+    # the block with one incidence dropped is still invertible, so a rank
+    # would pass it; the certificate checks the block as built
+    request.getfixturevalue(fault)
+    assert not holds(vf.check_boolean_invertible, 4), (
+        f"fault injection {fault} left the Boolean incidence check intact")
+    report(f"17 a Boolean block fault ({fault.replace('_', ' ')}) is caught by the "
+           "Boolean incidence check")

@@ -790,6 +790,18 @@ def test_trace_detects_unstable_span():
         co.trace_on_basis(w, basis)
 
 
+def test_trace_of_an_integer_basis_is_a_fraction():
+    # a public Element keeps int coefficients, so the coordinates divide ints
+    kernel = co.invariants_basis(2, (1, 1))
+    doubled = co.BidegreeBasis(2, kernel.bidegree, tuple(
+        ex.Element(2, {m.mask: int(2 * c) for m, c in v.terms()}) for v in kernel
+    ))
+    swap = co.trace_on_basis(ex.Permutation((2, 1)), doubled)
+    same = co.trace_on_basis(ex.Permutation.identity(2), doubled)
+    assert (swap, same) == (Fraction(1), Fraction(3))
+    assert type(swap) is Fraction and type(same) is Fraction
+
+
 def test_trace_echelon_fallback():
     # both vectors touch a1 and a2, so neither has an own monomial
     basis = co.BidegreeBasis(

@@ -207,6 +207,50 @@ def test_boolean_rank_example():
     assert la.boolean_incidence(5, 1, 4).rank() == 5
 
 
+# The complementary blocks: the inverse certificate against the rank, and
+# its numpy product against the library's exact product.
+
+@pytest.mark.parametrize("n", range(11))
+def test_complementary_certificate_agrees_with_the_rank(n):
+    for i in range(n // 2 + 1):
+        w = la.boolean_incidence(n, i, n - i)
+        assert la.certify_complementary_block(w, n, i)
+        assert w.is_invertible()
+
+
+def test_complementary_certificate_with_int16_entries():
+    # at (13, 3) the scaled coefficients reach 252, past int8
+    c = la._complementary_coefficients(13, 3)
+    scale = math.lcm(*(x.denominator for x in c))
+    assert max(abs(x * scale) for x in c) == 252
+    w = la.boolean_incidence(13, 3, 10)
+    assert la.certify_complementary_block(w, 13, 3) and w.is_invertible()
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_complementary_inverse_is_exact(n):
+    for i in range(n // 2 + 1):
+        c = la._complementary_coefficients(n, i)
+        inverse = la.Matrix.from_rows([
+            [c[len(set(t) & set(s))] for s in la.subsets_lex(n, i)]
+            for t in la.subsets_lex(n, n - i)
+        ])
+        w = la.boolean_incidence(n, i, n - i)
+        assert w * inverse == la.Matrix.identity(math.comb(n, i))
+
+
+def test_complementary_certificate_refuses():
+    w = la.boolean_incidence(6, 2, 4)
+    assert la.certify_complementary_block(w, 6, 2)
+    doubled = la.Matrix.from_rows([[2 * x for x in row] for row in w.rows()])
+    assert doubled.is_invertible() and not la.certify_complementary_block(doubled, 6, 2)
+    assert not la.certify_complementary_block(w.transpose(), 6, 2)
+    assert not la.certify_complementary_block(la.boolean_incidence(6, 1, 5), 6, 2)
+    for n, i in [(6, 4), (16, 1), (3, -1)]:
+        with pytest.raises(ValueError):
+            la.certify_complementary_block(w, n, i)
+
+
 def from_csv(text):
     """Reads back what ``Matrix.to_csv`` writes."""
     reader = csv.reader(io.StringIO(text))

@@ -58,6 +58,13 @@ def test_mutants_fail_through_the_pool(pooled, negated_raising):
     assert "sl2 relations" in failed
 
 
+@pytest.mark.parametrize("fault", ["dropped_incidence", "shifted_coefficient"])
+def test_boolean_mutants_fail_through_the_pool(request, pooled, fault):
+    request.getfixturevalue(fault)
+    failed = [r.name for r in vf.run_suite("linalg", 4) if not r.passed]
+    assert failed == ["boolean incidence invertible"]
+
+
 def test_bijection_mutant_fails_through_the_pool(pooled, oldest_arc_first):
     failed = [r.name for r in vf.run_suite("matchings", 4) if not r.passed]
     assert failed == ["bijection round trip"]
