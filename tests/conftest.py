@@ -62,6 +62,22 @@ def sign_free_product(monkeypatch):
 
 
 @pytest.fixture
+def flipped_pair_sign(monkeypatch):
+    """``_merge_sign`` negated on the pair {a1, a2} only (masks 1 and 4, in
+    both orders).  The flip is symmetric, so every pair still commutes with
+    its graded sign, but (a1 a2) t2 = -a1 (a2 t2): only associativity can
+    catch it.  Rebound in ``cohomology`` too, as ``reversed_merge_sign`` is."""
+    merge_sign = ex._merge_sign
+
+    def mutant(a_mask, b_mask):
+        sign = merge_sign(a_mask, b_mask)
+        return -sign if {a_mask, b_mask} == {1, 4} else sign
+
+    monkeypatch.setattr(ex, "_merge_sign", mutant)
+    monkeypatch.setattr(co, "_merge_sign", mutant)
+
+
+@pytest.fixture
 def full_rank_components(monkeypatch):
     """``linalg._block_rank`` with one change: it takes every component as
     full rank, never asking the certificate or the exact fallback."""

@@ -22,7 +22,8 @@ def report(name):
 
 
 def holds(check, n_max):
-    """Run one ``verify`` check; none of the checks run here draws from the rng."""
+    """Run one ``verify`` check with a fresh generator seeded 0, as
+    ``run_suite`` runs it at its default seed."""
     return check(n_max, random.Random(0))
 
 
@@ -185,3 +186,15 @@ def test_17_negative_control_boolean_certificate(request, fault):
         f"fault injection {fault} left the Boolean incidence check intact")
     report(f"17 a Boolean block fault ({fault.replace('_', ' ')}) is caught by the "
            "Boolean incidence check")
+
+
+def test_18_negative_control_one_flipped_pair(flipped_pair_sign):
+    for n in (2, 3):
+        table = vf._monomial_products(n)
+        assert all(table[b][a] == (-1) ** (a.bit_count() * b.bit_count()) * table[a][b]
+                   for a in range(4 ** n) for b in range(4 ** n)), (
+            "the flip broke graded commutativity, so associativity is not needed")
+        assert not holds(vf.check_product_laws, n), (
+            f"fault injection left the product laws intact at n_max = {n}")
+    report("18 a merge sign negated on one pair of generators is caught by the "
+           "associativity half of the product-law check")

@@ -132,6 +132,77 @@ def test_associativity_random():
         assert (f * g) * h == f * (g * h)
 
 
+def product_laws_oracle(n_max, rng):
+    """``verify.check_product_laws`` as it was before the monomial table,
+    kept as its verdict oracle: it multiplies elements for every pair and
+    again for every sampled triple."""
+    from supertorus.verify import random_element
+
+    for n in range(0, min(3, n_max) + 1):
+        monos = [(m, ex.Element.from_monomial(m)) for m in ex.all_monomials(n)]
+        for (a, fa), (b, fb) in itertools.product(monos, repeat=2):
+            ab = fa * fb
+            p, q = a.degree, b.degree
+            if (fb * fa) != ab.scale((-1) ** (p * q)):
+                return False
+        for (_, fa), (_, fb), (_, fc) in itertools.islice(
+            itertools.product(monos, repeat=3), 0, None, max(1, len(monos) // 8)
+        ):
+            if (fa * fb) * fc != fa * (fb * fc):
+                return False
+    n = min(6, n_max) if n_max >= 4 else n_max
+    if n >= 1:
+        for _ in range(30):
+            f, g, h = (random_element(rng, n) for _ in range(3))
+            if (f * g) * h != f * (g * h):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_monomial_products_match_loop_oracle(n):
+    from supertorus.verify import _monomial_products
+
+    size = 4 ** n
+    expected = [[0 if a & b else loop_merge_sign(a, b) * ((a | b) + 1) for b in range(size)]
+                for a in range(size)]
+    assert _monomial_products(n) == expected
+
+
+@pytest.mark.parametrize(
+    "fault", [None, "sign_free_product", "reversed_merge_sign", "flipped_pair_sign"])
+@pytest.mark.parametrize("n_max", range(5))
+def test_product_laws_verdict_matches_oracle(request, fault, n_max):
+    # the reversed merge sign yields the opposite algebra, so both hold there
+    from supertorus.verify import check_product_laws
+
+    if fault:
+        request.getfixturevalue(fault)
+    assert check_product_laws(n_max, random.Random(n_max)) == product_laws_oracle(
+        n_max, random.Random(n_max))
+
+
+def test_product_laws_refuse_a_monomial_product_off_its_sign(monkeypatch):
+    # f g + (f - f0)(g - g0), with f0 the constant term of f, is the exterior
+    # product carried over by x -> 2x on every monomial but 1, so it keeps
+    # both laws; only the table's rule that a product of monomials is a sign
+    # times a monomial can refuse it
+    from supertorus.verify import check_product_laws
+
+    mul = ex.Element.__mul__
+
+    def shifted(f, g):
+        if not isinstance(g, ex.Element):
+            return mul(f, g)
+        f1, g1 = (h - ex.Element(h.n, {0: h.coefficient(ex.Monomial.one(h.n))})
+                  for h in (f, g))
+        return mul(f, g) + mul(f1, g1)
+
+    monkeypatch.setattr(ex.Element, "__mul__", shifted)
+    assert product_laws_oracle(2, random.Random(0))
+    assert not check_product_laws(2, random.Random(0))
+
+
 def test_rank_mismatch_is_error():
     with pytest.raises(ValueError):
         elem("1*a1", 1) * elem("1*a1", 2)

@@ -58,6 +58,11 @@ def test_mutants_fail_through_the_pool(pooled, negated_raising):
     assert "sl2 relations" in failed
 
 
+def test_product_mutant_fails_through_the_pool(pooled, flipped_pair_sign):
+    failed = [r.name for r in vf.run_suite("core", 3) if not r.passed]
+    assert "product laws" in failed
+
+
 @pytest.mark.parametrize("fault", ["dropped_incidence", "shifted_coefficient"])
 def test_boolean_mutants_fail_through_the_pool(request, pooled, fault):
     request.getfixturevalue(fault)
