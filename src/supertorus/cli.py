@@ -26,15 +26,12 @@ exit code is that of the rows written so far.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
-import json
 import math
 import os
 import re
 import sys
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 from . import cohomology as co
 from . import exterior as ex
@@ -51,8 +48,7 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
-class Table:
+class Table(NamedTuple):
     """One command's output, rendered by ``_emit`` in any format."""
 
     fields: dict  # the JSON envelope besides "version" and the rows
@@ -91,6 +87,8 @@ def _emit(table: Table, fmt: str) -> int:
 
 
 def _emit_json(table: Table, rows: Iterable) -> None:
+    import json  # here, so that text output never loads it
+
     # sort_keys places the rows among the other keys; write the envelope
     # around them, one object at a time.
     envelope = {"version": _JSON_VERSION, **table.fields, table.key: []}
@@ -103,6 +101,8 @@ def _emit_json(table: Table, rows: Iterable) -> None:
 
 
 def _emit_csv(table: Table, rows: Iterable) -> None:
+    import csv  # here, so that text output never loads it
+
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(table.header)
     writer.writerows(map(table.cells, rows))

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -148,13 +147,16 @@ def coinvariants_dimension(n: int, i: int, j: int) -> int:
     return _comb(n, i) * _comb(n, j) - _comb(n, i - 1) * _comb(n, j + 1)
 
 
-@dataclass(frozen=True)
 class BidegreeBasis:
-    """An ordered list of homogeneous elements spanning part of one bidegree."""
+    """An ordered list of homogeneous elements spanning part of one bidegree;
+    its fields cannot be reassigned."""
 
-    n: int
-    bidegree: Bidegree
-    vectors: tuple[Element, ...]
+    __slots__ = ("n", "bidegree", "vectors")
+
+    def __init__(self, n: int, bidegree: Bidegree, vectors: tuple[Element, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "bidegree", bidegree)
+        object.__setattr__(self, "vectors", vectors)
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -164,6 +166,27 @@ class BidegreeBasis:
 
     def __getitem__(self, k: int) -> Element:
         return self.vectors[k]
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(n={self.n!r}, bidegree={self.bidegree!r}, "
+                f"vectors={self.vectors!r})")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.bidegree, self.vectors) == (other.n, other.bidegree, other.vectors)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.bidegree, self.vectors))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (type(self), (self.n, self.bidegree, self.vectors))
 
 
 # Every (d0, i0) block shape the rank guard admits: d0 <= 14, i0 <= d0.

@@ -422,7 +422,13 @@ def subsets_lex(n: int, k: int) -> list[tuple[int, ...]]:
 def subset_masks(n: int, k: int) -> list[int]:
     """The subsets of ``subsets_lex(n, k)``, in that order, as bitmasks with
     bit x set for each member x."""
-    return [sum(1 << x for x in S) for S in subsets_lex(n, k)]
+    # masks[s] holds the s-subsets of x..n as x falls from n to 1; in
+    # lexicographic order those that hold x come first.
+    masks = [[0]] + [[]] * k
+    for x in range(n, 0, -1):
+        for s in range(k, 0, -1):
+            masks[s] = [m | 1 << x for m in masks[s - 1]] + masks[s]
+    return masks[k]
 
 
 def boolean_incidence(n: int, i: int, j: int) -> Matrix:
@@ -434,13 +440,35 @@ def boolean_incidence(n: int, i: int, j: int) -> Matrix:
     """
     if not 0 <= i <= j <= n:
         raise ValueError(f"need 0 <= i <= j <= n, got i={i}, j={j}, n={n}")
-    rows, cols = subset_masks(n, i), subset_masks(n, j)
-    index = {t: c for c, t in enumerate(cols)}
-    out = []
-    for s in rows:
-        outside = [1 << x for x in range(1, n + 1) if not s >> x & 1]
-        out.append({index[s | sum(extra)]: 1 for extra in itertools.combinations(outside, j - i)})
-    return Matrix._make(len(cols), out, [1] * len(rows))
+
+    memo: dict[tuple[int, int, int], list[list[int]]] = {}
+
+    def columns(m: int, a: int, b: int) -> list[list[int]]:
+        # Each row's columns, ascending, for the a- and b-subsets of an
+        # m-set, 0 <= a <= b <= m.  The subsets that hold its first element
+        # come first, and the first C(m - 1, b - 1) columns hold it: a row
+        # that holds it meets only those, a row that does not meets those
+        # and the rest.  The empty row meets every column, a = b is the
+        # identity, and b = m leaves one column.
+        got = memo.get((m, a, b))
+        if got is None:
+            if a == 0:
+                got = [list(range(math.comb(m, b)))]
+            elif a == b:
+                got = [[r] for r in range(math.comb(m, a))]
+            elif b == m:
+                got = [[0]] * math.comb(m, a)
+            else:
+                shift = math.comb(m - 1, b - 1)
+                got = columns(m - 1, a - 1, b - 1) + [
+                    low + [c + shift for c in high]
+                    for low, high in zip(columns(m - 1, a, b - 1), columns(m - 1, a, b))
+                ]
+            memo[m, a, b] = got
+        return got
+
+    out = [dict.fromkeys(row, 1) for row in columns(n, i, j)]
+    return Matrix._make(math.comb(n, j), out, [1] * len(out))
 
 
 def _complementary_coefficients(n: int, i: int) -> list[Fraction]:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -26,25 +25,27 @@ from .linalg import _rational
 Rational = Fraction | int
 
 
-@dataclass(frozen=True)
 class LabelledMatching:
     """n vertices with disjoint arcs and labels; canonical and hashable.
 
     Arcs are stored sorted with each pair increasing; label sets are sorted
-    tuples.  Equality is structural.
+    tuples.  Equality is structural, and the fields cannot be reassigned.
     """
 
-    n: int
-    arcs: tuple[tuple[int, int], ...] = ()
-    alpha: tuple[int, ...] = ()
-    alphatheta: tuple[int, ...] = ()
+    __slots__ = ("n", "arcs", "alpha", "alphatheta")
 
-    def __post_init__(self):
-        _check_rank(self.n)
-        arcs = tuple(sorted(tuple(sorted(arc)) for arc in self.arcs))
-        object.__setattr__(self, "arcs", arcs)
-        object.__setattr__(self, "alpha", tuple(sorted(self.alpha)))
-        object.__setattr__(self, "alphatheta", tuple(sorted(self.alphatheta)))
+    def __init__(
+        self,
+        n: int,
+        arcs: tuple[tuple[int, int], ...] = (),
+        alpha: tuple[int, ...] = (),
+        alphatheta: tuple[int, ...] = (),
+    ):
+        object.__setattr__(self, "n", n)
+        _check_rank(n)
+        object.__setattr__(self, "arcs", tuple(sorted(tuple(sorted(arc)) for arc in arcs)))
+        object.__setattr__(self, "alpha", tuple(sorted(alpha)))
+        object.__setattr__(self, "alphatheta", tuple(sorted(alphatheta)))
         used: set[int] = set()
         for i, j in self.arcs:
             if i == j:
@@ -123,6 +124,28 @@ class LabelledMatching:
 
     def __str__(self) -> str:
         return self.literal()
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(n={self.n!r}, arcs={self.arcs!r}, "
+                f"alpha={self.alpha!r}, alphatheta={self.alphatheta!r})")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.arcs, self.alpha, self.alphatheta) == (
+            other.n, other.arcs, other.alpha, other.alphatheta)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.arcs, self.alpha, self.alphatheta))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (type(self), (self.n, self.arcs, self.alpha, self.alphatheta))
 
 
 class MatchingCombination:

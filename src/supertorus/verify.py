@@ -50,7 +50,6 @@ import random
 import threading
 import time
 from collections import defaultdict
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import cohomology as co
@@ -59,14 +58,27 @@ from . import linalg as la
 from . import matchings as ma
 
 
-@dataclass
 class CheckResult:
-    suite: str
-    name: str
-    passed: bool
-    detail: str = ""
-    # wall time of the check where it ran; never printed
-    seconds: float = field(default=0.0, compare=False)
+    """One check's outcome; ``seconds`` is its wall time where it ran, never
+    printed and left out of equality.  Unhashable, as ``__eq__`` makes it."""
+
+    def __init__(self, suite: str, name: str, passed: bool, detail: str = "",
+                 seconds: float = 0.0):
+        self.suite = suite
+        self.name = name
+        self.passed = passed
+        self.detail = detail
+        self.seconds = seconds
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__qualname__}(suite={self.suite!r}, name={self.name!r}, "
+                f"passed={self.passed!r}, detail={self.detail!r}, seconds={self.seconds!r})")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.suite, self.name, self.passed, self.detail) == (
+            other.suite, other.name, other.passed, other.detail)
 
 
 def random_element(rng: random.Random, n: int, terms: int = 4) -> ex.Element:

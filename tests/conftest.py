@@ -1,6 +1,9 @@
-"""Fault injections shared by the negative controls."""
+"""Fault injections shared by the negative controls, and the check of the
+hand-written record classes against the @dataclass each one replaced."""
 
+import copy
 import inspect
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -116,3 +119,42 @@ def shifted_coefficient(monkeypatch):
         return c
 
     monkeypatch.setattr(la, "_complementary_coefficients", mutant)
+
+
+def _outcome(f, *args):
+    """f(*args), or the error it raised as (type, message); any
+    AttributeError, dataclasses.FrozenInstanceError too, as AttributeError."""
+    try:
+        return f(*args)
+    except Exception as err:
+        return AttributeError if isinstance(err, AttributeError) else type(err), str(err)
+
+
+def _assert_like_dataclass(values, oracles):
+    """Each of ``values`` behaves as the same record in ``oracles``, built by
+    the @dataclass its class replaced (renamed to print as it does): ``==``
+    and ``!=`` on every pair, ``hash``, ``repr``, assigning and deleting
+    fields, and copy, deepcopy and pickle round trips."""
+    for a, oa in zip(values, oracles, strict=True):
+        protocols = range(2, pickle.HIGHEST_PROTOCOL + 1)  # Element's slots need 2
+        twins = [copy.copy(a), copy.deepcopy(a),
+                 *(pickle.loads(pickle.dumps(a, p)) for p in protocols)]
+        for x in (a, *twins):
+            assert type(x) is type(a) and repr(x) == repr(oa)
+            assert _outcome(hash, x) == _outcome(hash, oa)
+            assert x.__eq__(oa) is NotImplemented and oa.__eq__(x) is NotImplemented
+            for b, ob in zip(values, oracles):
+                assert (x == b, x != b) == (oa == ob, oa != ob)
+            for name in (*oa.__dataclass_fields__, "extra"):
+                value = getattr(oa, name, None)
+                assert (_outcome(setattr, copy.copy(x), name, value)
+                        == _outcome(setattr, copy.copy(oa), name, value))
+                assert (_outcome(delattr, copy.copy(x), name)
+                        == _outcome(delattr, copy.copy(oa), name))
+    if all(type(oa).__hash__ for oa in oracles):  # so sets list them in one order
+        assert list(map(repr, set(values))) == list(map(repr, set(oracles)))
+
+
+@pytest.fixture
+def like_dataclass():
+    return _assert_like_dataclass

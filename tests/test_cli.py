@@ -226,6 +226,27 @@ def test_closed_stdout_pipe_ends_output_quietly():
     assert lines[1].startswith(b"A={1,2,3,4} B={1,2,3,4}")
 
 
+# sha256 of `dims --n 2` stdout, captured while the CLI still imported json
+# and csv at start-up.
+@pytest.mark.parametrize("fmt, loaded, digest", [
+    ("json", ["json"], "4173fe8f43c52456722de6cda7cf5941358a6984b1a50490805f7f74ed2cc864"),
+    ("csv", ["csv"], "66d1bc20c7b27a501d8503f10757ea6d4d5311c3c77413f00162300beb3de0cf"),
+    ("text", [], "a6609101b5004aa1ad4fea93c325a53ace83e25c6a4c7dad1769bf0bfe57bc94"),
+])
+def test_emitters_load_their_module_on_first_use(fmt, loaded, digest):
+    # pytest has loaded json already, so only a fresh interpreter shows this
+    code = ("import sys; from supertorus import cli; "
+            "emitters = lambda: sorted({'json', 'csv'} & set(sys.modules)); "
+            "before = emitters(); "
+            f"code = cli.main(['dims', '--n', '2', '--format', {fmt!r}]); "
+            "print(before, emitters(), code, file=sys.stderr)")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
+                          check=True, timeout=60)
+    assert proc.stderr.decode() == f"[] {loaded} 0\n"
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
 def test_outputs_are_byte_deterministic(capsys):
     _, out1, _ = run(capsys, "verify", "--suite", "matchings", "--n-max", "2", "--seed", "5",
                      "--format", "json")

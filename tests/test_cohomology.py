@@ -5,6 +5,7 @@ import math
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -207,6 +208,27 @@ def test_coinvariants_representatives_are_monomials_spanning():
             assert len(reps) == co.coinvariants_dimension(n, i, j)
             for v in reps:
                 assert len(v) == 1  # single monomial classes
+
+
+@dataclass(frozen=True)
+class _DataclassBasis:
+    """``BidegreeBasis`` as a @dataclass, the oracle of the hand-written class."""
+
+    n: int
+    bidegree: ex.Bidegree
+    vectors: tuple[ex.Element, ...]
+
+
+_DataclassBasis.__name__ = _DataclassBasis.__qualname__ = "BidegreeBasis"
+
+
+def test_basis_behaves_as_its_dataclass(like_dataclass):
+    values = [co.invariants_basis(n, (i, j)) for n in range(3) for i in range(n + 1)
+              for j in range(i + 1)]
+    values += [co.coinvariants_representatives(2, (1, 2)),
+               co.BidegreeBasis(2, ex.Bidegree(1, 1), values[-1].vectors[:1]),
+               co.BidegreeBasis(n=2, bidegree=(1, 1), vectors=values[-1].vectors[:1])]
+    like_dataclass(values, [_DataclassBasis(b.n, b.bidegree, b.vectors) for b in values])
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -201,6 +202,36 @@ def test_boolean_incidence_row_sums():
 def test_boolean_incidence_validation():
     with pytest.raises(ValueError):
         la.boolean_incidence(3, 2, 1)
+
+
+def _summed_masks(n, k):
+    """The masks ``subset_masks`` replaced: one sum per subset."""
+    return [sum(1 << x for x in S) for S in itertools.combinations(range(1, n + 1), k)]
+
+
+def _summed_incidence(n, i, j):
+    """The stored rows and column count of the builder ``boolean_incidence``
+    replaced: each row's columns from the combinations of the elements
+    outside it, one sum per column."""
+    index = {t: c for c, t in enumerate(_summed_masks(n, j))}
+    out = []
+    for s in _summed_masks(n, i):
+        outside = [1 << x for x in range(1, n + 1) if not s >> x & 1]
+        out.append({index[s | sum(extra)]: 1 for extra in itertools.combinations(outside, j - i)})
+    return out, len(index)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_boolean_incidence_matches_the_summing_oracle(n):
+    # the stored rows, their key order too, and the masks, bit for bit
+    for k in range(n + 2):
+        assert la.subset_masks(n, k) == _summed_masks(n, k)
+    for i in range(n + 1):
+        for j in range(i, n + 1):
+            m = la.boolean_incidence(n, i, j)
+            rows, ncols = _summed_incidence(n, i, j)
+            assert (m.nrows, m.ncols, m._dens) == (len(rows), ncols, [1] * len(rows))
+            assert [list(r.items()) for r in m._rows] == [list(r.items()) for r in rows]
 
 
 def test_boolean_rank_example():

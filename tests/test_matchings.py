@@ -7,6 +7,7 @@ import random
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -80,6 +81,40 @@ def test_degree_and_bidegree():
     assert m.degree == 1 + 2 + 4
     assert m.bidegree == (4, 3)
     assert ma.LabelledMatching(3).degree == 0
+
+
+@dataclass(frozen=True)
+class _DataclassMatching:
+    """``LabelledMatching`` as a @dataclass, sorting its fields but checking
+    nothing, the oracle of the hand-written class."""
+
+    n: int
+    arcs: tuple[tuple[int, int], ...] = ()
+    alpha: tuple[int, ...] = ()
+    alphatheta: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "arcs", tuple(sorted(tuple(sorted(a)) for a in self.arcs)))
+        object.__setattr__(self, "alpha", tuple(sorted(self.alpha)))
+        object.__setattr__(self, "alphatheta", tuple(sorted(self.alphatheta)))
+
+
+_DataclassMatching.__name__ = _DataclassMatching.__qualname__ = "LabelledMatching"
+
+
+def test_matching_behaves_as_its_dataclass(like_dataclass):
+    fields = [
+        (0, (), (), ()), (3, (), (), ()), (3, (), (2,), ()), (3, (), (), (2,)),
+        (6, ((4, 2), (1, 6)), (5, 3), ()), (6, ((1, 6), (2, 4)), (3, 5), ()),
+        (8, ((4, 6), (5, 7)), (1,), (2,)), (8, ((6, 4), (7, 5)), (1,), (2,)),
+    ]
+    pairs = [(ma.LabelledMatching(*f), _DataclassMatching(*f)) for f in fields]
+    keywords = {"n": 5, "alphatheta": [4, 1], "arcs": [[3, 2]]}
+    pairs.append((ma.LabelledMatching(**keywords), _DataclassMatching(**keywords)))
+    # built by _trusted, which skips the constructor
+    pairs += [(m, _DataclassMatching(m.n, m.arcs, m.alpha, m.alphatheta))
+              for m in ma.noncrossing_matchings(4, bidegree=(3, 2))]
+    like_dataclass(*zip(*pairs))
 
 
 # ---------------------------------------------------------------------------

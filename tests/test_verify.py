@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import threading
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import pytest
@@ -143,10 +144,41 @@ def test_pool_size_follows_the_usable_cpus(monkeypatch):
     assert vf._pool_size(3) == 3
 
 
-def test_import_and_parser_leave_numpy_and_the_pool_modules_unloaded():
+def test_import_and_parser_leave_numpy_pool_dataclasses_json_and_csv_unloaded():
+    # dataclasses alone pulled in inspect, dis, ast and tokenize at start-up;
+    # json and csv load when a command first writes in their format
+    unloaded = {"concurrent.futures", "multiprocessing", "numpy", "dataclasses", "inspect",
+                "json", "csv"}
     code = ("import sys, supertorus; from supertorus import cli; cli.build_parser(); "
-            "print(sorted({'concurrent.futures', 'multiprocessing', 'numpy'} & set(sys.modules)))")
+            f"print(sorted({unloaded!r} & set(sys.modules)))")
     src = str(Path(vf.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
     assert out.stdout == "[]\n"
+
+
+@dataclass
+class _DataclassResult:
+    """``CheckResult`` as a @dataclass, the oracle of the hand-written class."""
+
+    suite: str
+    name: str
+    passed: bool
+    detail: str = ""
+    seconds: float = field(default=0.0, compare=False)
+
+
+_DataclassResult.__name__ = _DataclassResult.__qualname__ = "CheckResult"
+
+
+def test_check_result_behaves_as_its_dataclass(like_dataclass):
+    fields = [("core", "product laws", True), ("core", "product laws", True, "", 1.5),
+              ("core", "product laws", False, "n=3"), ("all", "census", True, "n<=4", 0.25),
+              ("all", "census", True, "n<=4", 0.5)]
+    values = [vf.CheckResult(*f) for f in fields]
+    oracles = [_DataclassResult(*f) for f in fields]
+    values.append(vf.CheckResult(name="census", seconds=2.0, suite="all", passed=True))
+    oracles.append(_DataclassResult(name="census", seconds=2.0, suite="all", passed=True))
+    like_dataclass(values, oracles)
+    # seconds is left out of equality
+    assert values[0] == values[1] and values[3] == values[4]
