@@ -3,14 +3,14 @@
 A matrix stores each row as its nonzeros, a dict from column to integer,
 over one denominator: row r is kept as its entries times the lcm of their
 reduced denominators, together with that lcm, and its entries read back as
-Fractions.  The rank splits the nonzeros into the connected components of
-the row-column graph by union-find and adds up the ranks of the components.
-A component with one row or one column has rank 1; any other hands its
-stored rows to a reduction modulo a fixed large prime, filled straight from
-their nonzeros, which certifies full rank, since the rank modulo a prime
-never exceeds the rank over the rationals.  One exact engine, integer
-Gauss-Jordan on copies of the sparse rows, serves the rank of a component
-when that certificate fails, reduced echelon forms, kernels and solves.
+Fractions.  One exact elimination engine works on copies of those integer
+rows: forward elimination, whose pivot is the candidate row with the fewest
+nonzeros and which updates only the rows that gave no pivot yet, then back
+substitution for reduced echelon forms, kernels and solves.  The rank splits
+the nonzeros into the connected components of the row-column graph by
+union-find and adds up the ranks of the components: a component with one
+row or one column has rank 1, and any other is ranked by forward
+elimination alone.
 """
 
 from __future__ import annotations
@@ -19,9 +19,6 @@ import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-# Largest Mersenne prime below 2**31; products of two residues fit in int64.
-_CERT_PRIME = 2**31 - 1
 
 # Fractions are immutable, so the rows read back share these entries.
 _ONE = Fraction(1)
@@ -160,16 +157,16 @@ class Matrix:
 
     def rank(self) -> int:
         """The sum of the ranks of the connected components.  A component
-        with one row or one column has rank 1; any other is ranked on its
-        stored rows and the sorted list of their columns."""
+        with one row or one column has rank 1; any other is ranked by
+        forward elimination of its stored rows."""
         total = 0
         for block in _components(self._rows):
             if len(block) == 1:
                 total += 1
                 continue
             rows = [self._rows[r] for r in block]
-            cols = sorted({c for row in rows for c in row})
-            total += 1 if len(cols) == 1 else _block_rank(rows, cols)
+            one_column = len({c for row in rows for c in row}) == 1
+            total += 1 if one_column else _bareiss_rank(rows)
         return total
 
     def is_invertible(self) -> bool:
@@ -306,112 +303,79 @@ def _components(rows: list[dict[int, int]]) -> Iterable[list[int]]:
     return members.values()
 
 
-def _block_rank(rows: list[dict[int, int]], cols: list[int]) -> int:
-    """Rank of one component, given its stored rows and their sorted columns:
-    the mod-p rank when it is full, which certifies it, else the exact rank."""
-    r = _modp_rank(rows, cols)
-    if r == min(len(rows), len(cols)):
-        return r
-    return _bareiss_rank(rows)
+def _clear(rows: list[dict[int, int]], k: int, prow: dict[int, int], c: int) -> None:
+    """Row k less the multiple of the pivot row ``prow`` that clears column c,
+    both times the least factors that keep them integral, and then divided
+    by the gcd of its entries."""
+    row = rows[k]
+    p, f = prow[c], row[c]
+    g = math.gcd(p, f)
+    a, b = p // g, f // g
+    if a != 1:
+        row = {col: a * x for col, x in row.items()}
+    for col, y in prow.items():
+        row[col] = x = row.get(col, 0) - b * y
+        if not x:
+            del row[col]
+    g = math.gcd(*row.values())
+    rows[k] = {col: x // g for col, x in row.items()} if g > 1 else row
+
+
+def _forward(rows: list[dict[int, int]]) -> tuple[list[int], list[int]]:
+    """Forward elimination in place of integer rows stored as their
+    nonzeros; returns the pivot columns, in increasing order, and the rows
+    that gave them, in the same order.
+
+    Only columns where some row is nonzero are visited, in order.  A
+    column's pivot is the candidate row, among those that gave no pivot yet,
+    with the fewest nonzeros, the lowest index on a tie, which keeps the
+    fill-in low; only the other candidates are updated, and no row that
+    gave a pivot.  The rows that gave none end as zero rows.
+    """
+    live = list(range(len(rows)))  # the rows that gave no pivot, in order
+    pivots: list[int] = []
+    order: list[int] = []
+    for c in sorted({c for row in rows for c in row}):
+        if not live:
+            break
+        cand = [k for k in live if c in rows[k]]
+        if not cand:
+            continue
+        piv = min(cand, key=lambda k: len(rows[k]))
+        live.remove(piv)
+        prow = rows[piv]
+        for k in cand:
+            if k != piv:
+                _clear(rows, k, prow, c)
+        pivots.append(c)
+        order.append(piv)
+    return pivots, order
 
 
 def _integer_rref(rows: list[dict[int, int]]) -> list[int]:
-    """Gauss-Jordan elimination in place of integer rows stored as their
-    nonzeros; returns the pivots.
+    """The exact elimination engine: forward elimination, then back
+    substitution, which clears each pivot column from the pivot rows above
+    it, last pivot first; in place, and returns the pivots.
 
-    Only columns where some row is nonzero are visited, in order: an update
-    fills in only the pivot row's columns.  A column's pivot is its first
-    nonzero entry at or below the current row; each updated row is divided
-    by the gcd of its entries.  Row r below the rank ends as the rational
-    reduced echelon row r times its pivot entry.
+    Row r below the rank ends as the rational reduced echelon row r times
+    its pivot entry.  That form is unique, so the pivot order leaves it
+    unchanged.
     """
-    nrows = len(rows)
-    pivots: list[int] = []
-    r = 0
-    for c in sorted({c for row in rows for c in row}):
-        if r == nrows:
-            break
-        piv = next((k for k in range(r, nrows) if c in rows[k]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        p = prow[c]
-        for k in range(nrows):
-            row = rows[k]
-            f = row.get(c)
-            if f and k != r:
-                g = math.gcd(p, f)
-                a, b = p // g, f // g
-                if a != 1:
-                    rows[k] = row = {col: a * x for col, x in row.items()}
-                for col, y in prow.items():
-                    row[col] = x = row.get(col, 0) - b * y
-                    if not x:
-                        del row[col]
-                g = math.gcd(*row.values())
-                if g > 1:
-                    rows[k] = {col: x // g for col, x in row.items()}
-        pivots.append(c)
-        r += 1
+    pivots, order = _forward(rows)
+    for t in range(len(order) - 1, 0, -1):
+        prow, c = rows[order[t]], pivots[t]
+        for k in order[:t]:
+            if c in rows[k]:
+                _clear(rows, k, prow, c)
+    rows[:] = [rows[k] for k in order] + [{} for _ in range(len(rows) - len(order))]
     return pivots
 
 
 def _bareiss_rank(rows: list[dict[int, int]]) -> int:
-    """Exact rank of integer rows stored as their nonzeros, by the engine on
-    copies, since it eliminates in place: the fallback of ``Matrix.rank``,
-    under the name ``perfbench/tracing.py`` rebinds to count it."""
-    return len(_integer_rref([dict(row) for row in rows]))
-
-
-def _modp_rank(rows: list[dict[int, int]], cols: list[int]) -> int:
-    """Rank modulo the prime p of integer rows stored as their nonzeros,
-    on the sorted columns ``cols`` that hold them; always a lower bound for
-    the rank over Q.
-
-    Each entry is reduced modulo p before it reaches numpy, so entries of
-    any size take the same path.  Each column's pivot is the candidate row
-    with the fewest nonzeros left, which keeps the fill-in of the rows it
-    updates low.
-    """
-    if not rows or not cols:
-        return 0
-    import numpy as np  # here, so that importing the package leaves numpy unloaded
-
-    p = _CERT_PRIME
-    index = {c: k for k, c in enumerate(cols)}
-    a = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    a[
-        [r for r, row in enumerate(rows) for _ in row],
-        [index[c] for row in rows for c in row],
-    ] = [x % p for row in rows for x in row.values()]
-    nrows, ncols = a.shape
-    # nonzeros of each row from the current column on; rows that already
-    # gave a pivot are dead and keep their place
-    weight = np.count_nonzero(a, axis=1)
-    alive = np.ones(nrows, dtype=bool)
-    rank = 0
-    for col in range(ncols):
-        cand = np.flatnonzero(alive & (a[:, col] != 0))
-        if cand.size == 0:
-            continue
-        k = int(np.argmin(weight[cand]))
-        piv = int(cand[k])
-        alive[piv] = False
-        rank += 1
-        if rank == nrows:
-            break
-        hot = np.delete(cand, k)
-        if hot.size:
-            # the update only touches the columns where the pivot row is nonzero
-            support = col + np.flatnonzero(a[piv, col:])
-            prow = a[piv, support] * pow(int(a[piv, col]), p - 2, p) % p
-            block = np.ix_(hot, support)
-            old = a[block]
-            new = (old - old[:, :1] * prow) % p
-            a[block] = new
-            weight[hot] += np.count_nonzero(new, axis=1) - np.count_nonzero(old, axis=1)
-    return rank
+    """Exact rank of integer rows stored as their nonzeros, by forward
+    elimination on copies, since it works in place; the name
+    ``perfbench/tracing.py`` rebinds to count the ranks it runs."""
+    return len(_forward([dict(row) for row in rows])[0])
 
 
 def subsets_lex(n: int, k: int) -> list[tuple[int, ...]]:

@@ -5,8 +5,8 @@ list of named checks, and the acceptance tests call the same functions.
 Every check takes ``n_max`` and covers these ranks n:
 
 * 0..min(6, n_max): translate equals exp, rank profile, dimension formulas;
-  1..min(6, n_max): complementary bijection, matching invariants, duality
-  gram, lefschetz.
+  1..min(6, n_max): complementary bijection, matching invariants.
+* 1..min(8, n_max): duality gram, lefschetz.
 * 1..min(5, n_max): fixed points, bidegree shifts, sl2, equivariance,
   adjointness, sign-free bases, iterated raising blocks, noncrossing
   independence, the census's brute-force diagonal.
@@ -424,7 +424,7 @@ def check_duality_dimensions(n_max: int, rng: random.Random) -> bool:
 
 def check_duality_gram(n_max: int, rng: random.Random) -> bool:
     bases: dict = {}
-    for n in range(1, min(6, n_max) + 1):
+    for n in range(1, min(8, n_max) + 1):
         for i in range(n + 1):
             for j in range(i + 1):
                 g = co.duality_gram(n, i, j)
@@ -441,7 +441,7 @@ def check_duality_gram(n_max: int, rng: random.Random) -> bool:
 
 
 def check_lefschetz(n_max: int, rng: random.Random) -> bool:
-    for n in range(1, min(6, n_max) + 1):
+    for n in range(1, min(8, n_max) + 1):
         for i in range(n + 1):
             for j in range(n + 1 - i):
                 m = co.lefschetz_matrix(n, i, j)

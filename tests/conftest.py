@@ -4,6 +4,7 @@ hand-written record classes against the @dataclass each one replaced."""
 import copy
 import inspect
 import pickle
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -16,13 +17,17 @@ from supertorus import matchings as ma
 
 def _mutant(module, name, old, new):
     """``module.name`` rebuilt from its own source with ``old`` replaced by
-    ``new``, so every other line of it, its checks too, stays."""
-    source = inspect.getsource(getattr(module, name))
+    ``new``, so every other line of it, its checks too, stays; ``name`` may
+    be a dotted method name such as ``Matrix.rank``."""
+    target = module
+    for part in name.split("."):
+        target = getattr(target, part)
+    source = textwrap.dedent(inspect.getsource(target))
     mutated = source.replace(old, new)
     assert mutated != source
     namespace = dict(vars(module))
     exec(compile(mutated, module.__file__, "exec"), namespace)
-    return namespace[name]
+    return namespace[part]
 
 
 @pytest.fixture
@@ -82,11 +87,20 @@ def flipped_pair_sign(monkeypatch):
 
 @pytest.fixture
 def full_rank_components(monkeypatch):
-    """``linalg._block_rank`` with one change: it takes every component as
-    full rank, never asking the certificate or the exact fallback."""
-    mutant = _mutant(la, "_block_rank", "r = _modp_rank(rows, cols)",
-                     "r = min(len(rows), len(cols))")
-    monkeypatch.setattr(la, "_block_rank", mutant)
+    """``Matrix.rank`` with one change: it takes every component as full
+    rank, never running the exact rank."""
+    mutant = _mutant(la, "Matrix.rank", "_bareiss_rank(rows)",
+                     "min(len(rows), len({c for row in rows for c in row}))")
+    monkeypatch.setattr(la.Matrix, "rank", mutant)
+
+
+@pytest.fixture
+def skipped_back_substitution(monkeypatch):
+    """``linalg._integer_rref`` with one change: it skips back substitution,
+    so the rows above each pivot keep their entries in its column."""
+    mutant = _mutant(la, "_integer_rref", "for t in range(len(order) - 1, 0, -1):",
+                     "for t in ():")
+    monkeypatch.setattr(la, "_integer_rref", mutant)
 
 
 @pytest.fixture

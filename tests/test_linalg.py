@@ -1,6 +1,7 @@
 """Exact linear algebra tests, including the Boolean incidence matrices."""
 
 import csv
+import functools
 import io
 import itertools
 import math
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from supertorus import cohomology as co
 from supertorus import linalg as la
 
 
@@ -40,6 +42,45 @@ def _rref(rows, ncols):
         pivots.append(c)
         r += 1
     return rows, pivots
+
+
+def gauss_jordan(rows):
+    """The engine ``linalg._integer_rref`` replaced, as its oracle:
+    Gauss-Jordan elimination in place of integer rows stored as their
+    nonzeros, whose pivot is the first candidate row at or below the current
+    row and which updates every other row at each pivot; returns the pivots.
+    Row r below the rank ends as the rational reduced echelon row r times
+    its pivot entry."""
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for c in sorted({c for row in rows for c in row}):
+        if r == nrows:
+            break
+        piv = next((k for k in range(r, nrows) if c in rows[k]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        p = prow[c]
+        for k in range(nrows):
+            row = rows[k]
+            f = row.get(c)
+            if f and k != r:
+                g = math.gcd(p, f)
+                a, b = p // g, f // g
+                if a != 1:
+                    rows[k] = row = {col: a * x for col, x in row.items()}
+                for col, y in prow.items():
+                    row[col] = x = row.get(col, 0) - b * y
+                    if not x:
+                        del row[col]
+                g = math.gcd(*row.values())
+                if g > 1:
+                    rows[k] = {col: x // g for col, x in row.items()}
+        pivots.append(c)
+        r += 1
+    return pivots
 
 
 def reference_kernel(m):
@@ -118,14 +159,6 @@ def test_rank_fast_path_matches_bareiss():
         m = rand_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
         ints = integer_rows(m)
         assert exact_rank(ints) == m.rank()
-
-
-def test_modp_rank_is_lower_bound():
-    rng = random.Random(3)
-    for _ in range(30):
-        m = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        ints = integer_rows(m)
-        assert modp_rank(ints) <= exact_rank(ints)
 
 
 def test_kernel_identity_empty():
@@ -358,37 +391,96 @@ def test_engine_matches_reference_on_raising_blocks():
                 assert_matches_reference(m, vectors)
 
 
+def engine_outputs(m, vectors):
+    """What the engine serves, one at a time: the reduced echelon form with
+    its pivots, read as stored rows and as Fractions, the kernel basis, the
+    solves and the rank."""
+    reduced, pivots = m.rref()
+    yield reduced, reduced._rows, reduced._dens, pivots, reduced.rows(), reduced.to_csv()
+    yield m.kernel_basis()
+    yield m.solve_many(vectors)
+    yield m.rank()
+
+
+def oracle_outputs(m, vectors):
+    """``engine_outputs`` with the Gauss-Jordan oracle in the engine's place."""
+    def rank(rows):
+        return len(gauss_jordan([dict(row) for row in rows]))
+
+    with patch.object(la, "_integer_rref", gauss_jordan), patch.object(la, "_bareiss_rank", rank):
+        return list(engine_outputs(m, vectors))
+
+
+def oracle_cases(rng):
+    """Seeded fractional, rank-deficient, empty and huge-entry matrices, with
+    right-hand sides inside and outside their column spans."""
+    huge = (2**64, -(2**64) - 1, 2**70 + 3, 3**45)
+    for k in range(400):
+        kind = k % 4
+        nrows, ncols = rng.randint(0, 8), rng.randint(0, 8)
+        if kind == 0:
+            m = rand_matrix(rng, nrows, ncols)
+        elif kind == 1:
+            inner = rng.randint(0, 3)
+            m = rand_matrix(rng, nrows, inner, 3) * rand_matrix(rng, inner, ncols, 3)
+        elif kind == 2:
+            m = la.Matrix(nrows, ncols, [
+                rng.choice((0, 0, rng.randint(-3, 3), rng.choice(huge) * rng.choice((1, -1))))
+                for _ in range(nrows * ncols)
+            ])
+        else:
+            m = la.Matrix(0, ncols) if k % 8 == 3 else la.Matrix(nrows, 0)
+        vectors = [
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m.nrows)]
+            for _ in range(rng.randint(0, 2))
+        ]
+        vectors += [m.mat_vec([rng.randint(-2, 2) for _ in range(m.ncols)])
+                    for _ in range(rng.randint(0, 2))]
+        yield m, vectors
+
+
+def test_engine_matches_gauss_jordan_oracle():
+    rng = random.Random(29)
+    kinds = set()
+    for m, vectors in oracle_cases(rng):
+        got = []
+        # each output is compared before the engine computes the next
+        for out, want in zip(engine_outputs(m, vectors), oracle_outputs(m, vectors), strict=True):
+            assert out == want
+            got.append(out)
+        assert all(type(x) is Fraction for v in got[1] for x in v)
+        assert all(type(x) is Fraction for v in got[2] if v is not None for x in v)
+        kinds.add((
+            not m.nrows or not m.ncols,
+            got[-1] < min(m.nrows, m.ncols),
+            any(d > 1 for d in m._dens),
+            any(abs(x) >= 2**64 for row in m._rows for x in row.values()),
+        ))
+    # empty, rank-deficient, fractional and huge-entry cases all occur
+    assert all(any(kind[k] for kind in kinds) for k in range(4))
+
+
+@pytest.mark.parametrize("d0", range(11))
+def test_blocks_match_gauss_jordan_oracle(d0):
+    # the kernel and cokernel blocks of cohomology, built afresh by the
+    # engine and by the oracle
+    kernel_block = co._kernel_block.__wrapped__
+    cokernel_block = co._cokernel_block.__wrapped__
+    with patch.object(co, "_kernel_block", kernel_block):
+        got = [(kernel_block(d0, i0), cokernel_block(d0, i0)) for i0 in range(d0 + 1)]
+    with patch.object(la, "_integer_rref", gauss_jordan), \
+            patch.object(co, "_kernel_block", functools.cache(kernel_block)):
+        want = [(kernel_block(d0, i0), cokernel_block(d0, i0)) for i0 in range(d0 + 1)]
+    assert got == want
+
+
+def test_oracle_sees_a_skipped_back_substitution(skipped_back_substitution):
+    with pytest.raises(AssertionError):
+        test_engine_matches_gauss_jordan_oracle()
+
+
 # ---------------------------------------------------------------------------
-# The integer-row storage and the mod-p certificate against their oracles.
-
-def modp_rank_oracle(int_rows):
-    """The certificate before the low-fill pivot: the first candidate row is
-    the pivot, and each entry is reduced on its own."""
-    if not int_rows or not int_rows[0]:
-        return 0
-    p = la._CERT_PRIME
-    a = np.array([[x % p for x in row] for row in int_rows], dtype=np.int64)
-    nrows, ncols = a.shape
-    rank = 0
-    for col in range(ncols):
-        if rank == nrows:
-            break
-        nz = np.nonzero(a[rank:, col])[0]
-        if nz.size == 0:
-            continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
-        inv = pow(int(a[rank, col]), p - 2, p)
-        a[rank, col:] = (a[rank, col:] * inv) % p
-        hot = np.nonzero(a[rank + 1 :, col])[0]
-        if hot.size:
-            rows_idx = rank + 1 + hot
-            factors = a[rows_idx, col][:, None]
-            a[rows_idx, col:] = (a[rows_idx, col:] - factors * a[rank, col:]) % p
-        rank += 1
-    return rank
-
+# The integer-row storage and the rank against their oracles.
 
 def integer_row_oracle(row):
     """The row of Fractions times the lcm of its denominators."""
@@ -404,35 +496,16 @@ def integer_rows(m):
 
 
 def sparse_rows(int_rows):
-    """Dense integer rows as the certificate and the exact fallback take
-    them: each row's nonzeros, and the list of every column."""
-    ncols = len(int_rows[0]) if int_rows else 0
-    return [{c: x for c, x in enumerate(row) if x} for row in int_rows], list(range(ncols))
-
-
-def modp_rank(int_rows):
-    return la._modp_rank(*sparse_rows(int_rows))
+    """Dense integer rows as the engine takes them: each row's nonzeros."""
+    return [{c: x for c, x in enumerate(row) if x} for row in int_rows]
 
 
 def exact_rank(int_rows):
-    return la._bareiss_rank(sparse_rows(int_rows)[0])
+    """The rank by the Gauss-Jordan oracle."""
+    return len(gauss_jordan(sparse_rows(int_rows)))
 
 
-@pytest.mark.parametrize("n", range(9))
-def test_modp_rank_matches_oracle_on_boolean_incidences(n):
-    for i in range(n + 1):
-        for j in range(i, n + 1):
-            ints = integer_rows(la.boolean_incidence(n, i, j))
-            assert modp_rank(ints) == modp_rank_oracle(ints), (i, j)
-
-
-@pytest.mark.parametrize("n,i,j", [(12, 5, 7), (12, 4, 8)])
-def test_modp_rank_matches_oracle_on_large_boolean_incidences(n, i, j):
-    ints = integer_rows(la.boolean_incidence(n, i, j))
-    assert modp_rank(ints) == modp_rank_oracle(ints) == math.comb(n, i)
-
-
-def test_modp_rank_matches_oracle_on_seeded_matrices():
+def test_rank_matches_oracle_on_seeded_matrices():
     rng = random.Random(13)
     for k in range(200):
         kind = k % 5
@@ -456,9 +529,7 @@ def test_modp_rank_matches_oracle_on_seeded_matrices():
             m = la.Matrix.from_rows(rows)
         else:
             m = la.Matrix(0, ncols) if k % 10 == 4 else la.Matrix(nrows, 0)
-        ints = integer_rows(m)
-        assert modp_rank(ints) == modp_rank_oracle(ints)
-        assert m.rank() == exact_rank(ints)
+        assert m.rank() == exact_rank(integer_rows(m))
         if kind == 3:
             assert m.rank() == m.nrows
 
@@ -468,8 +539,7 @@ def test_modp_rank_matches_oracle_on_seeded_matrices():
     [[2**63, 2], [2**64, 4]],
     [[-(2**70) - 3, 5, 0], [1, 2**63 + 7, -1], [0, 0, 2**100]],
 ])
-def test_modp_rank_falls_back_on_huge_entries(rows):
-    assert modp_rank(rows) == exact_rank(rows)
+def test_rank_matches_oracle_on_huge_entries(rows):
     assert la.Matrix.from_rows(rows).rank() == exact_rank(rows)
 
 
@@ -626,7 +696,7 @@ def test_only_linalg_reads_the_matrix_storage():
 
 
 # ---------------------------------------------------------------------------
-# The block-wise rank: one certificate per connected component.
+# The block-wise rank: one exact rank per connected component.
 
 def components_oracle(dense):
     """The dense rows of each connected component of the graph joining a row
@@ -702,9 +772,9 @@ def block_diagonal(draw):
 
 def _check_block_rank(dense):
     """The rank of the permuted block matrix against the exact rank of its
-    dense rows, and the components the exact fallback ran on, read as dense
-    rows over their own columns: exactly those whose certificate is short,
-    the singular ones among them."""
+    dense rows, and the components the exact rank ran on, read as dense rows
+    over their own columns: exactly those with more than one row and more
+    than one column, the singular ones among them."""
     fallbacks = []
     exact = la._bareiss_rank
 
@@ -717,11 +787,8 @@ def _check_block_rank(dense):
     with patch.object(la, "_bareiss_rank", counted):
         got = m.rank()
     assert got == exact_rank(dense)
-    short = [
-        c for c in components_oracle(dense)
-        if len(c) > 1 and len(c[0]) > 1 and modp_rank_oracle(c) < min(len(c), len(c[0]))
-    ]
-    assert sorted(fallbacks) == sorted(short)
+    ranked = [c for c in components_oracle(dense) if len(c) > 1 and len(c[0]) > 1]
+    assert sorted(fallbacks) == sorted(ranked)
     singular = [c for c in components_oracle(dense) if exact_rank(c) < min(len(c), len(c[0]))]
     assert all(c in fallbacks for c in singular)
 
@@ -736,7 +803,9 @@ def test_block_rank_matches_exact_rank(dense):
 
 def test_fallback_counts_per_component():
     # three singular 2 x 2 blocks, one nonsingular 2 x 2 block, a 1 x 3 and a
-    # 3 x 1 block, interleaved: the exact fallback runs once per singular block
+    # 3 x 1 block, interleaved: the exact rank runs once per component with
+    # more than one row and column, the three singular blocks, since the
+    # identity block splits into two 1 x 1 components
     dense = block_diagonal_rows([
         [[1, 2], [2, 4]], [[1, 0], [0, 1]], [[3, 3], [1, 1]],
         [[7, 8, 9]], [[1], [2], [3]], [[2**64, 2**65], [1, 2]],
@@ -759,10 +828,10 @@ def test_block_rank_sees_a_rank_taken_as_full(full_rank_components):
 
 
 def test_signed_permutations_need_no_certificate(monkeypatch):
-    def refuse(rows, cols):
-        raise AssertionError("a 1 x 1 component reached the certificate")
+    def refuse(rows):
+        raise AssertionError("a 1 x 1 component reached the exact rank")
 
-    monkeypatch.setattr(la, "_modp_rank", refuse)
+    monkeypatch.setattr(la, "_bareiss_rank", refuse)
     m = la.Matrix.from_rows([[0, -3, 0], [Fraction(1, 2), 0, 0], [0, 0, 0]])
     assert m.rank() == 2
     assert la.Matrix.identity(5).is_invertible()
