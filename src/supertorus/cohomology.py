@@ -39,7 +39,8 @@ representatives are monomials r_l, so the Gram entry of an invariant v and
 r_l is v's coefficient on the complement of r_l times one merge sign.  The
 Gram and Lefschetz builders read the kernel vectors straight from the
 cached blocks, without building elements.  The tests keep the dense solves,
-the products and the per-entry pairings these replace as oracles.
+the products and the per-entry pairings these replace as oracles.  A
+``BidegreeBasis`` is a frozen record (``exterior._Record``).
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .exterior import (
     Element,
     Monomial,
     Permutation,
+    _Record,
     _check_bidegree,
     _check_int,
     _check_rank,
@@ -147,7 +149,7 @@ def coinvariants_dimension(n: int, i: int, j: int) -> int:
     return _comb(n, i) * _comb(n, j) - _comb(n, i - 1) * _comb(n, j + 1)
 
 
-class BidegreeBasis:
+class BidegreeBasis(_Record):
     """An ordered list of homogeneous elements spanning part of one bidegree;
     its fields cannot be reassigned."""
 
@@ -166,27 +168,6 @@ class BidegreeBasis:
 
     def __getitem__(self, k: int) -> Element:
         return self.vectors[k]
-
-    def __repr__(self) -> str:
-        return (f"{type(self).__qualname__}(n={self.n!r}, bidegree={self.bidegree!r}, "
-                f"vectors={self.vectors!r})")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.bidegree, self.vectors) == (other.n, other.bidegree, other.vectors)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.bidegree, self.vectors))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return (type(self), (self.n, self.bidegree, self.vectors))
 
 
 # Every (d0, i0) block shape the rank guard admits: d0 <= 14, i0 <= d0.

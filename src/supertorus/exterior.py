@@ -16,12 +16,17 @@ infinitesimal form ``raising`` (sum of a_i * d/dt_i), the mirror operator
 ``lowering``, and the diagonal ``weight`` operator; together the last three
 act as an sl2 triple.  As a_i and t_i are adjacent, raising and lowering only
 move a lone t_i to a_i, or a lone a_i to t_i, in place and without a sign.
+
+``Monomial``, ``Permutation``, ``matchings.LabelledMatching`` and
+``cohomology.BidegreeBasis`` are frozen records on one base, ``_Record``,
+with the equality, hash, repr and pickling of a frozen dataclass.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import re
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, NoReturn
@@ -95,7 +100,55 @@ class Bidegree(NamedTuple):
     j: int  # theta degree
 
 
-class Permutation:
+class _Record:
+    """Base of the frozen records: a subclass's fields are its ``__slots__``,
+    in order, and equality, hash and pickling act on the tuple of their
+    values, as a frozen dataclass's do.  Fields refuse assignment, so
+    constructors set them with ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # attrgetter of one name returns the bare value, not a 1-tuple; the
+        # slot descriptors set a field past the refusing __setattr__ faster
+        # than object.__setattr__ does.
+        get = operator.attrgetter(*cls.__slots__)
+        cls._values = staticmethod(get if len(cls.__slots__) > 1 else lambda x: (get(x),))
+        cls._setters = tuple(vars(cls)[name].__set__ for name in cls.__slots__)
+
+    @classmethod
+    def _trusted(cls, *values):
+        """The record of the given field values, unchecked: only builders
+        whose values are canonical by construction call it."""
+        out = object.__new__(cls)
+        for set_field, value in zip(cls._setters, values):
+            set_field(out, value)
+        return out
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__slots__, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (type(self), self._values(self))
+
+
+class Permutation(_Record):
     """A bijection of 1..n, stored as the tuple of images."""
 
     __slots__ = ("images",)
@@ -106,7 +159,7 @@ class Permutation:
             _check_int(v, "image")
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a permutation of 1..{len(images)}: {images}")
-        self.images = images
+        object.__setattr__(self, "images", images)
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -121,12 +174,6 @@ class Permutation:
         if not 1 <= i <= len(self.images):
             raise ValueError(f"index {i} out of range 1..{len(self.images)}")
         return self.images[i - 1]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
 
     def __repr__(self) -> str:
         return f"Permutation({self.images})"
@@ -148,7 +195,7 @@ class Permutation:
         return tuple(sorted(lengths, reverse=True))
 
 
-class Monomial:
+class Monomial(_Record):
     """A square-free product of generators, stored as an n-rank bitmask."""
 
     __slots__ = ("n", "mask")
@@ -158,8 +205,8 @@ class Monomial:
         _check_int(mask, "mask")
         if not 0 <= mask < (1 << (2 * n)):
             raise ValueError(f"mask {mask:#x} out of range for rank {n}")
-        self.n = n
-        self.mask = mask
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "mask", mask)
 
     @classmethod
     def one(cls, n: int) -> "Monomial":
@@ -187,16 +234,6 @@ class Monomial:
 
     def sort_key(self) -> tuple:
         return (self.degree, self.positions())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Monomial)
-            and self.n == other.n
-            and self.mask == other.mask
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.mask))
 
     def __str__(self) -> str:
         if not self.mask:
@@ -231,9 +268,9 @@ def _merge_sign(a_mask: int, b_mask: int) -> int:
 class Element:
     """A finitely supported map from monomials to nonzero Fractions.
 
-    Values are immutable after construction; all operations allocate fresh
-    results.  Internally terms are keyed by monomial masks.  Coefficients
-    must be exact: a float is refused, as ``Matrix`` refuses it.
+    Not frozen, but no operation mutates one: all allocate fresh results.
+    Internally terms are keyed by monomial masks.  Coefficients must be
+    exact: a float is refused, as ``Matrix`` refuses it.
     """
 
     __slots__ = ("n", "_terms")
@@ -300,6 +337,9 @@ class Element:
 
     def __hash__(self):
         return hash((self.n, frozenset(self._terms.items())))
+
+    def __reduce__(self):
+        return (Element._make, (self.n, self._terms))  # _make copies the terms
 
     def __add__(self, other: "Element") -> "Element":
         if not isinstance(other, Element):

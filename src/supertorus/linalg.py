@@ -26,7 +26,8 @@ _ZERO = Fraction(0)
 
 
 class Matrix:
-    """Immutable sparse rational matrix, row major.
+    """Sparse rational matrix, row major; not frozen, but no operation
+    mutates one.
 
     Row r is stored as the dict ``_rows[r]`` from each column where the row
     is nonzero to an integer, over the positive denominator ``_dens[r]``, the
@@ -120,6 +121,10 @@ class Matrix:
 
     def __hash__(self):
         return hash((self.shape, tuple(map(tuple, self.rows()))))
+
+    def __reduce__(self):
+        # _make takes its rows as given, so it gets copies
+        return (Matrix._make, (self.ncols, [dict(row) for row in self._rows], self._dens[:]))
 
     def __repr__(self) -> str:
         return f"Matrix({self.nrows}x{self.ncols})"

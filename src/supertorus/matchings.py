@@ -9,7 +9,8 @@ matching indexes a product of the basic translation invariants
 one factor per 'a' label, 'at' label, and arc.  Two local rewriting rules,
 uncrossing a pair of arcs and sliding an 'a' label out from under an arc,
 rewrite any such product into the span of the noncrossing matchings with no
-nested 'a' label; those index a linear basis of the invariant ring.
+nested 'a' label; those index a linear basis of the invariant ring.  A
+``LabelledMatching`` is a frozen record (``exterior._Record``).
 """
 
 from __future__ import annotations
@@ -19,17 +20,19 @@ import re
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .exterior import Element, _Reader, _check_bidegree, _check_int, _check_rank
+from .exterior import Element, _Reader, _Record, _check_bidegree, _check_int, _check_rank
 from .linalg import _rational
 
 Rational = Fraction | int
 
 
-class LabelledMatching:
+class LabelledMatching(_Record):
     """n vertices with disjoint arcs and labels; canonical and hashable.
 
     Arcs are stored sorted with each pair increasing; label sets are sorted
     tuples.  Equality is structural, and the fields cannot be reassigned.
+    ``_trusted`` takes fields already in that form, every vertex in 1..n used
+    at most once, without the constructor's sorting and checks.
     """
 
     __slots__ = ("n", "arcs", "alpha", "alphatheta")
@@ -54,25 +57,6 @@ class LabelledMatching:
             self._claim(j, used)
         for v in self.alpha + self.alphatheta:
             self._claim(v, used)
-
-    @classmethod
-    def _trusted(
-        cls,
-        n: int,
-        arcs: tuple[tuple[int, int], ...],
-        alpha: tuple[int, ...],
-        alphatheta: tuple[int, ...],
-    ) -> "LabelledMatching":
-        """A matching from tuples already in canonical form: arcs sorted with
-        each pair increasing, sorted labels, every vertex in 1..n used once.
-        Skips the sorting and the checks of the public constructor, so only
-        builders whose output is canonical by construction call it."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "n", n)
-        object.__setattr__(m, "arcs", arcs)
-        object.__setattr__(m, "alpha", alpha)
-        object.__setattr__(m, "alphatheta", alphatheta)
-        return m
 
     def _claim(self, v: int, used: set[int]) -> None:
         """Check that v is a vertex in 1..n not yet in ``used``, and add it."""
@@ -124,28 +108,6 @@ class LabelledMatching:
 
     def __str__(self) -> str:
         return self.literal()
-
-    def __repr__(self) -> str:
-        return (f"{type(self).__qualname__}(n={self.n!r}, arcs={self.arcs!r}, "
-                f"alpha={self.alpha!r}, alphatheta={self.alphatheta!r})")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.arcs, self.alpha, self.alphatheta) == (
-            other.n, other.arcs, other.alpha, other.alphatheta)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.arcs, self.alpha, self.alphatheta))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return (type(self), (self.n, self.arcs, self.alpha, self.alphatheta))
 
 
 class MatchingCombination:
@@ -204,6 +166,9 @@ class MatchingCombination:
             and self.n == other.n
             and self._terms == other._terms
         )
+
+    def __reduce__(self):
+        return (MatchingCombination, (self.n, self._terms))  # __init__ copies the terms
 
     def __repr__(self) -> str:
         body = " ".join(f"{c}*[{m}]" for m, c in self.items())
@@ -501,6 +466,10 @@ class SubsetPair(tuple):
     @property
     def B(self) -> frozenset:
         return self[1]
+
+    def __getnewargs__(self):
+        # tuple's would pass the pair to __new__ as one argument
+        return (self.A, self.B)
 
 
 # The bijection runs on vertex masks: bit v - 1 stands for vertex v.

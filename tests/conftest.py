@@ -150,7 +150,7 @@ def _assert_like_dataclass(values, oracles):
     and ``!=`` on every pair, ``hash``, ``repr``, assigning and deleting
     fields, and copy, deepcopy and pickle round trips."""
     for a, oa in zip(values, oracles, strict=True):
-        protocols = range(2, pickle.HIGHEST_PROTOCOL + 1)  # Element's slots need 2
+        protocols = range(pickle.HIGHEST_PROTOCOL + 1)
         twins = [copy.copy(a), copy.deepcopy(a),
                  *(pickle.loads(pickle.dumps(a, p)) for p in protocols)]
         for x in (a, *twins):

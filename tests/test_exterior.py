@@ -4,7 +4,9 @@ Expected values are frozen from hand computation or from independent
 oracles coded inline (bubble-sort sign counts, set-based transition sums).
 """
 
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -12,7 +14,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from supertorus import cohomology as co
 from supertorus import exterior as ex
+from supertorus import linalg as la
+from supertorus import matchings as ma
+from supertorus import verify as vf
 
 
 def elem(text, n=None):
@@ -57,6 +63,56 @@ def test_subset_monomial_trivia():
 def test_rank_guard():
     with pytest.raises(ValueError):
         ex.Monomial(15, 0)
+
+
+# ---------------------------------------------------------------------------
+# the value types: copies, pickles and frozen fields
+
+_MATCHING = ma.LabelledMatching(6, ((3, 2), (4, 5)), (1,), (6,))
+
+# One value of each type the package hands out, built on first use.
+_VALUES = {
+    "Monomial": lambda: ex.Monomial(3, 0b100111),
+    "Permutation": lambda: ex.Permutation([3, 1, 2]),
+    "Element": lambda: ex.parse_element("1 - 3*a2 + 1/2*a1 t2", 2),
+    "Matrix": lambda: la.Matrix.from_rows([[1, Fraction(1, 2)], [0, 3], [0, 0]]),
+    "LabelledMatching": lambda: _MATCHING,
+    "MatchingCombination": lambda: ma.MatchingCombination(6, {
+        _MATCHING: Fraction(2, 3), ma.LabelledMatching(6, ((1, 2),), (3,), (4,)): -1}),
+    "BidegreeBasis": lambda: co.invariants_basis(3, (2, 1)),
+    "SubsetPair": lambda: ma.subsets_from_matching(_MATCHING),
+    "CheckResult": lambda: vf.CheckResult("core", "product laws", False, "n=3", 0.25),
+}
+
+# The containers that hold the unfrozen types' values.
+_STORAGE = {
+    ex.Element: lambda v: [v._terms],
+    la.Matrix: lambda v: [v._rows, v._dens, *v._rows],
+    ma.MatchingCombination: lambda v: [v._terms],
+}
+
+
+@pytest.mark.parametrize("name", _VALUES)
+def test_value_round_trips_through_copy_and_pickle(name):
+    value = _VALUES[name]()
+    twins = [copy.copy(value), copy.deepcopy(value),
+             *(pickle.loads(pickle.dumps(value, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1))]
+    for twin in twins:
+        assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)
+        storage = _STORAGE.get(type(value), lambda v: [])
+        assert all(a is not b for a, b in zip(storage(twin), storage(value)))
+
+
+@pytest.mark.parametrize("name", ["Monomial", "Permutation", "LabelledMatching", "BidegreeBasis"])
+def test_record_fields_are_frozen(name):
+    value = _VALUES[name]()
+    before = (repr(value), hash(value))
+    for field in (*type(value).__slots__, "extra"):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{field}'$"):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{field}'$"):
+            delattr(value, field)
+    assert (repr(value), hash(value)) == before
 
 
 # ---------------------------------------------------------------------------
