@@ -67,13 +67,7 @@ from .exterior import (
     raising,
     volume_form,
 )
-from .linalg import Matrix, boolean_incidence
-
-
-def _comb(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
+from .linalg import Matrix, _comb, boolean_incidence
 
 
 def catalan(n: int) -> int:

@@ -440,6 +440,11 @@ def boolean_incidence(n: int, i: int, j: int) -> Matrix:
     return Matrix._make(math.comb(n, j), out, [1] * len(out))
 
 
+def _comb(n: int, k: int) -> int:
+    """C(n, k), or 0 outside 0 <= k <= n."""
+    return math.comb(n, k) if 0 <= k <= n else 0
+
+
 def _complementary_coefficients(n: int, i: int) -> list[Fraction]:
     """c_0..c_i such that N[T, S] = c_|T & S|, over the (n - i)-subsets T and
     the i-subsets S of 1..n, inverts ``boolean_incidence(n, i, n - i)``.
@@ -453,13 +458,10 @@ def _complementary_coefficients(n: int, i: int) -> list[Fraction]:
     so back substitution solves it exactly.
     """
 
-    def comb(a: int, b: int) -> int:
-        return math.comb(a, b) if 0 <= b <= a else 0
-
     m = n - 2 * i
     c = [_ZERO] * (i + 1)
     for r in range(i, -1, -1):
-        rest = sum(comb(i - r, k - r) * comb(m + r, m - k + r) * c[k] for k in range(r + 1, i + 1))
+        rest = sum(_comb(i - r, k - r) * _comb(m + r, m - k + r) * c[k] for k in range(r + 1, i + 1))
         c[r] = Fraction(int(r == i) - rest) / math.comb(m + r, m)
     return c
 
@@ -472,14 +474,13 @@ def certify_complementary_block(w: Matrix, n: int, i: int) -> bool:
     denominators, N[T, S] = L c_|T & S|.  True exactly when w is a 0/1
     matrix and every entry of w N equals that of L times the identity, which
     alone proves det w != 0, whatever suggested N; False otherwise, which
-    leaves the rank open.  Row r of w N sums the rows of N at the columns of
-    row r of w, padded to the largest row weight with a zero row, in chunks
-    of about 2**18 gathered entries and in a dtype no sum can overflow.
+    leaves the rank open.  Each row of N, shifted by top = max |L c_k| to be
+    nonnegative, is packed into one integer of equal-width fields, one per
+    i-subset, and row r of w N is the sum of the packed rows at the columns
+    of row r of w.
     """
     if not 0 <= 2 * i <= n <= 15:
         raise ValueError(f"need 0 <= 2i <= n <= 15, got i={i}, n={n}")
-    import numpy as np  # here, so that importing the package leaves numpy unloaded
-
     small, large = subset_masks(n, i), subset_masks(n, n - i)
     size = len(small)
     if w.shape != (size, size) or set(w._dens) != {1} or not all(w._rows):
@@ -490,28 +491,26 @@ def certify_complementary_block(w: Matrix, n: int, i: int) -> bool:
     scale = math.lcm(*(x.denominator for x in c))
     scaled = [int(x * scale) for x in c]
     top = max(map(abs, scaled))
-    lengths = [len(row) for row in w._rows]
-    weight = max(lengths)
-    # an entry of w N sums at most `weight` entries of N, each at most `top`
-    entry = np.int8 if top < 2**7 else np.int16
-    assert top < 2**15 and top * weight < 2**31, "w N could overflow int32"
-    ones = np.zeros(1 << (n + 1), dtype=np.uint8)  # popcount of each mask
-    for b in range(n + 1):
-        ones[1 << b : 2 << b] = ones[: 1 << b] + 1
-    meets = ones[np.array(large, dtype=np.uint16)[:, None] & np.array(small, dtype=np.uint16)]
-    inverse = np.zeros((size + 1, size), dtype=entry)  # the last row pads
-    inverse[:size] = np.array(scaled, dtype=entry)[meets]
-    gather = np.full((size, weight), size, dtype=np.intp)
-    ends = np.cumsum(lengths)
-    slots = np.arange(ends[-1]) - np.repeat(ends - lengths, lengths)
-    gather[np.repeat(np.arange(size), lengths), slots] = np.fromiter(
-        itertools.chain.from_iterable(w._rows), dtype=np.intp, count=ends[-1]
+    weight = max(map(len, w._rows))
+    # A field of row r of w N sums at most `weight` shifted entries, each in
+    # 0..2 top, and should read top per summed row, plus L on the diagonal.
+    # Fields of `width` bytes hold both bounds, so none carries into the next
+    # and the sum equals the expected integer exactly when every field does.
+    width = (max(2 * top * weight, top * weight + scale).bit_length() + 7) // 8
+    # byte s of member[x] is 1 when x is in the s-th i-subset, so summing
+    # member[x] over the members x of T puts |T & S| in the byte of S
+    member = [int.from_bytes(bytes(m >> x & 1 for m in small), "little") for x in range(n + 1)]
+    tables = [bytes((x + top) >> 8 * b & 255 for x in scaled).ljust(256, b"\0")
+              for b in range(width)]
+    field = bytearray(width * size)
+    packed = []
+    for t in large:
+        meets = sum(member[x] for x in range(1, n + 1) if t >> x & 1).to_bytes(size, "little")
+        for b, table in enumerate(tables):
+            field[b::width] = meets.translate(table)
+        packed.append(int.from_bytes(field, "little"))
+    ones = int.from_bytes(b"\1".ljust(width, b"\0") * size, "little")
+    return all(
+        sum(map(packed.__getitem__, row)) == len(row) * top * ones + (scale << 8 * width * r)
+        for r, row in enumerate(w._rows)
     )
-    per_chunk = max(1, 2**18 // (weight * size))
-    for first in range(0, size, per_chunk):
-        last = min(first + per_chunk, size)
-        product = inverse[gather[first:last]].sum(axis=1, dtype=np.int32)
-        product[np.arange(last - first), np.arange(first, last)] -= scale
-        if product.any():
-            return False
-    return True

@@ -456,6 +456,8 @@ def noncrossing_matchings(
 class SubsetPair(tuple):
     """An ordered pair (A, B) of subsets of 1..n."""
 
+    __slots__ = ()
+
     def __new__(cls, A: Iterable[int], B: Iterable[int]):
         return super().__new__(cls, (frozenset(A), frozenset(B)))
 

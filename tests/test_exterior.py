@@ -115,6 +115,14 @@ def test_record_fields_are_frozen(name):
     assert (repr(value), hash(value)) == before
 
 
+def test_subset_pair_takes_no_attributes():
+    pair = ma.SubsetPair({1}, {2})
+    for field in ("A", "B", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(pair, field, None)
+    assert pair == (frozenset({1}), frozenset({2}))
+
+
 # ---------------------------------------------------------------------------
 # products
 

@@ -271,8 +271,9 @@ def test_boolean_rank_example():
     assert la.boolean_incidence(5, 1, 4).rank() == 5
 
 
-# The complementary blocks: the inverse certificate against the rank, and
-# its numpy product against the library's exact product.
+# The complementary blocks: the inverse certificate, which sums rows of N
+# packed into Python integers of byte-wide fields, against the rank and
+# against the library's exact product.
 
 @pytest.mark.parametrize("n", range(11))
 def test_complementary_certificate_agrees_with_the_rank(n):
@@ -283,7 +284,8 @@ def test_complementary_certificate_agrees_with_the_rank(n):
 
 
 def test_complementary_certificate_with_int16_entries():
-    # at (13, 3) the scaled coefficients reach 252, past int8
+    # at (13, 3) the scaled coefficients reach 252, so the shifted entries
+    # reach 504 and each field of w N takes two bytes
     c = la._complementary_coefficients(13, 3)
     scale = math.lcm(*(x.denominator for x in c))
     assert max(abs(x * scale) for x in c) == 252
@@ -301,6 +303,17 @@ def test_complementary_inverse_is_exact(n):
         ])
         w = la.boolean_incidence(n, i, n - i)
         assert w * inverse == la.Matrix.identity(math.comb(n, i))
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_complementary_certificate_sees_any_flipped_entry(n):
+    # N is invertible, so w N = L I holds for the built block alone
+    for i in range(n // 2 + 1):
+        rows = la.boolean_incidence(n, i, n - i).rows()
+        for r, c in itertools.product(range(len(rows)), repeat=2):
+            flipped = [list(row) for row in rows]
+            flipped[r][c] = 1 - flipped[r][c]
+            assert not la.certify_complementary_block(la.Matrix.from_rows(flipped), n, i)
 
 
 def test_complementary_certificate_refuses():

@@ -158,7 +158,8 @@ def test_import_and_parser_leave_numpy_pool_dataclasses_json_and_csv_unloaded():
 
 
 # Ranks a singular and a nonsingular component, takes a kernel and a solve,
-# and runs the cohomology suite in-process; prints whether numpy loaded.
+# and runs every suite in-process, the Boolean certificate too; prints
+# whether numpy loaded.
 RANKS_WITHOUT_NUMPY = """
 import sys
 from supertorus import linalg as la, verify as vf
@@ -167,12 +168,12 @@ singular = la.Matrix.from_rows([[1, 2, 0], [2, 4, 0], [0, 0, 3]])
 assert singular.rank() == 2 and la.boolean_incidence(6, 2, 4).is_invertible()
 assert len(singular.kernel_basis()) == 1
 assert singular.solve_many([[1, 2, 3], [1, 0, 0]]) == [[1, 0, 1], None]
-assert all(r.passed for r in vf.run_suite("cohomology", 4, 0))
+assert all(r.passed for r in vf.run_suite("all", 4, 0))
 print("numpy" in sys.modules)
 """
 
 
-def test_ranks_kernels_solves_and_the_cohomology_suite_leave_numpy_unloaded():
+def test_ranks_kernels_solves_and_every_suite_leave_numpy_unloaded():
     src = str(Path(vf.__file__).resolve().parents[1])
     out = subprocess.run([sys.executable, "-c", RANKS_WITHOUT_NUMPY], capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
