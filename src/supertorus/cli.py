@@ -9,23 +9,27 @@ Each subcommand validates its arguments, does up front the work that can
 fail, and returns a ``Table``: its JSON envelope, a lazy iterable of rows,
 and how one row renders as csv cells and as a text line.  One emitter,
 ``_emit``, owns the ``--format`` decision and streams the rows as they are
-produced, so no command holds its whole output in memory.  Queries whose row
-count, known in closed form, exceeds ``ROW_BUDGET`` are refused before any
-work.
+produced, written to stdout in batches of ``BATCH_ROWS`` rows, one write per
+batch, so no command holds more than a batch of its output in memory.
+Queries whose row count, known in closed form, exceeds ``ROW_BUDGET`` are
+refused before any work.
 
 Exit codes: 0 success, 1 invariant violation (a failed round trip or check,
 decided after the rows have streamed), 2 usage or parse error, 3 internal
 error (a defect of the program, reported on one stderr line).  A command that
 fails before its rows start to stream writes nothing to stdout; a defect
 raised while they stream leaves what was already written (the text title or
-the JSON head, and every row before the failing one) on stdout.  A reader
-that closes stdout early, as ``| head`` does, ends the output quietly: the
-exit code is that of the rows written so far.
+the JSON head, and every row before the failing one) on stdout, since the
+rows of an unfinished batch are written before the error is reported.  A
+reader that closes stdout early, as ``| head`` does, ends the output quietly:
+the exit code is that of the rows written so far, the batch whose write
+failed included.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import os
@@ -40,6 +44,7 @@ from . import verify as vf
 
 SUITE_RANK_GUARD = 10
 ROW_BUDGET = 250_000
+BATCH_ROWS = 256
 
 _JSON_VERSION = 1
 
@@ -64,18 +69,44 @@ class Table(NamedTuple):
     ok: Callable[[Any], bool] = lambda row: True  # a failing row exits 1
 
 
+class _Batch(list):
+    """Output text held back until ``flush`` writes it to stdout in one call;
+    ``write`` makes it a file for the emitters and ``csv.writer``."""
+
+    write = list.append
+
+    def flush(self) -> None:
+        text = "".join(self)
+        self.clear()  # first, so that a failed write is not repeated
+        if text:
+            sys.stdout.write(text)
+
+
 def _emit(table: Table, fmt: str) -> int:
-    """Streams the table in ``fmt``; 1 if a row failed its check, else 0."""
+    """Streams the table in ``fmt``, ``BATCH_ROWS`` rows per write; 1 if a
+    row failed its check, else 0."""
     failed = False
+    out = _Batch()
 
     def checked():
         nonlocal failed
-        for row in table.rows:
+        for count, row in enumerate(table.rows, 1):
             failed = failed or not table.ok(row)
             yield row
+            if count % BATCH_ROWS == 0:
+                out.flush()
 
     try:
-        {"json": _emit_json, "csv": _emit_csv, "text": _emit_text}[fmt](table, checked())
+        try:
+            {"json": _emit_json, "csv": _emit_csv, "text": _emit_text}[fmt](table, checked(), out)
+        except BaseException:
+            # a defect: still write the rows made before it, if the reader is there
+            try:
+                out.flush()
+            except BrokenPipeError:
+                pass
+            raise
+        out.flush()
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed the pipe, which ends the output.  Point stdout at
@@ -86,37 +117,39 @@ def _emit(table: Table, fmt: str) -> int:
     return 1 if failed else 0
 
 
-def _emit_json(table: Table, rows: Iterable) -> None:
+def _emit_json(table: Table, rows: Iterable, out: _Batch) -> None:
     import json  # here, so that text output never loads it
 
     # sort_keys places the rows among the other keys; write the envelope
     # around them, one object at a time.
     envelope = {"version": _JSON_VERSION, **table.fields, table.key: []}
     head, slot, tail = json.dumps(envelope, sort_keys=True).partition(f'"{table.key}": []')
-    out = sys.stdout
+    encode = json.JSONEncoder(sort_keys=True).encode  # what json.dumps builds per call
+    record = table.record
     out.write(head + slot[:-1])
     for k, row in enumerate(rows):
-        out.write((", " if k else "") + json.dumps(table.record(row), sort_keys=True))
+        out.write((", " if k else "") + encode(record(row)))
     out.write("]" + tail + "\n")
 
 
-def _emit_csv(table: Table, rows: Iterable) -> None:
+def _emit_csv(table: Table, rows: Iterable, out: _Batch) -> None:
     import csv  # here, so that text output never loads it
 
-    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(table.header)
     writer.writerows(map(table.cells, rows))
     writer.writerows(table.csv_footer)
 
 
-def _emit_text(table: Table, rows: Iterable) -> None:
+def _emit_text(table: Table, rows: Iterable, out: _Batch) -> None:
     if table.title is not None:
-        print(table.title)
+        out.write(table.title + "\n")
     count = 0
+    line = table.line
     for count, row in enumerate(rows, 1):
-        print(table.line(row))
-    for line in table.footer(count):
-        print(line)
+        out.write(line(row) + "\n")
+    for text in table.footer(count):
+        out.write(text + "\n")
 
 
 def _guard_rank(n: int, guard: int) -> None:
@@ -182,21 +215,17 @@ def cmd_basis(args) -> Table:
     _guard_bidegree(n, i, j)
     dim = co.invariants_dimension(n, i, j)
     _guard_rows(dim)
-
-    def element(m):
-        return ex.format_element(ma.matching_invariant(m))
-
     return Table(
         {"command": "basis", "n": n, "bidegree": [i, j]},
         "rows",
-        ma.noncrossing_matchings(n, bidegree=(i, j)),
-        record=lambda m: {
-            "matching": m.to_json_dict(), "literal": m.literal(), "element": element(m)
+        ma._element_rows(n, ma.noncrossing_matchings(n, bidegree=(i, j))),
+        record=lambda r: {
+            "matching": r[0].to_json_dict(), "literal": r[0].literal(), "element": r[1]
         },
         header=["literal", "element"],
-        cells=lambda m: [m.literal(), element(m)],
+        cells=lambda r: [r[0].literal(), r[1]],
         title=f"noncrossing basis of the invariants, n={n}, bidegree ({i}, {j})",
-        line=lambda m: f"[{m.literal()}]  ->  {element(m)}",
+        line=lambda r: f"[{r[0].literal()}]  ->  {r[1]}",
         footer=lambda count: [f"count {count} (formula {dim})"],
     )
 
@@ -229,12 +258,13 @@ def cmd_bijection(args) -> Table:
                for S in itertools.combinations(range(1, n + 1), size)]
         for size in {k // 2, (k + 1) // 2}
     }
+    matching = ma._pair_matchings(n)
 
     def rows():
         for A in subsets[k // 2]:
             for B in subsets[(k + 1) // 2]:
-                m = ma._matching_from_masks(A[0], B[0], n)
-                yield A, B, m, m.literal(), ma._masks_from_matching(m) == (A[0], B[0])
+                m, literal = matching(A[0], B[0])
+                yield A, B, m, literal, ma._masks_from_matching(m) == (A[0], B[0])
 
     return Table(
         {"command": "bijection", "n": n, "k": k},
@@ -351,10 +381,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -16,14 +16,27 @@ nested 'a' label; those index a linear basis of the invariant ring.  A
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from .exterior import Element, _Reader, _Record, _check_bidegree, _check_int, _check_rank
+from .exterior import (
+    MAX_RANK,
+    Element,
+    _Reader,
+    _Record,
+    _check_bidegree,
+    _check_int,
+    _check_rank,
+)
 from .linalg import _rational
 
 Rational = Fraction | int
+
+# The literal text of every vertex and arc a matching can hold.
+_VERTEX_TEXT = tuple(str(v) for v in range(MAX_RANK + 1))
+_ARC_TEXT = tuple(tuple(f"({i},{j})" for j in range(MAX_RANK + 1)) for i in range(MAX_RANK + 1))
 
 
 class LabelledMatching(_Record):
@@ -80,14 +93,14 @@ class LabelledMatching(_Record):
         return (self.arcs, self.alpha, self.alphatheta)
 
     def literal(self) -> str:
-        parts = [f"n={self.n}"]
+        text = "n=" + _VERTEX_TEXT[self.n]
         if self.arcs:
-            parts.append("arcs=" + ",".join(f"({i},{j})" for i, j in self.arcs))
+            text += "; arcs=" + ",".join([_ARC_TEXT[i][j] for i, j in self.arcs])
         if self.alpha:
-            parts.append("a=" + ",".join(str(v) for v in self.alpha))
+            text += "; a=" + ",".join(map(_VERTEX_TEXT.__getitem__, self.alpha))
         if self.alphatheta:
-            parts.append("at=" + ",".join(str(v) for v in self.alphatheta))
-        return "; ".join(parts)
+            text += "; at=" + ",".join(map(_VERTEX_TEXT.__getitem__, self.alphatheta))
+        return text
 
     def to_json_dict(self) -> dict:
         return {
@@ -225,6 +238,86 @@ def matching_invariant(m: LabelledMatching) -> Element:
                 step[new | 1 << t_pos] = s
         terms = step
     return Element._make(m.n, {mask: _ONE if s > 0 else _MINUS_ONE for mask, s in terms.items()})
+
+
+_ARCS = operator.attrgetter("arcs")
+
+
+def _element_rows(
+    n: int, matchings: Iterable[LabelledMatching]
+) -> Iterator[tuple[LabelledMatching, str]]:
+    """Each matching on 1..n with ``format_element(matching_invariant(m))``,
+    made by one ``str.format`` call from a template built once per arc set.
+
+    The matchings must be reduced (noncrossing, no 'a' label under an arc)
+    and come grouped by arc set, as ``noncrossing_matchings`` returns them.
+    A term of the invariant picks, for each arc (i, j), a_i t_j or a_j t_i.
+    Two facts fix the text of every term from the arc set alone:
+
+    - Every coefficient is (-1)**r, r the number of arcs whose 'a' sits at
+      the right end: moving t_i in front of a_j costs one sign, and what lies
+      strictly under a reduced arc is an even number of generators.
+    - The terms come in binary-counting order over the arcs sorted by left
+      end, with the left-end 'a' first and the first arc most significant:
+      the lowest generator where two terms differ is a_i against t_i of the
+      leftmost arc (i, j) they orient differently.
+
+    Labels change neither: 'a' labels lie outside every arc, and each 'at'
+    label adds two adjacent bits.  So the template has one field per free
+    vertex, which each row fills with its label's names or leaves empty.
+    """
+    for arcs, group in itertools.groupby(matchings, key=_ARCS):
+        template, slot, a_text, at_text = _element_template(n, arcs)
+        blank = [""] * (n - 2 * len(arcs))
+        for m in group:
+            fields = blank.copy()
+            for v in m.alpha:
+                fields[slot[v]] = a_text[v]
+            for v in m.alphatheta:
+                fields[slot[v]] = at_text[v]
+            text = template.format(*fields)
+            if not arcs:  # "1*" and the labels' names, each followed by a space
+                text = text[:-1] if len(text) > 2 else "1"
+            yield m, text
+
+
+def _element_template(n: int, arcs: tuple[tuple[int, int], ...]):
+    """``_element_rows``'s template for one arc set on 1..n, with the field
+    index of each free vertex and the field's text for an 'a' and an 'at'
+    label there, all three lists indexed by vertex.
+
+    Names join with single spaces: a free vertex below the first arc writes
+    each name followed by a space, any later one each preceded by one, so an
+    empty field leaves no stray space.
+    """
+    first = arcs[0][0] if arcs else n + 1
+    k = len(arcs)
+    arc_of = [k] * (n + 1)  # the arc of each end; k for a free vertex
+    for r, arc in enumerate(arcs):
+        arc_of[arc[0]] = arc_of[arc[1]] = r
+    free = [v for v in range(1, n + 1) if arc_of[v] == k]
+    slot = [0] * (n + 1)
+    a_text = [""] * (n + 1)
+    at_text = [""] * (n + 1)
+    # names[v]: vertex v's text in a term whose arc at v has its 'a' at the
+    # left end, and at the right end
+    names: list = [None] * (n + 1)
+    for s, v in enumerate(free):
+        slot[v] = s
+        a_text[v] = f"a{v} " if v < first else f" a{v}"
+        at_text[v] = f"a{v} t{v} " if v < first else f" a{v} t{v}"
+        names[v] = ("{%d}" % s,) * 2
+    for i, j in arcs:
+        names[i] = (f" a{i}", f" t{i}")
+        names[j] = (f" t{j}", f" a{j}")
+    if arcs:  # no space before the first name
+        names[first] = (names[first][0][1:], names[first][1][1:])
+    terms = []
+    for t, orient in enumerate(itertools.product((0, 1), repeat=k)):
+        bits = orient + (0,)
+        sign = "1*" if not t else " - 1*" if sum(orient) & 1 else " + 1*"
+        terms.append(sign + "".join([names[v][bits[arc_of[v]]] for v in range(1, n + 1)]))
+    return "".join(terms), slot, a_text, at_text
 
 
 def crossing_quadruples(m: LabelledMatching) -> list[tuple[int, int, int, int]]:
@@ -529,6 +622,37 @@ def _matching_from_masks(a: int, b: int, n: int) -> LabelledMatching:
     if 0 < split < len(alphas) and max(alphas[:split]) > min(alphas[split:]):
         raise AssertionError(f"subset pair {_pair_text(a, b)} violates the left-right rule")
     return m
+
+
+def _pair_matchings(n: int) -> Callable[[int, int], tuple[LabelledMatching, str]]:
+    """``_matching_from_masks`` on 1..n with the matching's literal, for many
+    mask pairs (a, b) that the caller has checked.
+
+    The stack scan and its four assertions read only A - B and B - A, so the
+    returned function runs them once per pair of those, keeping the arcs, the
+    'a' labels and the literal up to its 'at' section; A & B adds the 'at'
+    labels and the literal's tail.  Both memos belong to the one function,
+    and a failed assertion names the pair (A - B, B - A) that it scanned.
+    """
+    scans: dict[tuple[int, int], tuple] = {}
+    tails: dict[int, tuple] = {}
+
+    def matching(a: int, b: int) -> tuple[LabelledMatching, str]:
+        key = (a & ~b, b & ~a)
+        scan = scans.get(key)
+        if scan is None:
+            core = _matching_from_masks(*key, n)
+            scan = scans[key] = (core.arcs, core.alpha, core.literal())
+        both = a & b
+        tail = tails.get(both)
+        if tail is None:
+            at = _vertices(both)
+            tail = tails[both] = (at, "; at=" + ",".join(map(_VERTEX_TEXT.__getitem__, at))
+                                  if at else "")
+        arcs, alpha, head = scan
+        return LabelledMatching._trusted(n, arcs, alpha, tail[0]), head + tail[1]
+
+    return matching
 
 
 def _masks_from_matching(m: LabelledMatching) -> tuple[int, int]:

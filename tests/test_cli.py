@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface."""
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -297,18 +298,22 @@ def test_basis_internal_error_writes_no_stdout(capsys, monkeypatch, fmt):
     assert err == "internal error: RuntimeError: defect\n"
 
 
+def rows_then_defect(good_rows):
+    """``ma._element_rows`` that renders ``good_rows`` rows, then fails."""
+    element_rows = ma._element_rows
+
+    def fails_later(n, matchings):
+        for count, row in enumerate(element_rows(n, matchings)):
+            if count == good_rows:
+                raise RuntimeError("defect")
+            yield row
+
+    return fails_later
+
+
 @pytest.mark.parametrize("good_rows", [0, 2])
 def test_defect_while_streaming_keeps_written_rows(capsys, monkeypatch, good_rows):
-    invariant = ma.matching_invariant
-    calls = []
-
-    def fails_later(m):
-        calls.append(m)
-        if len(calls) > good_rows:
-            raise RuntimeError("defect")
-        return invariant(m)
-
-    monkeypatch.setattr(ma, "matching_invariant", fails_later)
+    monkeypatch.setattr(ma, "_element_rows", rows_then_defect(good_rows))
     code, out, err = run(capsys, "basis", "--n", "4", "--i", "2", "--j", "2")
     assert code == 3
     assert err == "internal error: RuntimeError: defect\n"
@@ -316,6 +321,131 @@ def test_defect_while_streaming_keeps_written_rows(capsys, monkeypatch, good_row
     assert lines[0] == "noncrossing basis of the invariants, n=4, bidegree (2, 2)"
     assert len(lines) == 1 + good_rows
     assert all("  ->  " in line for line in lines[1:])
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_defect_past_a_batch_keeps_every_row_before_it(capsys, monkeypatch, fmt):
+    # row 300 fails: the first batch of 256 rows is out, the next 43 are not
+    assert 256 == cli.BATCH_ROWS < 299
+    monkeypatch.setattr(ma, "_element_rows", rows_then_defect(299))
+    code, out, err = run(capsys, "basis", "--n", "8", "--i", "4", "--j", "4", "--format", fmt)
+    assert code == 3
+    assert err == "internal error: RuntimeError: defect\n"
+    if fmt == "json":
+        head = '{"bidegree": [4, 4], "command": "basis", "n": 8, "rows": ['
+        assert out.startswith(head) and out.count('"element": ') == 299
+        assert out.endswith("}")  # the last whole row, and no closing bracket
+        return
+    first, *rows = out.splitlines()
+    assert first == ("literal,element" if fmt == "csv" else
+                     "noncrossing basis of the invariants, n=8, bidegree (4, 4)")
+    assert len(rows) == 299 and out.endswith("\n")
+    assert all("  ->  " in row for row in rows) if fmt == "text" else all(
+        row.startswith('"n=8; ') for row in rows)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_round_trip_failure_in_the_last_row_exits_1(capsys, monkeypatch, fmt):
+    # 400 rows; only the last, A = B = {4, 5, 6}, fails its round trip
+    masks_from_matching = ma._masks_from_matching
+    monkeypatch.setattr(ma, "_masks_from_matching", lambda m: (
+        (0, 0) if m.alphatheta == (4, 5, 6) else masks_from_matching(m)))
+    code, out, err = run(capsys, "bijection", "--n", "6", "--k", "6", "--format", fmt)
+    assert (code, err) == (1, "")
+    if fmt == "json":
+        passed = [row["round_trip"] for row in json.loads(out)["rows"]]
+    elif fmt == "csv":
+        passed = [line.endswith(",True") for line in out.splitlines()[1:]]
+    else:
+        passed = ["ROUND TRIP FAILED" not in line for line in out.splitlines()[1:-1]]
+    assert passed == [True] * 399 + [False]
+
+
+def test_parser_is_built_once_and_shared_by_threads():
+    # more threads than cores, switching often, each parsing its own command
+    # line through the one parser: every parse must get a namespace of its own
+    import threading
+
+    assert cli._parser() is cli._parser()
+    expected = [
+        (["basis", "--n", "6", "--i", "3", "--j", "2"],
+         {"command": "basis", "n": 6, "i": 3, "j": 2, "format": "text", "fn": cli.cmd_basis}),
+        (["bijection", "--n", "7", "--k", "5", "--format", "csv"],
+         {"command": "bijection", "n": 7, "k": 5, "format": "csv", "fn": cli.cmd_bijection}),
+        (["dims", "--n", "4", "--format", "json"],
+         {"command": "dims", "n": 4, "format": "json", "fn": cli.cmd_dims}),
+        (["reduce", "n=2; arcs=(1,2)"],
+         {"command": "reduce", "literal": "n=2; arcs=(1,2)", "format": "text",
+          "fn": cli.cmd_reduce}),
+    ]
+    barrier = threading.Barrier(len(expected))
+    results = [[] for _ in expected]
+
+    def parse(k):
+        barrier.wait()
+        for _ in range(200):
+            results[k].append(cli._parser().parse_args(expected[k][0]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=parse, args=(k,)) for k in range(len(expected))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len({id(ns) for namespaces in results for ns in namespaces}) == 200 * len(expected)
+    for (_, fields), namespaces in zip(expected, results):
+        assert len(namespaces) == 200
+        assert all(vars(ns) == fields for ns in namespaces)
+
+
+@functools.lru_cache(maxsize=None)
+def per_row_element(m):
+    return ex.format_element(ma.matching_invariant(m))
+
+
+def per_row_element_rows(n, matchings):
+    """The basis rows as they were made before the per-arc-set templates;
+    each element once, as the three formats share it."""
+    for m in matchings:
+        yield m, per_row_element(m)
+
+
+def per_row_pair_matchings(n):
+    """The bijection's matchings as they were made before the per-key scans."""
+    def matching(a, b):
+        m = ma._matching_from_masks(a, b, n)
+        return m, m.literal()
+
+    return matching
+
+
+def outputs(capsys, argvs):
+    return [run(capsys, *argv) for argv in argvs]
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_basis_matches_the_per_row_route(capsys, monkeypatch, n):
+    argvs = [("basis", "--n", str(n), "--i", str(i), "--j", str(j), "--format", fmt)
+             for i in range(n + 1) for j in range(n + 1) for fmt in ("text", "json", "csv")]
+    fast = outputs(capsys, argvs)
+    monkeypatch.setattr(ma, "_element_rows", per_row_element_rows)
+    assert fast == outputs(capsys, argvs)
+    assert all(code == 0 for code, _, _ in fast)
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_bijection_matches_the_per_row_route(capsys, monkeypatch, n):
+    argvs = [("bijection", "--n", str(n), "--k", str(k), "--format", fmt)
+             for k in range(2 * n + 1) for fmt in ("text", "json", "csv")]
+    fast = outputs(capsys, argvs)
+    monkeypatch.setattr(ma, "_pair_matchings", per_row_pair_matchings)
+    assert fast == outputs(capsys, argvs)
+    assert all(code == 0 for code, _, _ in fast)
 
 
 @pytest.mark.parametrize(

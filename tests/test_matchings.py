@@ -906,3 +906,78 @@ def test_bijection_round_trip_property(case):
     assert m.degree == len(A) + len(B)
     assert ma.crossings(m) == 0 and ma.alpha_nestings(m) == 0
     assert ma.subsets_from_matching(m) == set_subsets_from_matching(m) == ma.SubsetPair(A, B)
+
+
+# ---------------------------------------------------------------------------
+# the row helpers behind the CLI's basis and bijection
+
+def old_literal(m):
+    """``LabelledMatching.literal`` as it was written before the text tables."""
+    parts = [f"n={m.n}"]
+    if m.arcs:
+        parts.append("arcs=" + ",".join(f"({i},{j})" for i, j in m.arcs))
+    if m.alpha:
+        parts.append("a=" + ",".join(str(v) for v in m.alpha))
+    if m.alphatheta:
+        parts.append("at=" + ",".join(str(v) for v in m.alphatheta))
+    return "; ".join(parts)
+
+
+def test_literal_matches_the_formatted_route():
+    for n in range(0, 6):
+        for m in ma.labelled_matchings(n):
+            assert m.literal() == old_literal(m)
+    for m in ma.noncrossing_matchings(14, bidegree=(13, 1)):
+        assert m.literal() == old_literal(m)
+    m = ma.LabelledMatching(14, ((1, 14), (10, 13)), (2, 9), (11, 12))
+    assert m.literal() == old_literal(m) == "n=14; arcs=(1,14),(10,13); a=2,9; at=11,12"
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(labelled_matchings(max_n=14))
+def test_literal_matches_the_formatted_route_property(m):
+    assert m.literal() == old_literal(m)
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_element_rows_match_the_invariant_route(n):
+    # every reduced matching on n vertices, every bidegree in one pass
+    matchings = ma.noncrossing_matchings(n)
+    rows = list(ma._element_rows(n, matchings))
+    assert [m for m, _ in rows] == matchings
+    for m, text in rows:
+        assert text == ex.format_element(ma.matching_invariant(m)), m
+
+
+def test_element_rows_frozen_examples():
+    def text(*args):
+        [(_, out)] = ma._element_rows(args[0], [ma.LabelledMatching(*args)])
+        return out
+
+    assert text(0) == "1"
+    assert text(3, (), (2,), (3,)) == "1*a2 a3 t3"
+    assert text(4, ((2, 3),), (1,), (4,)) == "1*a1 a2 t3 a4 t4 - 1*a1 t2 a3 a4 t4"
+    assert text(4, ((1, 4), (2, 3))) == (
+        "1*a1 a2 t3 t4 - 1*a1 t2 a3 t4 - 1*t1 a2 t3 a4 + 1*t1 t2 a3 a4"
+    )
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_pair_matchings_match_the_mask_core(n):
+    matching = ma._pair_matchings(n)
+    vertices = range(1, n + 1)
+    for k in range(2 * n + 1):
+        for A in itertools.combinations(vertices, k // 2):
+            for B in itertools.combinations(vertices, (k + 1) // 2):
+                a, b = ma._mask(A), ma._mask(B)
+                m, literal = matching(a, b)
+                expected = ma._matching_from_masks(a, b, n)
+                assert m == expected and same_as_public(m)
+                assert literal == old_literal(expected)
+
+
+def test_pair_matchings_keep_their_memo_to_themselves():
+    # the same masks on more vertices: a shared memo would hand back n=4
+    a, b = ma._mask((1, 2)), ma._mask((2, 3))
+    assert ma._pair_matchings(4)(a, b)[1] == "n=4; arcs=(1,3); at=2"
+    assert ma._pair_matchings(5)(a, b)[1] == "n=5; arcs=(1,3); at=2"

@@ -56,21 +56,24 @@ def test_benchmark_names_one_metric_per_verify_check():
 
 
 # Installs the tracer in a fresh interpreter, since it rebinds package
-# functions for good, and prints what it counted as the last line.
+# functions for good, and prints what it counted as the last line.  The
+# basis is built by library calls: the CLI's basis renders its rows from
+# per-arc-set templates and never calls matching_invariant.
 TRACED_RUN = """
-import contextlib, importlib.util, io, json, sys
+import importlib.util, json, sys
 spec = importlib.util.spec_from_file_location("perfbench_tracing", sys.argv[1])
 tracing = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(tracing)
-from supertorus import cli, cohomology
+from supertorus import cli, cohomology, matchings  # the tracer wraps cli functions too
 tracer = tracing.Tracer()
 tracer.install()
 tracer.active = True
-with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["basis", "--n", "4", "--i", "2", "--j", "2"])
+basis = matchings.noncrossing_matchings(4, bidegree=(2, 2))
+elements = [matchings.matching_invariant(m) for m in basis]
 invertible = cohomology.duality_gram(3, 1, 1).is_invertible()
 tracer.active = False
-print(json.dumps({"code": code, "invertible": invertible, **tracer.metrics(0.0)}))
+print(json.dumps({"elements": len(elements), "invertible": invertible,
+                  **tracer.metrics(0.0)}))
 """
 
 
@@ -79,7 +82,7 @@ def test_tracer_counts_a_traced_basis_and_rank():
     out = subprocess.run([sys.executable, "-c", TRACED_RUN, str(TRACING)], capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
     metrics = json.loads(out.stdout.splitlines()[-1])
-    assert metrics["code"] == 0 and metrics["invertible"] is True
+    assert metrics["elements"] == 20 and metrics["invertible"] is True
     assert metrics["matchings.noncrossing_matchings.enumerated"] == 20
     assert metrics["matchings.matching_invariant.calls"] == 20
     assert metrics["linalg.rank.calls"] >= 1
