@@ -4,17 +4,17 @@ A matrix stores each row as its nonzeros, a dict from column to integer,
 over one denominator: row r is kept as its entries times the lcm of their
 reduced denominators, together with that lcm, and its entries read back as
 Fractions.  One exact elimination engine works on copies of those integer
-rows: forward elimination, whose pivot is the candidate row with the fewest
-nonzeros and which updates only the rows that gave no pivot yet, then back
-substitution for reduced echelon forms, kernels and solves.  The rank splits
-the nonzeros into the connected components of the row-column graph by
-union-find and adds up the ranks of the components: a component with one
-row or one column has rank 1, and any other is ranked by forward
-elimination alone.
+rows: forward elimination, which finds each column's candidate rows through
+a column-to-rows index, pivots on the candidate with the fewest nonzeros and
+updates only the rows that gave no pivot yet.  The rank is forward
+elimination alone; reduced echelon forms, kernels and solves add back
+substitution.  Rows in different diagonal blocks share no column, so no
+update crosses a block and the index never visits another block's rows.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from fractions import Fraction
@@ -161,18 +161,9 @@ class Matrix:
         return Matrix._make(other.ncols, *_scaled_rows(products))
 
     def rank(self) -> int:
-        """The sum of the ranks of the connected components.  A component
-        with one row or one column has rank 1; any other is ranked by
-        forward elimination of its stored rows."""
-        total = 0
-        for block in _components(self._rows):
-            if len(block) == 1:
-                total += 1
-                continue
-            rows = [self._rows[r] for r in block]
-            one_column = len({c for row in rows for c in row}) == 1
-            total += 1 if one_column else _bareiss_rank(rows)
-        return total
+        """The number of pivots forward elimination finds in copies of the
+        stored rows."""
+        return _bareiss_rank(self._rows)
 
     def is_invertible(self) -> bool:
         if self.nrows != self.ncols:
@@ -275,39 +266,6 @@ def _fractions(row: dict[int, int], den: int, ncols: int) -> list[Fraction]:
     return out
 
 
-def _components(rows: list[dict[int, int]]) -> Iterable[list[int]]:
-    """The row sets, each in increasing order, of the connected components
-    of the graph joining each row to the columns where it is nonzero; zero
-    rows belong to none.
-
-    Union-find over the columns: each row joins its columns to the root of
-    its first one, and path halving keeps the trees shallow.
-    """
-    parent: dict[int, int] = {}
-    firsts = []
-    for r, row in enumerate(rows):
-        if not row:
-            continue
-        cols = iter(row)
-        root = next(cols)
-        root = parent.setdefault(root, root)
-        while parent[root] != root:
-            parent[root] = root = parent[parent[root]]
-        for c in cols:
-            c = parent.setdefault(c, c)
-            while parent[c] != c:
-                parent[c] = c = parent[parent[c]]
-            if c != root:
-                parent[c] = root
-        firsts.append((r, root))
-    members: dict[int, list[int]] = {}
-    for r, c in firsts:
-        while parent[c] != c:
-            parent[c] = c = parent[parent[c]]
-        members.setdefault(c, []).append(r)
-    return members.values()
-
-
 def _clear(rows: list[dict[int, int]], k: int, prow: dict[int, int], c: int) -> None:
     """Row k less the multiple of the pivot row ``prow`` that clears column c,
     both times the least factors that keep them integral, and then divided
@@ -335,23 +293,31 @@ def _forward(rows: list[dict[int, int]]) -> tuple[list[int], list[int]]:
     column's pivot is the candidate row, among those that gave no pivot yet,
     with the fewest nonzeros, the lowest index on a tie, which keeps the
     fill-in low; only the other candidates are updated, and no row that
-    gave a pivot.  The rows that gave none end as zero rows.
+    gave a pivot.  The rows that gave none end as zero rows.  The candidates
+    come from an index of the rows that may be nonzero in each column: an
+    update fills in only the pivot row's columns, so the updated rows join
+    theirs, and a row that gave a pivot or whose entry cancelled is skipped.
     """
-    live = list(range(len(rows)))  # the rows that gave no pivot, in order
+    index: dict[int, set[int]] = collections.defaultdict(set)
+    for r, row in enumerate(rows):
+        for c in row:
+            index[c].add(r)
+    done: set[int] = set()  # the rows that gave a pivot
     pivots: list[int] = []
     order: list[int] = []
-    for c in sorted({c for row in rows for c in row}):
-        if not live:
-            break
-        cand = [k for k in live if c in rows[k]]
+    for c in sorted(index):
+        cand = [k for k in index[c] if k not in done and c in rows[k]]
         if not cand:
             continue
-        piv = min(cand, key=lambda k: len(rows[k]))
-        live.remove(piv)
+        piv = min(cand, key=lambda k: (len(rows[k]), k)) if len(cand) > 1 else cand[0]
+        done.add(piv)
         prow = rows[piv]
-        for k in cand:
-            if k != piv:
+        cand.remove(piv)
+        if cand:
+            for k in cand:
                 _clear(rows, k, prow, c)
+            for col in prow:
+                index[col].update(cand)
         pivots.append(c)
         order.append(piv)
     return pivots, order
@@ -378,8 +344,8 @@ def _integer_rref(rows: list[dict[int, int]]) -> list[int]:
 
 def _bareiss_rank(rows: list[dict[int, int]]) -> int:
     """Exact rank of integer rows stored as their nonzeros, by forward
-    elimination on copies, since it works in place; the name
-    ``perfbench/tracing.py`` rebinds to count the ranks it runs."""
+    elimination on copies, since it works in place; every rank runs it
+    once, and ``perfbench/tracing.py`` rebinds the name to count them."""
     return len(_forward([dict(row) for row in rows])[0])
 
 

@@ -526,9 +526,12 @@ def noncrossing_matchings(
     sizes = [(i - j, j) for i, j in degrees if i >= j]
     if not sizes:
         return []
-    # Each triple is canonical and is its matching's sort_key.
-    triples = []
-    for arcs in _noncrossing_arc_sets(n, max(q for _, q in sizes)):
+    # A matching of bidegree (p + q, q) with m arcs uses m + p + q vertices,
+    # so it has at most min(q, n - p - q) arcs.  Its (arcs, alpha,
+    # alphatheta) triple is canonical and is its sort_key, and the walk
+    # yields one bidegree's triples in that order.
+    out = []
+    for arcs in _noncrossing_arc_sets(n, max(min(q, n - p - q) for p, q in sizes)):
         matched = {v for arc in arcs for v in arc}
         free = [v for v in range(1, n + 1) if v not in matched]
         outside = [v for v in free if not any(i < v < j for i, j in arcs)]
@@ -538,9 +541,10 @@ def noncrossing_matchings(
             for alphas in itertools.combinations(outside, p):
                 rest = [v for v in free if v not in alphas]
                 for ats in itertools.combinations(rest, q - len(arcs)):
-                    triples.append((arcs, alphas, ats))
-    triples.sort()
-    return [LabelledMatching._trusted(n, *t) for t in triples]
+                    out.append(LabelledMatching._trusted(n, arcs, alphas, ats))
+    if len(sizes) > 1:
+        out.sort(key=LabelledMatching.sort_key)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -86,12 +86,12 @@ def flipped_pair_sign(monkeypatch):
 
 
 @pytest.fixture
-def full_rank_components(monkeypatch):
-    """``Matrix.rank`` with one change: it takes every component as full
-    rank, never running the exact rank."""
-    mutant = _mutant(la, "Matrix.rank", "_bareiss_rank(rows)",
-                     "min(len(rows), len({c for row in rows for c in row}))")
-    monkeypatch.setattr(la.Matrix, "rank", mutant)
+def unindexed_fill_in(monkeypatch):
+    """``linalg._forward`` with one change: an update does not index the
+    pivot row's columns, so a row that an update fills in there is no
+    candidate in them."""
+    mutant = _mutant(la, "_forward", "index[col].update(cand)", "pass")
+    monkeypatch.setattr(la, "_forward", mutant)
 
 
 @pytest.fixture

@@ -83,6 +83,30 @@ def gauss_jordan(rows):
     return pivots
 
 
+def scan_forward(rows):
+    """The forward elimination ``linalg._forward`` replaced, as its oracle:
+    the same pivot rule, with each column's candidates found by scanning
+    every row that gave no pivot yet; in place, and returns the pivot
+    columns and the rows that gave them."""
+    live = list(range(len(rows)))
+    pivots, order = [], []
+    for c in sorted({c for row in rows for c in row}):
+        if not live:
+            break
+        cand = [k for k in live if c in rows[k]]
+        if not cand:
+            continue
+        piv = min(cand, key=lambda k: len(rows[k]))
+        live.remove(piv)
+        prow = rows[piv]
+        for k in cand:
+            if k != piv:
+                la._clear(rows, k, prow, c)
+        pivots.append(c)
+        order.append(piv)
+    return pivots, order
+
+
 def reference_kernel(m):
     rows, pivots = _rref(m.rows(), m.ncols)
     basis = []
@@ -492,6 +516,52 @@ def test_oracle_sees_a_skipped_back_substitution(skipped_back_substitution):
         test_engine_matches_gauss_jordan_oracle()
 
 
+def checked_forward(forward, calls):
+    """``forward`` that asserts, on each call, the pivots, the rows that gave
+    them and the eliminated rows that ``scan_forward`` gives on a copy, and
+    appends the call's rows to ``calls``."""
+    def checked(rows):
+        calls.append(rows)
+        want_rows = [dict(row) for row in rows]
+        want = scan_forward(want_rows)
+        got = forward(rows)
+        assert got == want and rows == want_rows
+        return got
+
+    return checked
+
+
+def test_forward_matches_scan_oracle():
+    # every elimination that the Gauss-Jordan oracle test's matrices run:
+    # one each for rref, kernel_basis, solve_many and rank
+    calls = []
+    with patch.object(la, "_forward", checked_forward(la._forward, calls)):
+        for m, vectors in oracle_cases(random.Random(29)):
+            list(engine_outputs(m, vectors))
+    assert len(calls) == 4 * 400
+
+
+@pytest.mark.parametrize("d0", range(11))
+def test_forward_matches_scan_oracle_on_blocks(d0):
+    # the kernel and cokernel blocks of cohomology, built afresh; the
+    # cokernel blocks read the kernel blocks, so each block is eliminated once
+    kernel_block = functools.cache(co._kernel_block.__wrapped__)
+    calls = []
+    with patch.object(la, "_forward", checked_forward(la._forward, calls)), \
+            patch.object(co, "_kernel_block", kernel_block):
+        for i0 in range(d0 + 1):
+            kernel_block(d0, i0)
+            co._cokernel_block.__wrapped__(d0, i0)
+    assert len(calls) == d0 + 1
+
+
+def test_oracles_see_unindexed_fill_in(unindexed_fill_in):
+    with pytest.raises(AssertionError):
+        test_engine_matches_gauss_jordan_oracle()
+    with pytest.raises(AssertionError):
+        test_forward_matches_scan_oracle()
+
+
 # ---------------------------------------------------------------------------
 # The integer-row storage and the rank against their oracles.
 
@@ -709,31 +779,7 @@ def test_only_linalg_reads_the_matrix_storage():
 
 
 # ---------------------------------------------------------------------------
-# The block-wise rank: one exact rank per connected component.
-
-def components_oracle(dense):
-    """The dense rows of each connected component of the graph joining a row
-    to the columns where it is nonzero, found by breadth-first search; rows
-    and columns in increasing order."""
-    nrows = len(dense)
-    ncols = len(dense[0]) if dense else 0
-    seen = set()
-    out = []
-    for start in range(nrows):
-        if start in seen or not any(dense[start]):
-            continue
-        rows, cols, frontier = {start}, set(), [start]
-        while frontier:
-            new_cols = {c for r in frontier for c in range(ncols) if dense[r][c]} - cols
-            cols |= new_cols
-            frontier = [
-                r for r in range(nrows) if r not in rows and any(dense[r][c] for c in new_cols)
-            ]
-            rows.update(frontier)
-        seen |= rows
-        out.append([[dense[r][c] for c in sorted(cols)] for r in sorted(rows)])
-    return out
-
+# The rank of block-diagonal matrices: one engine run over all the blocks.
 
 _small = st.integers(-3, 3)
 _huge = st.integers(2**63, 2**70) | st.integers(-(2**70), -(2**63))
@@ -785,40 +831,28 @@ def block_diagonal(draw):
 
 def _check_block_rank(dense):
     """The rank of the permuted block matrix against the exact rank of its
-    dense rows, and the components the exact rank ran on, read as dense rows
-    over their own columns: exactly those with more than one row and more
-    than one column, the singular ones among them."""
-    fallbacks = []
+    dense rows, and the exact rank run once, on all its stored rows."""
+    calls = []
     exact = la._bareiss_rank
-
-    def counted(rows):
-        cols = sorted({c for row in rows for c in row})
-        fallbacks.append([[row.get(c, 0) for c in cols] for row in rows])
-        return exact(rows)
-
     m = la.Matrix.from_rows(dense) if dense else la.Matrix(0, 0)
-    with patch.object(la, "_bareiss_rank", counted):
+    with patch.object(la, "_bareiss_rank", lambda rows: calls.append(rows) or exact(rows)):
         got = m.rank()
     assert got == exact_rank(dense)
-    ranked = [c for c in components_oracle(dense) if len(c) > 1 and len(c[0]) > 1]
-    assert sorted(fallbacks) == sorted(ranked)
-    singular = [c for c in components_oracle(dense) if exact_rank(c) < min(len(c), len(c[0]))]
-    assert all(c in fallbacks for c in singular)
+    assert calls == [m._rows]
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(block_diagonal())
 @example([[1, 2, 0], [0, 0, 0], [2, 4, 0], [0, 0, 5]])
 @example([[2**64, 0, 2**65], [0, 3, 0], [1, 0, 2]])
+@example([[0, 0, 0, 7], [1, 1, 0, 0], [0, 1, 1, 0], [-1, 0, 1, 0]])
 def test_block_rank_matches_exact_rank(dense):
     _check_block_rank(dense)
 
 
 def test_fallback_counts_per_component():
     # three singular 2 x 2 blocks, one nonsingular 2 x 2 block, a 1 x 3 and a
-    # 3 x 1 block, interleaved: the exact rank runs once per component with
-    # more than one row and column, the three singular blocks, since the
-    # identity block splits into two 1 x 1 components
+    # 3 x 1 block, interleaved: the exact rank runs once, on the whole matrix
     dense = block_diagonal_rows([
         [[1, 2], [2, 4]], [[1, 0], [0, 1]], [[3, 3], [1, 1]],
         [[7, 8, 9]], [[1], [2], [3]], [[2**64, 2**65], [1, 2]],
@@ -828,23 +862,21 @@ def test_fallback_counts_per_component():
     exact = la._bareiss_rank
     with patch.object(la, "_bareiss_rank", lambda rows: calls.append(rows) or exact(rows)):
         assert la.Matrix.from_rows(dense).rank() == 1 + 2 + 1 + 1 + 1 + 1
-    assert len(calls) == 3
+    assert len(calls) == 1
     _check_block_rank(dense)
 
 
-def test_block_rank_sees_a_rank_taken_as_full(full_rank_components):
-    assert la.Matrix.from_rows([[1, 2], [2, 4]]).rank() == 2
+def test_block_rank_sees_a_rank_taken_as_full(unindexed_fill_in):
+    # the first row less the second is minus the third, but the second
+    # row's fill-in in the third column goes unindexed
+    assert la.Matrix.from_rows([[1, 1, 0], [0, 1, 1], [-1, 0, 1]]).rank() == 3
     with pytest.raises(AssertionError):
         test_block_rank_matches_exact_rank()
-    with pytest.raises(AssertionError):
-        test_fallback_counts_per_component()
 
 
-def test_signed_permutations_need_no_certificate(monkeypatch):
-    def refuse(rows):
-        raise AssertionError("a 1 x 1 component reached the exact rank")
-
-    monkeypatch.setattr(la, "_bareiss_rank", refuse)
+def test_signed_permutations_need_no_certificate():
+    # signed permutations, one-row and one-column matrices: the engine ranks
+    # them as it ranks any other, one pivot per nonzero row and column
     m = la.Matrix.from_rows([[0, -3, 0], [Fraction(1, 2), 0, 0], [0, 0, 0]])
     assert m.rank() == 2
     assert la.Matrix.identity(5).is_invertible()

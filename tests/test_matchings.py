@@ -749,6 +749,27 @@ def test_noncrossing_by_bidegree_closed_form():
     assert len(ma.noncrossing_matchings(10, bidegree=(5, 5))) == formula(10, 5, 5) == 19404
 
 
+def test_one_bidegree_walks_only_arc_sets_that_hold_a_row(monkeypatch):
+    # A matching of bidegree (12, 6) with m arcs uses 12 + m of the 14
+    # vertices, so only the 2,094 noncrossing sets of at most 2 arcs are
+    # walked, not the 113,205 of at most 6.  Each row is stood in for by its
+    # (arcs, alpha, alphatheta) triple, its sort_key: the walk yields them
+    # in order, and nothing sorts them.
+    walk, walked = ma._noncrossing_arc_sets, []
+
+    def counted(n, most):
+        for arcs in walk(n, most):
+            walked.append(arcs)
+            yield arcs
+
+    monkeypatch.setattr(ma, "_noncrossing_arc_sets", counted)
+    monkeypatch.setattr(ma.LabelledMatching, "_trusted", lambda n, *triple: triple)
+    rows = ma.noncrossing_matchings(14, bidegree=(12, 6))
+    assert len(walked) == 2094
+    assert len(rows) == math.comb(14, 12) * math.comb(14, 6) - 14 * math.comb(14, 5)
+    assert rows == sorted(set(rows))
+
+
 def test_noncrossing_by_bidegree_edges():
     assert ma.noncrossing_matchings(6, bidegree=(2, 3)) == []
     assert ma.noncrossing_matchings(0, bidegree=(0, 0)) == [ma.LabelledMatching(0)]
