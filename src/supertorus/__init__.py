@@ -3,8 +3,8 @@
 The package computes, over exact rationals, the translation-invariant
 subalgebra of the rank-2n exterior algebra and the matching cokernel, their
 bigraded dimensions and symmetric-group characters, the Lefschetz and duality
-isomorphisms between complementary bidegrees, and the skein-rewriting normal
-form over the noncrossing matching basis.
+isomorphisms between complementary bidegrees, and the normal form of the
+matching invariants over the noncrossing matching basis.
 """
 
 from .exterior import (

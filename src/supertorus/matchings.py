@@ -9,8 +9,10 @@ matching indexes a product of the basic translation invariants
 one factor per 'a' label, 'at' label, and arc.  Two local rewriting rules,
 uncrossing a pair of arcs and sliding an 'a' label out from under an arc,
 rewrite any such product into the span of the noncrossing matchings with no
-nested 'a' label; those index a linear basis of the invariant ring.  A
-``LabelledMatching`` is a frozen record (``exterior._Record``).
+nested 'a' label; those index a linear basis of the invariant ring.
+``normal_form`` finds the coordinates in that basis by straightening on
+leading terms instead; the rewriting rules serve as its oracle in ``verify``.
+A ``LabelledMatching`` is a frozen record (``exterior._Record``).
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import itertools
 import operator
 import re
+import types
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
@@ -214,6 +217,12 @@ def matching_invariant(m: LabelledMatching) -> Element:
     +1 or -1.  Works for crossing and nested matchings too.  The result is
     annihilated by the raising operator.
     """
+    terms = _invariant_terms(m)
+    return Element._make(m.n, {mask: _ONE if s > 0 else _MINUS_ONE for mask, s in terms.items()})
+
+
+def _invariant_terms(m: LabelledMatching) -> dict[int, int]:
+    """``matching_invariant(m)`` as a dict from monomial mask to +1 or -1."""
     # Bit positions follow the canonical order a_1 < t_1 < a_2 < ...; the
     # sign flips once for every set bit above each newly appended bit.
     mask, sign = 0, 1
@@ -237,7 +246,7 @@ def matching_invariant(m: LabelledMatching) -> Element:
                     s = -s
                 step[new | 1 << t_pos] = s
         terms = step
-    return Element._make(m.n, {mask: _ONE if s > 0 else _MINUS_ONE for mask, s in terms.items()})
+    return terms
 
 
 _ARCS = operator.attrgetter("arcs")
@@ -398,41 +407,59 @@ def skein_move_alpha(
     return MatchingCombination(m.n, {m0: Fraction(sign0), m1: Fraction(sign1)})
 
 
-_normal_form_cache: dict[LabelledMatching, MatchingCombination] = {}
+# Only the benchmark tracer reads this name (``in`` and ``len``): normal
+# forms keep no cache, so it stays empty.
+_normal_form_cache = types.MappingProxyType({})
+
+
+def _lead_matching(mask: int, n: int) -> LabelledMatching:
+    """The reduced matching on 1..n that the monomial ``mask`` leads: 'a'
+    alone opens an arc, 't' alone closes the nearest open one, both make an
+    'at' label, and the vertices left open carry 'a' labels."""
+    arcs, opened, at = [], [], []
+    for v in range(1, n + 1):
+        bits = mask >> (2 * v - 2) & 3  # a_v is the low bit, t_v the high one
+        if bits == 1:
+            opened.append(v)
+        elif bits == 3:
+            at.append(v)
+        elif bits:
+            if not opened:
+                raise AssertionError(f"monomial {mask:#x} on 1..{n} leads no reduced matching")
+            arcs.append((opened.pop(), v))
+    return LabelledMatching._trusted(n, tuple(sorted(arcs)), tuple(opened), tuple(at))
 
 
 def normal_form(m: LabelledMatching) -> MatchingCombination:
-    """Rewrite the matching's invariant into the noncrossing span.
-
-    Strategy: while crossings remain, uncross the lexicographically smallest
-    quadruple; once crossing free, repeatedly slide the leftmost nested 'a'
-    label against the shortest arc above it.  Both steps strictly decrease
-    their statistic, so the rewriting terminates; results are memoized.
+    """Rewrite the matching's invariant into the noncrossing span by
+    straightening on leading terms.  Monomial x comes before y when the
+    lowest set bit of x ^ y belongs to x; a reduced matching's lead, with
+    each arc's 'a' at its left end, comes first in its invariant, with
+    coefficient +1.  So the loop takes the first monomial left, keeps its
+    integer coefficient c for the matching it leads, and subtracts c times
+    that matching's invariant, until nothing is left.  A mask's heap key is
+    its bit reversal, negated.
     """
-    cached = _normal_form_cache.get(m)
-    if cached is not None:
-        return cached
-    quads = crossing_quadruples(m)
-    if quads:
-        step = skein_uncross(m, quads[0])
-    else:
-        patterns = nested_alpha_patterns(m)
-        if patterns:
-            vertex = min(v for _, v in patterns)
-            arc = min(
-                (a for a, v in patterns if v == vertex),
-                key=lambda a: (a[1] - a[0], a),
-            )
-            step = skein_move_alpha(m, arc, vertex)
-        else:
-            result = MatchingCombination.single(m)
-            _normal_form_cache[m] = result
-            return result
-    result = MatchingCombination(m.n)
-    for child, coeff in step.items():
-        result = result + normal_form(child).scale(coeff)
-    _normal_form_cache[m] = result
-    return result
+    import heapq
+
+    width = f"0{2 * m.n}b"
+    rest = _invariant_terms(m)
+    heap = [-int(format(mask, width)[::-1], 2) for mask in rest]
+    heapq.heapify(heap)
+    out = {}
+    while heap:
+        mask = int(format(-heapq.heappop(heap), width)[::-1], 2)
+        c = rest[mask]
+        if not c:
+            continue
+        lead = _lead_matching(mask, m.n)
+        out[lead] = c
+        for mono, s in _invariant_terms(lead).items():
+            if mono not in rest:  # a mask stays in rest once seen, so it is pushed once
+                rest[mono] = 0
+                heapq.heappush(heap, -int(format(mono, width)[::-1], 2))
+            rest[mono] -= c * s
+    return MatchingCombination(m.n, out)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,10 @@ Every check takes ``n_max`` and covers these ranks n:
   adjointness, sign-free bases, iterated raising blocks, noncrossing
   independence, the census's brute-force diagonal.
 * 1..min(4, n_max): characters, normal form; 0..min(4, n_max): invariant
-  bases fixed.
+  bases fixed.  The normal-form check compares three routes on every
+  labelled matching: ``matchings.normal_form`` (straightening on leading
+  terms), the skein rewriting of ``skein_normal_form`` and the exact solve
+  over the noncrossing basis.
 * 0..min(3, n_max): product laws, read off one table of the products of
   every ordered pair of monomials, each of which must be a sign times a
   monomial or zero: graded commutativity on every pair, associativity on
@@ -534,10 +537,41 @@ def check_bijection_round_trip(n_max: int, rng: random.Random) -> bool:
     return True
 
 
+def skein_normal_form(
+    m: ma.LabelledMatching, memo: dict[ma.LabelledMatching, ma.MatchingCombination]
+) -> ma.MatchingCombination:
+    """The normal form by skein rewriting, memoized in ``memo``: while
+    crossings remain, uncross the lexicographically smallest quadruple; once
+    crossing free, slide the leftmost nested 'a' label against the shortest
+    arc above it.  Both steps strictly decrease their statistic, so the
+    rewriting terminates."""
+    done = memo.get(m)
+    if done is not None:
+        return done
+    quads = ma.crossing_quadruples(m)
+    if quads:
+        step = ma.skein_uncross(m, quads[0])
+    else:
+        patterns = ma.nested_alpha_patterns(m)
+        if not patterns:
+            memo[m] = ma.MatchingCombination.single(m)
+            return memo[m]
+        vertex = min(v for _, v in patterns)
+        arc = min((a for a, v in patterns if v == vertex), key=lambda a: (a[1] - a[0], a))
+        step = ma.skein_move_alpha(m, arc, vertex)
+    result = ma.MatchingCombination(m.n)
+    for child, coeff in step.items():
+        result = result + skein_normal_form(child, memo).scale(coeff)
+    memo[m] = result
+    return result
+
+
 def normal_form_matches_oracle(n: int) -> bool:
     """Every labelled matching of size n: its normal form expands to its
-    invariant, is noncrossing without nested labels, and has the coordinates
+    invariant, is noncrossing without nested labels, equals the skein
+    rewriting's (with a memo for this call alone), and has the coordinates
     that exact linear algebra finds over the noncrossing basis."""
+    memo: dict[ma.LabelledMatching, ma.MatchingCombination] = {}
     by_d = defaultdict(list)
     for m in ma.noncrossing_matchings(n):
         by_d[m.bidegree].append(m)
@@ -556,6 +590,8 @@ def normal_form_matches_oracle(n: int) -> bool:
             if nf.expand() != ma.matching_invariant(m):
                 return False
             if any(ma.crossings(t) or ma.alpha_nestings(t) for t in nf.support()):
+                return False
+            if skein_normal_form(m, memo) != nf:
                 return False
             if {bm: c for bm, c in zip(basis_ms, x) if c} != dict(nf.items()):
                 return False

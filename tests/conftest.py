@@ -48,6 +48,15 @@ def oldest_arc_first(monkeypatch):
 
 
 @pytest.fixture
+def right_end_lead(monkeypatch):
+    """``matchings._lead_matching`` with one change: it reads an arc's 'a'
+    at the arc's right end, so a vertex with 't' alone opens an arc and one
+    with 'a' alone closes the nearest open one."""
+    mutant = _mutant(ma, "_lead_matching", "if bits == 1:", "if bits == 2:")
+    monkeypatch.setattr(ma, "_lead_matching", mutant)
+
+
+@pytest.fixture
 def reversed_merge_sign(monkeypatch):
     """``_merge_sign`` with one change: its shifts run the other way, so it
     counts the pairs (x in a, y in b) with y above x instead of below, which

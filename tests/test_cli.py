@@ -209,6 +209,16 @@ def test_bijection_tie_break_fault_is_caught(capsys, oldest_arc_first):
     assert code != 0
 
 
+def test_right_end_lead_fault_is_caught(capsys, right_end_lead):
+    code, out, _ = run(capsys, "verify", "--suite", "matchings", "--n-max", "4")
+    assert code == 1
+    assert "FAIL [matchings] normal form sound and matches oracle" in out
+    assert out.count("FAIL") == 1
+    code, out, err = run(capsys, "reduce", "n=4; arcs=(1,3),(2,4)")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: AssertionError: monomial")
+
+
 def test_closed_stdout_pipe_ends_output_quietly():
     # 4,900 rows, several times a 64 KB pipe buffer: the command is still
     # writing when the reader goes away after two lines

@@ -6,6 +6,7 @@ import math
 import random
 import re
 import sys
+import types
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from supertorus import exterior as ex
 from supertorus import matchings as ma
+from supertorus import verify as vf
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +279,25 @@ def test_normal_form_under_threads(monkeypatch):
 
     monkeypatch.setattr(ma, "_normal_form_cache", {})
     assert threaded == [ma.normal_form(m).items() for m in matchings]
+
+
+def test_normal_form_equals_skein_oracle():
+    # every labelled matching with n <= 6 (2,364 at n = 6), against the skein
+    # rewriting, which shares one memo per n
+    for n in range(7):
+        memo = {}
+        for m in ma.labelled_matchings(n):
+            assert ma.normal_form(m).items() == vf.skein_normal_form(m, memo).items(), m
+
+
+def test_matchings_holds_no_module_state():
+    # independent normal forms may run in parallel threads, so no module
+    # value may be a mutable container; the tracer's name stays, empty
+    mutable = [name for name, value in vars(ma).items() if not name.startswith("__")
+               and isinstance(value, (dict, list, set, bytearray))]
+    assert mutable == []
+    assert isinstance(ma._normal_form_cache, types.MappingProxyType)
+    assert len(ma._normal_form_cache) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -905,6 +926,12 @@ def test_normal_form_expands_to_the_invariant_property(m):
     combo = ma.normal_form(m)
     assert combo.expand() == ma.matching_invariant(m)
     assert all(ma.crossings(s) == 0 and ma.alpha_nestings(s) == 0 for s in combo.support())
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(labelled_matchings(min_n=7, max_n=12).filter(ma.crossings))
+def test_normal_form_equals_skein_oracle_property(m):
+    assert ma.normal_form(m).items() == vf.skein_normal_form(m, {}).items()
 
 
 @st.composite

@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import supertorus
+from supertorus import matchings
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "perfbench" / "tracing.py"
@@ -56,10 +57,9 @@ def test_benchmark_names_one_metric_per_verify_check():
 
 
 # Installs the tracer in a fresh interpreter, since it rebinds package
-# functions for good, and prints what it counted as the last line.  The
-# basis is built by library calls: the CLI's basis renders its rows from
-# per-arc-set templates and never calls matching_invariant.
-TRACED_RUN = """
+# functions for good; the script then runs traced and prints what the tracer
+# counted as the last line.
+TRACER = """
 import importlib.util, json, sys
 spec = importlib.util.spec_from_file_location("perfbench_tracing", sys.argv[1])
 tracing = importlib.util.module_from_spec(spec)
@@ -68,6 +68,11 @@ from supertorus import cli, cohomology, matchings  # the tracer wraps cli functi
 tracer = tracing.Tracer()
 tracer.install()
 tracer.active = True
+"""
+
+# The basis is built by library calls: the CLI's basis renders its rows from
+# per-arc-set templates and never calls matching_invariant.
+TRACED_RUN = TRACER + """
 basis = matchings.noncrossing_matchings(4, bidegree=(2, 2))
 elements = [matchings.matching_invariant(m) for m in basis]
 invertible = cohomology.duality_gram(3, 1, 1).is_invertible()
@@ -77,12 +82,36 @@ print(json.dumps({"elements": len(elements), "invertible": invertible,
 """
 
 
-def test_tracer_counts_a_traced_basis_and_rank():
+# One normal form of the crossing literal in argv[2], which keeps no cache:
+# the cache metrics that the tracer still reports must read 0.
+TRACED_NORMAL_FORM = TRACER + """
+combo = matchings.normal_form(matchings.parse_matching(sys.argv[2]))
+tracer.active = False
+print(json.dumps({"terms": len(combo), **tracer.metrics(0.0)}))
+"""
+
+
+def run_traced(script, *args):
     src = str(Path(supertorus.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", TRACED_RUN, str(TRACING)], capture_output=True,
+    out = subprocess.run([sys.executable, "-c", script, str(TRACING), *args], capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
-    metrics = json.loads(out.stdout.splitlines()[-1])
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_tracer_counts_a_traced_basis_and_rank():
+    metrics = run_traced(TRACED_RUN)
     assert metrics["elements"] == 20 and metrics["invertible"] is True
     assert metrics["matchings.noncrossing_matchings.enumerated"] == 20
     assert metrics["matchings.matching_invariant.calls"] == 20
     assert metrics["linalg.rank.calls"] >= 1
+
+
+def test_tracer_counts_one_normal_form_and_no_cache():
+    literal = "n=8; arcs=(1,5),(2,6),(3,7); a=4; at=8"
+    metrics = run_traced(TRACED_NORMAL_FORM, literal)
+    assert metrics["terms"] == len(matchings.normal_form(matchings.parse_matching(literal)))
+    assert metrics["matchings.normal_form.calls"] == 1
+    assert metrics["matchings.normal_form.self_s"] > 0
+    assert metrics["matchings.normal_form.cache_hits"] == 0
+    assert metrics["matchings.normal_form.cache_misses"] == 0
+    assert metrics["matchings.normal_form.hit_ratio"] == 0
