@@ -74,19 +74,6 @@ class Matrix:
             spread[r][c] = x
         return cls._make(ncols, *_scaled_rows(spread))
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        for row in rows:
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-        return cls(nrows, ncols, [x for row in rows for x in row])
-
-    @classmethod
-    def identity(cls, k: int) -> "Matrix":
-        return cls._make(k, [{r: 1} for r in range(k)], [1] * k)
-
     def _column_index(self, c: int) -> int:
         """c as a list index into a dense row: negative counts from the end."""
         if not -self.ncols <= c < self.ncols:
@@ -144,21 +131,6 @@ class Matrix:
             sum((vv[c] * x for c, x in row.items()), _ZERO) / den
             for row, den in zip(self._rows, self._dens)
         ]
-
-    def __mul__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.ncols != other.nrows:
-            raise ValueError("inner dimensions mismatch")
-        products = []
-        for row, den in zip(self._rows, self._dens):
-            acc: dict[int, Fraction] = {}
-            for k, a in row.items():
-                f = Fraction(a, den * other._dens[k])
-                for c, b in other._rows[k].items():
-                    acc[c] = acc.get(c, _ZERO) + f * b
-            products.append(acc)
-        return Matrix._make(other.ncols, *_scaled_rows(products))
 
     def rank(self) -> int:
         """The number of pivots forward elimination finds in copies of the

@@ -412,6 +412,13 @@ def skein_move_alpha(
 _normal_form_cache = types.MappingProxyType({})
 
 
+def _lead_key(n: int) -> Callable[[int], int]:
+    """Bit reversal over 2n bits, which undoes itself: monomial x comes before
+    y, when the lowest set bit of x ^ y is x's, exactly when its key is larger."""
+    width = f"0{2 * n}b"
+    return lambda mask: int(format(mask, width)[::-1], 2)
+
+
 def _lead_matching(mask: int, n: int) -> LabelledMatching:
     """The reduced matching on 1..n that the monomial ``mask`` leads: 'a'
     alone opens an arc, 't' alone closes the nearest open one, both make an
@@ -432,23 +439,22 @@ def _lead_matching(mask: int, n: int) -> LabelledMatching:
 
 def normal_form(m: LabelledMatching) -> MatchingCombination:
     """Rewrite the matching's invariant into the noncrossing span by
-    straightening on leading terms.  Monomial x comes before y when the
-    lowest set bit of x ^ y belongs to x; a reduced matching's lead, with
-    each arc's 'a' at its left end, comes first in its invariant, with
-    coefficient +1.  So the loop takes the first monomial left, keeps its
-    integer coefficient c for the matching it leads, and subtracts c times
-    that matching's invariant, until nothing is left.  A mask's heap key is
-    its bit reversal, negated.
+    straightening on leading terms.  In ``_lead_key``'s order a reduced
+    matching's lead, with each arc's 'a' at its left end, comes first in its
+    invariant, with coefficient +1.  So the loop pops the first monomial left
+    (the heap holds negated keys), keeps its integer coefficient c for the
+    matching it leads, and subtracts c times that matching's invariant,
+    until nothing is left.
     """
     import heapq
 
-    width = f"0{2 * m.n}b"
+    key = _lead_key(m.n)
     rest = _invariant_terms(m)
-    heap = [-int(format(mask, width)[::-1], 2) for mask in rest]
+    heap = [-key(mask) for mask in rest]
     heapq.heapify(heap)
     out = {}
     while heap:
-        mask = int(format(-heapq.heappop(heap), width)[::-1], 2)
+        mask = key(-heapq.heappop(heap))
         c = rest[mask]
         if not c:
             continue
@@ -457,7 +463,7 @@ def normal_form(m: LabelledMatching) -> MatchingCombination:
         for mono, s in _invariant_terms(lead).items():
             if mono not in rest:  # a mask stays in rest once seen, so it is pushed once
                 rest[mono] = 0
-                heapq.heappush(heap, -int(format(mono, width)[::-1], 2))
+                heapq.heappush(heap, -key(mono))
             rest[mono] -= c * s
     return MatchingCombination(m.n, out)
 

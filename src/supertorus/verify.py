@@ -6,10 +6,10 @@ Every check takes ``n_max`` and covers these ranks n:
 
 * 0..min(6, n_max): translate equals exp, rank profile, dimension formulas;
   1..min(6, n_max): complementary bijection, matching invariants.
-* 1..min(8, n_max): duality gram, lefschetz.
+* 1..min(8, n_max): duality gram, lefschetz, noncrossing independence.
 * 1..min(5, n_max): fixed points, bidegree shifts, sl2, equivariance,
-  adjointness, sign-free bases, iterated raising blocks, noncrossing
-  independence, the census's brute-force diagonal.
+  adjointness, sign-free bases, iterated raising blocks, the census's
+  brute-force diagonal.
 * 1..min(4, n_max): characters, normal form; 0..min(4, n_max): invariant
   bases fixed.  The normal-form check compares three routes on every
   labelled matching: ``matchings.normal_form`` (straightening on leading
@@ -572,15 +572,12 @@ def normal_form_matches_oracle(n: int) -> bool:
     rewriting's (with a memo for this call alone), and has the coordinates
     that exact linear algebra finds over the noncrossing basis."""
     memo: dict[ma.LabelledMatching, ma.MatchingCombination] = {}
-    by_d = defaultdict(list)
-    for m in ma.noncrossing_matchings(n):
-        by_d[m.bidegree].append(m)
     groups = defaultdict(list)
     for m in ma.labelled_matchings(n):
         groups[m.bidegree].append(m)
     for d, ms in groups.items():
         order = co.bidegree_monomials(n, d)
-        basis_ms = by_d[d]
+        basis_ms = ma.noncrossing_matchings(n, bidegree=d)
         B = co.coordinate_matrix([ma.matching_invariant(m) for m in basis_ms], order)
         vecs = co.coordinate_matrix([ma.matching_invariant(m) for m in ms], order)
         for m, x in zip(ms, B.solve_many(vecs.transpose().rows())):
@@ -603,22 +600,21 @@ def check_normal_form(n_max: int, rng: random.Random) -> bool:
 
 
 def check_nc_independence(n_max: int, rng: random.Random) -> bool:
-    for n in range(1, min(5, n_max) + 1):
-        for k in range(0, 2 * n + 1):
-            ms = ma.noncrossing_matchings(n, k)
-            if not ms:
-                continue
-            order = [mono for mono in ex.all_monomials(n) if mono.degree == k]
-            mat = co.coordinate_matrix([ma.matching_invariant(m) for m in ms], order)
-            if mat.rank() != len(ms):
+    """Raising kills each noncrossing invariant; their first monomials in
+    ``matchings._lead_key``'s order have coefficient +1 and are distinct, so
+    they are independent, and in each degree as many as the kernel's dimension."""
+    for n in range(1, min(8, n_max) + 1):
+        key, leads, counts = ma._lead_key(n), set(), [0] * (2 * n + 1)
+        for m in ma.noncrossing_matchings(n):
+            f = ma.matching_invariant(m)
+            lead = max(f._terms, key=key)
+            if f._terms[lead] != 1 or lead in leads or ex.raising(f):
                 return False
-            kernel_dim = sum(
-                co.invariants_dimension(n, i, k - i)
-                for i in range(max(0, k - n), min(n, k) + 1)
-                if 0 <= k - i <= n and i >= k - i
-            )
-            if len(ms) != kernel_dim:
-                return False
+            leads.add(lead)
+            counts[m.degree] += 1
+        if counts != [sum(co.invariants_dimension(n, i, k - i)
+                          for i in range(max(0, k - n), min(n, k) + 1)) for k in range(2 * n + 1)]:
+            return False
     return True
 
 

@@ -14,6 +14,8 @@ from supertorus import exterior as ex
 from supertorus import linalg as la
 from supertorus import matchings as ma
 
+from matrices import from_rows
+
 
 def _mutant(module, name, old, new):
     """``module.name`` rebuilt from its own source with ``old`` replaced by
@@ -124,7 +126,7 @@ def dropped_incidence(monkeypatch):
             return m
         rows = m.rows()
         rows[-1][max(c for c, x in enumerate(rows[-1]) if x)] = 0
-        return la.Matrix.from_rows(rows)
+        return from_rows(rows)
 
     monkeypatch.setattr(la, "boolean_incidence", mutant)
 

@@ -15,6 +15,8 @@ from supertorus import exterior as ex
 from supertorus import linalg as la
 from supertorus.verify import check_duality_dimensions, random_permutation
 
+from matrices import identity
+
 
 # ---------------------------------------------------------------------------
 # raising matrices
@@ -641,7 +643,7 @@ def test_matrix_csv_bytes_are_pinned(name):
 def test_lefschetz_matrix_trivial_power():
     # i + j = n means the zeroth power, and source equals target
     m = co.lefschetz_matrix(2, 1, 1)
-    assert m == la.Matrix.identity(3)
+    assert m == identity(3)
 
 
 def test_lefschetz_matrix_n1():

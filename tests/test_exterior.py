@@ -20,6 +20,8 @@ from supertorus import linalg as la
 from supertorus import matchings as ma
 from supertorus import verify as vf
 
+from matrices import from_rows
+
 
 def elem(text, n=None):
     return ex.parse_element(text, n)
@@ -75,7 +77,7 @@ _VALUES = {
     "Monomial": lambda: ex.Monomial(3, 0b100111),
     "Permutation": lambda: ex.Permutation([3, 1, 2]),
     "Element": lambda: ex.parse_element("1 - 3*a2 + 1/2*a1 t2", 2),
-    "Matrix": lambda: la.Matrix.from_rows([[1, Fraction(1, 2)], [0, 3], [0, 0]]),
+    "Matrix": lambda: from_rows([[1, Fraction(1, 2)], [0, 3], [0, 0]]),
     "LabelledMatching": lambda: _MATCHING,
     "MatchingCombination": lambda: ma.MatchingCombination(6, {
         _MATCHING: Fraction(2, 3), ma.LabelledMatching(6, ((1, 2),), (3,), (4,)): -1}),

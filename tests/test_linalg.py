@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from supertorus import cohomology as co
 from supertorus import linalg as la
 
+from matrices import from_rows, identity, matmul
+
 
 def _rref(rows, ncols):
     """Reference reduced row echelon form in Fraction arithmetic, in place;
@@ -164,7 +166,7 @@ def rand_matrix(rng, nrows, ncols, bound=5):
 
 
 def test_rank_identity_and_zero():
-    assert la.Matrix.identity(3).rank() == 3
+    assert identity(3).rank() == 3
     assert la.Matrix(2, 2).rank() == 0
     assert la.Matrix(0, 5).rank() == 0
     assert la.Matrix(5, 0).rank() == 0
@@ -186,7 +188,7 @@ def test_rank_fast_path_matches_bareiss():
 
 
 def test_kernel_identity_empty():
-    assert la.Matrix.identity(4).kernel_basis() == []
+    assert identity(4).kernel_basis() == []
 
 
 def test_kernel_one_relation():
@@ -208,39 +210,39 @@ def test_kernel_vectors_are_exact():
 
 
 def test_coordinates_basic():
-    m = la.Matrix.from_rows([[1, 0], [0, 1], [1, 1]])
+    m = from_rows([[1, 0], [0, 1], [1, 1]])
     assert m.solve_many([m.column(0)]) == [[1, 0]]
     assert m.solve_many([[0, 0, 0]]) == [[0, 0]]
     assert m.solve_many([[1, 0, 0]]) == [None]
 
 
 def test_coordinates_rational():
-    m = la.Matrix.from_rows([[Fraction(1, 2)], [Fraction(1, 3)]])
+    m = from_rows([[Fraction(1, 2)], [Fraction(1, 3)]])
     (got,) = m.solve_many([[Fraction(1, 4), Fraction(1, 6)]])
     assert got == [Fraction(1, 2)]
 
 
 def test_solve_many_mixed():
-    m = la.Matrix.from_rows([[1, 2], [0, 1]])
+    m = from_rows([[1, 2], [0, 1]])
     inside = m.mat_vec([3, -2])
     got = m.solve_many([inside, [0, 0]])
     assert got[0] == [3, -2]
     assert got[1] == [0, 0]
-    column = la.Matrix.from_rows([[1], [1]])
+    column = from_rows([[1], [1]])
     assert column.solve_many([[1, 1], [5, 6]]) == [[1], None]
 
 
 def test_is_invertible():
-    assert la.Matrix.identity(3).is_invertible()
+    assert identity(3).is_invertible()
     assert not la.Matrix(2, 2).is_invertible()
     with pytest.raises(ValueError):
         la.Matrix(2, 3).is_invertible()
 
 
 def test_matrix_product():
-    a = la.Matrix.from_rows([[1, 2], [3, 4]])
-    b = la.Matrix.from_rows([[0, 1], [1, 0]])
-    assert (a * b).rows() == [[2, 1], [4, 3]]
+    a = from_rows([[1, 2], [3, 4]])
+    b = from_rows([[0, 1], [1, 0]])
+    assert matmul(a, b).rows() == [[2, 1], [4, 3]]
 
 
 def test_boolean_incidence_small():
@@ -321,12 +323,12 @@ def test_complementary_certificate_with_int16_entries():
 def test_complementary_inverse_is_exact(n):
     for i in range(n // 2 + 1):
         c = la._complementary_coefficients(n, i)
-        inverse = la.Matrix.from_rows([
+        inverse = from_rows([
             [c[len(set(t) & set(s))] for s in la.subsets_lex(n, i)]
             for t in la.subsets_lex(n, n - i)
         ])
         w = la.boolean_incidence(n, i, n - i)
-        assert w * inverse == la.Matrix.identity(math.comb(n, i))
+        assert matmul(w, inverse) == identity(math.comb(n, i))
 
 
 @pytest.mark.parametrize("n", range(7))
@@ -337,13 +339,13 @@ def test_complementary_certificate_sees_any_flipped_entry(n):
         for r, c in itertools.product(range(len(rows)), repeat=2):
             flipped = [list(row) for row in rows]
             flipped[r][c] = 1 - flipped[r][c]
-            assert not la.certify_complementary_block(la.Matrix.from_rows(flipped), n, i)
+            assert not la.certify_complementary_block(from_rows(flipped), n, i)
 
 
 def test_complementary_certificate_refuses():
     w = la.boolean_incidence(6, 2, 4)
     assert la.certify_complementary_block(w, 6, 2)
-    doubled = la.Matrix.from_rows([[2 * x for x in row] for row in w.rows()])
+    doubled = from_rows([[2 * x for x in row] for row in w.rows()])
     assert doubled.is_invertible() and not la.certify_complementary_block(doubled, 6, 2)
     assert not la.certify_complementary_block(w.transpose(), 6, 2)
     assert not la.certify_complementary_block(la.boolean_incidence(6, 1, 5), 6, 2)
@@ -391,7 +393,7 @@ def engine_cases(rng):
             m = la.Matrix(nrows, ncols, [rng.choice((-1, 0, 0, 1)) for _ in range(nrows * ncols)])
         elif kind == 2:
             inner = rng.randint(0, 3)
-            m = rand_matrix(rng, nrows, inner, 3) * rand_matrix(rng, inner, ncols, 3)
+            m = matmul(rand_matrix(rng, nrows, inner, 3), rand_matrix(rng, inner, ncols, 3))
         else:
             m = la.Matrix(0, ncols) if k % 8 == 3 else la.Matrix(nrows, 0)
         vectors = [
@@ -421,7 +423,7 @@ def test_engine_matches_reference_on_raising_blocks():
             blocks = [kernel_block]
             if i0 > 0:
                 image = la.boolean_incidence(d0, i0 - 1, i0)
-                blocks.append(la.Matrix.from_rows([row[::-1] for row in image.rows()]))
+                blocks.append(from_rows([row[::-1] for row in image.rows()]))
             for m in blocks:
                 vectors = [m.column(c) for c in range(min(m.ncols, 2))]
                 vectors.append([Fraction(r % 3 - 1) for r in range(m.nrows)])
@@ -459,7 +461,7 @@ def oracle_cases(rng):
             m = rand_matrix(rng, nrows, ncols)
         elif kind == 1:
             inner = rng.randint(0, 3)
-            m = rand_matrix(rng, nrows, inner, 3) * rand_matrix(rng, inner, ncols, 3)
+            m = matmul(rand_matrix(rng, nrows, inner, 3), rand_matrix(rng, inner, ncols, 3))
         elif kind == 2:
             m = la.Matrix(nrows, ncols, [
                 rng.choice((0, 0, rng.randint(-3, 3), rng.choice(huge) * rng.choice((1, -1))))
@@ -600,7 +602,7 @@ def test_rank_matches_oracle_on_seeded_matrices():
         elif kind == 2:
             # rank deficient: a product through a narrow middle
             inner = rng.randint(0, min(nrows, ncols) - 1)
-            m = rand_matrix(rng, nrows, inner, 3) * rand_matrix(rng, inner, ncols, 3)
+            m = matmul(rand_matrix(rng, nrows, inner, 3), rand_matrix(rng, inner, ncols, 3))
         elif kind == 3:
             # full rank: a lower triangle with a nonzero diagonal, rows shuffled
             size = min(nrows, ncols)
@@ -609,7 +611,7 @@ def test_rank_matches_oracle_on_seeded_matrices():
                 for r in range(size)
             ]
             rng.shuffle(rows)
-            m = la.Matrix.from_rows(rows)
+            m = from_rows(rows)
         else:
             m = la.Matrix(0, ncols) if k % 10 == 4 else la.Matrix(nrows, 0)
         assert m.rank() == exact_rank(integer_rows(m))
@@ -623,7 +625,7 @@ def test_rank_matches_oracle_on_seeded_matrices():
     [[-(2**70) - 3, 5, 0], [1, 2**63 + 7, -1], [0, 0, 2**100]],
 ])
 def test_rank_matches_oracle_on_huge_entries(rows):
-    assert la.Matrix.from_rows(rows).rank() == exact_rank(rows)
+    assert from_rows(rows).rank() == exact_rank(rows)
 
 
 @pytest.mark.parametrize("rows", [
@@ -634,8 +636,8 @@ def test_rank_matches_oracle_on_huge_entries(rows):
 def test_rank_leaves_the_matrix_unchanged(rows):
     # each matrix has a singular component, which the exact engine, working
     # in place, eliminates; the rows it is handed must be copies
-    m = la.Matrix.from_rows(rows)
-    before, digest = la.Matrix.from_rows(rows), hash(m)
+    m = from_rows(rows)
+    before, digest = from_rows(rows), hash(m)
     calls = []
     exact = la._bareiss_rank
     with patch.object(la, "_bareiss_rank", lambda block: calls.append(block) or exact(block)):
@@ -686,7 +688,7 @@ def test_integer_rows_match_fraction_reference(shaped, where, other):
     assert hash(m) == hash(((nrows, ncols), tuple(tuple(row) for row in rows)))
     assert m.to_csv() == reference_csv(nrows, ncols, rows)
     # ints and integral Fractions store alike
-    mixed = la.Matrix.from_rows(
+    mixed = from_rows(
         [[int(x) if x.denominator == 1 else x for x in row] for row in rows]
     ) if nrows else la.Matrix(0, ncols)
     assert mixed == m and hash(mixed) == hash(m)
@@ -694,7 +696,7 @@ def test_integer_rows_match_fraction_reference(shaped, where, other):
         changed = [list(row) for row in rows]
         r, c = divmod(where % (nrows * ncols), ncols)
         changed[r][c] = other
-        m2 = la.Matrix.from_rows(changed)
+        m2 = from_rows(changed)
         assert (m2 == m) == (changed == rows)
         assert m2.rows() == changed
 
@@ -720,21 +722,21 @@ def test_float_entries_are_refused(entries):
     with pytest.raises(TypeError):
         la.Matrix(1, 2, entries)
     with pytest.raises(TypeError):
-        la.Matrix.from_rows([entries])
+        from_rows([entries])
 
 
 @pytest.mark.parametrize("v", [[0.5, 1], [Fraction(1), 2.0], [np.float64(0.5), 0]])
 def test_float_vectors_are_refused(v):
     with pytest.raises(TypeError, match="float"):
-        la.Matrix.identity(2).mat_vec(v)
+        identity(2).mat_vec(v)
     with pytest.raises(TypeError, match="float"):
-        la.Matrix.identity(2).solve_many([v])
+        identity(2).solve_many([v])
     with pytest.raises(TypeError, match="float"):
-        la.Matrix.identity(2).solve_many([[1, 2], v])
+        identity(2).solve_many([[1, 2], v])
 
 
 def test_exact_vectors_still_accepted():
-    m = la.Matrix.from_rows([[1, 2], [0, Fraction(1, 2)]])
+    m = from_rows([[1, 2], [0, Fraction(1, 2)]])
     assert m.mat_vec([1, Fraction(1, 3)]) == [Fraction(5, 3), Fraction(1, 6)]
     assert m.solve_many([[3, Fraction(1, 2)], [True, 0]]) == [[1, 1], [1, 0]]
 
@@ -742,9 +744,9 @@ def test_exact_vectors_still_accepted():
 def test_transpose_keeps_empty_shapes():
     assert la.Matrix(3, 0).transpose().shape == (0, 3)
     assert la.Matrix(0, 3).transpose().shape == (3, 0)
-    m = la.Matrix.from_rows([[Fraction(1, 2), Fraction(2, 3)], [0, 5]])
+    m = from_rows([[Fraction(1, 2), Fraction(2, 3)], [0, 5]])
     assert m.transpose().rows() == [[Fraction(1, 2), 0], [Fraction(2, 3), 5]]
-    assert m.transpose() == la.Matrix.from_rows([[Fraction(1, 2), 0], [Fraction(2, 3), 5]])
+    assert m.transpose() == from_rows([[Fraction(1, 2), 0], [Fraction(2, 3), 5]])
     assert m.transpose().transpose() == m
 
 
@@ -834,7 +836,7 @@ def _check_block_rank(dense):
     dense rows, and the exact rank run once, on all its stored rows."""
     calls = []
     exact = la._bareiss_rank
-    m = la.Matrix.from_rows(dense) if dense else la.Matrix(0, 0)
+    m = from_rows(dense) if dense else la.Matrix(0, 0)
     with patch.object(la, "_bareiss_rank", lambda rows: calls.append(rows) or exact(rows)):
         got = m.rank()
     assert got == exact_rank(dense)
@@ -861,7 +863,7 @@ def test_fallback_counts_per_component():
     calls = []
     exact = la._bareiss_rank
     with patch.object(la, "_bareiss_rank", lambda rows: calls.append(rows) or exact(rows)):
-        assert la.Matrix.from_rows(dense).rank() == 1 + 2 + 1 + 1 + 1 + 1
+        assert from_rows(dense).rank() == 1 + 2 + 1 + 1 + 1 + 1
     assert len(calls) == 1
     _check_block_rank(dense)
 
@@ -869,7 +871,7 @@ def test_fallback_counts_per_component():
 def test_block_rank_sees_a_rank_taken_as_full(unindexed_fill_in):
     # the first row less the second is minus the third, but the second
     # row's fill-in in the third column goes unindexed
-    assert la.Matrix.from_rows([[1, 1, 0], [0, 1, 1], [-1, 0, 1]]).rank() == 3
+    assert from_rows([[1, 1, 0], [0, 1, 1], [-1, 0, 1]]).rank() == 3
     with pytest.raises(AssertionError):
         test_block_rank_matches_exact_rank()
 
@@ -877,8 +879,8 @@ def test_block_rank_sees_a_rank_taken_as_full(unindexed_fill_in):
 def test_signed_permutations_need_no_certificate():
     # signed permutations, one-row and one-column matrices: the engine ranks
     # them as it ranks any other, one pivot per nonzero row and column
-    m = la.Matrix.from_rows([[0, -3, 0], [Fraction(1, 2), 0, 0], [0, 0, 0]])
+    m = from_rows([[0, -3, 0], [Fraction(1, 2), 0, 0], [0, 0, 0]])
     assert m.rank() == 2
-    assert la.Matrix.identity(5).is_invertible()
-    assert la.Matrix.from_rows([[1, 2, 3], [0, 0, 0]]).rank() == 1
-    assert la.Matrix.from_rows([[1, 0], [2, 0], [-1, 0]]).rank() == 1
+    assert identity(5).is_invertible()
+    assert from_rows([[1, 2, 3], [0, 0, 0]]).rank() == 1
+    assert from_rows([[1, 0], [2, 0], [-1, 0]]).rank() == 1

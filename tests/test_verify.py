@@ -1,8 +1,10 @@
 """How ``verify.run_suite`` runs its checks: in forked workers, one per
-usable CPU, or in-process, with the same results either way."""
+usable CPU, or in-process, with the same results either way; and the
+noncrossing-independence check against the rank route it replaced."""
 
 import multiprocessing
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -12,6 +14,10 @@ from pathlib import Path
 
 import pytest
 
+from supertorus import cohomology as co
+from supertorus import exterior as ex
+from supertorus import linalg as la
+from supertorus import matchings as ma
 from supertorus import verify as vf
 
 pytestmark = pytest.mark.skipif(
@@ -164,7 +170,7 @@ RANKS_WITHOUT_NUMPY = """
 import sys
 from supertorus import linalg as la, verify as vf
 vf._pool_size = lambda tasks: 0  # in-process, so this interpreter runs every check
-singular = la.Matrix.from_rows([[1, 2, 0], [2, 4, 0], [0, 0, 3]])
+singular = la.Matrix(3, 3, [1, 2, 0, 2, 4, 0, 0, 0, 3])
 assert singular.rank() == 2 and la.boolean_incidence(6, 2, 4).is_invertible()
 assert len(singular.kernel_basis()) == 1
 assert singular.solve_many([[1, 2, 3], [1, 0, 0]]) == [[1, 0, 1], None]
@@ -205,3 +211,87 @@ def test_check_result_behaves_as_its_dataclass(like_dataclass):
     like_dataclass(values, oracles)
     # seconds is left out of equality
     assert values[0] == values[1] and values[3] == values[4]
+
+
+def rank_nc_independence(n_max):
+    """The rank route that ``check_nc_independence`` replaced, its oracle at
+    n <= 5: in every degree k, one with no matching too, the noncrossing
+    invariants' coordinate matrix over the monomials of degree k has full
+    rank, and they are as many as the raising kernel's dimension there."""
+    for n in range(1, min(5, n_max) + 1):
+        for k in range(0, 2 * n + 1):
+            ms = ma.noncrossing_matchings(n, k)
+            order = [mono for mono in ex.all_monomials(n) if mono.degree == k]
+            mat = co.coordinate_matrix([ma.matching_invariant(m) for m in ms], order)
+            if mat.rank() != len(ms):
+                return False
+            kernel_dim = sum(
+                co.invariants_dimension(n, i, k - i)
+                for i in range(max(0, k - n), min(n, k) + 1)
+                if 0 <= k - i <= n and i >= k - i
+            )
+            if len(ms) != kernel_dim:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("n_max", range(6))
+def test_leading_terms_agree_with_the_rank_oracle(n_max):
+    assert vf.check_nc_independence(n_max, random.Random(0))
+    assert rank_nc_independence(n_max)
+
+
+def test_noncrossing_invariants_are_a_basis_through_n_8():
+    assert vf.check_nc_independence(8, random.Random(0))
+
+
+_EMPTY = ma.LabelledMatching(3, (), (), ())  # the only matching of degree 0 at n = 3
+_ARC = ma.parse_matching("n=3; arcs=(1,2); at=3")
+_NESTED = ma.parse_matching("n=3; arcs=(1,3); at=2")
+
+
+@pytest.mark.parametrize("fault", [
+    lambda ms: [m for m in ms if m != _ARC],  # one matching dropped
+    lambda ms: [m for m in ms if m != _EMPTY],  # degree 0 emptied
+    lambda ms: ms + [m for m in ms if m == _ARC],  # one matching listed twice
+    lambda ms: [_ARC if m == _NESTED else m for m in ms],  # one replaced by another
+], ids=["dropped", "emptied degree", "duplicated", "replaced"])
+def test_enumeration_faults_fail_both_routes(monkeypatch, fault):
+    enumerate_matchings = ma.noncrossing_matchings
+    monkeypatch.setattr(ma, "noncrossing_matchings",
+                        lambda *args, **kwargs: fault(enumerate_matchings(*args, **kwargs)))
+    assert ma.noncrossing_matchings(3) != enumerate_matchings(3)
+    for n_max in (3, 5):
+        assert not vf.check_nc_independence(n_max, random.Random(0))
+        assert not rank_nc_independence(n_max)
+    assert vf.check_nc_independence(2, random.Random(0)) and rank_nc_independence(2)
+
+
+def test_a_raising_that_moves_the_other_way_fails_the_check(monkeypatch):
+    # the rank route never raises, so only the leading-term check sees this
+    monkeypatch.setattr(ex, "raising", ex.lowering)
+    assert not vf.check_nc_independence(2, random.Random(0))
+    assert rank_nc_independence(2)
+
+
+def test_a_negated_invariant_fails_the_check(monkeypatch):
+    # its lead's coefficient is -1, which normal_form's coefficients rest on;
+    # the rank route sees the same span, so only the leading-term check fails
+    invariant = ma.matching_invariant
+    monkeypatch.setattr(ma, "matching_invariant", lambda m: -invariant(m) if m == _ARC
+                        else invariant(m))
+    assert not vf.check_nc_independence(3, random.Random(0))
+    assert rank_nc_independence(3)
+
+
+def test_the_check_neither_eliminates_nor_builds_coordinates(monkeypatch):
+    calls = []
+    forward, coordinate_matrix = la._forward, co.coordinate_matrix
+    monkeypatch.setattr(la, "_forward",
+                        lambda *args: calls.append("_forward") or forward(*args))
+    monkeypatch.setattr(co, "coordinate_matrix",
+                        lambda *args: calls.append("coordinate_matrix") or coordinate_matrix(*args))
+    assert vf.check_nc_independence(5, random.Random(0)) and calls == []
+    # the stand-ins see the rank oracle's eliminations and coordinates
+    assert rank_nc_independence(5)
+    assert {"_forward", "coordinate_matrix"} == set(calls)
