@@ -19,13 +19,13 @@ symmetric difference.  Raising is therefore block diagonal over the classes,
 and each block is the transposed Boolean inclusion matrix from the i0-subsets
 to the (i0 + 1)-subsets of a d0 = |D - I| element set.  Blocks have disjoint
 row supports, so pivots, free columns and greedy choices all split block by
-block: ``invariants_basis`` and ``coinvariants_representatives`` compute one
-cached result per block shape (d0, i0) and relabel it into each class, and
-return the same vectors, in the same order, as a reduction of the whole
-matrix.  ``raising_matrix`` still builds that whole matrix from the operator
-itself; it is the dense oracle the tests and ``verify`` compare against.
-Like every matrix of elements over a monomial list here, in ``verify`` and
-in the tests, it is built by ``coordinate_matrix`` from the nonzeros.
+block: ``invariants_basis`` and ``coinvariants_representatives`` relabel one
+cached result per block shape (d0, i0) into each class, and match a reduction
+of the whole matrix vector for vector.  No block is reduced: a stack scan
+reads its free columns, the ballot subsets, and its greedy picks, the subsets
+with a ballot complement.  ``raising_matrix`` builds the whole matrix from
+the operator, by ``coordinate_matrix`` like every matrix of elements here; it
+is the dense oracle the tests and ``verify`` compare against.
 
 Every kernel vector has an own monomial, its free column: it is nonzero there
 and every other kernel vector is zero.  So the coordinates of any x in their
@@ -67,7 +67,7 @@ from .exterior import (
     raising,
     volume_form,
 )
-from .linalg import Matrix, _comb, boolean_incidence
+from .linalg import Matrix, _comb, subset_masks
 
 
 def catalan(n: int) -> int:
@@ -183,36 +183,67 @@ def _block_classes(masks: list[int], i: int) -> list[tuple[int, int, int, int, l
     ]
 
 
+def _ballot_arcs(mask: int, d0: int) -> list[tuple[int, int]] | None:
+    """The arcs of a subset of 1..d0, bit x of ``mask`` set for member x, read
+    left to right: a non-member opens an arc, and a member closes the nearest
+    open arc or stays uncovered; None when an arc stays open (not ballot)."""
+    opened, arcs = [], []
+    for x in range(1, d0 + 1):
+        if not mask >> x & 1:
+            opened.append(x)
+        elif opened:
+            arcs.append((opened.pop(), x))
+    return None if opened else arcs
+
+
 @lru_cache(maxsize=_BLOCK_CACHE_SIZE)
 def _kernel_block(d0: int, i0: int) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
     """Canonical kernel basis of one raising block, from the i0-subsets of a
-    d0-set to the (i0 + 1)-subsets, as sparse (column, value) vectors.
+    d0-set to the (i0 + 1)-subsets, as sparse (column, value) vectors in
+    free-column order, each 1 at its last entry, its own free column.
 
-    Vectors come in free-column order, and each one's last entry sits on its
-    free column: the other entries are on earlier pivot columns.
+    Raising kills the product over the arcs (a, b) of a ballot subset R of
+    (e_R - e_R'), R' being R with b moved to a.  Moving members left makes a
+    subset lexicographically smaller, so R is its last column, coefficient
+    +1.  A kernel vector's last column is free, and there are as many ballot
+    subsets as the kernel's dimension, so they are the free columns.  Taking
+    off, largest first, its entry at each earlier lead times the reduced
+    vector there leaves R's reduced vector, with integer entries: reduced
+    vectors are 0 on each other's leads, so no step changes another's.
     """
-    # With i0 = d0 there is no larger subset: one column and no rows.
-    block = boolean_incidence(d0, i0, i0 + 1).transpose() if i0 < d0 else Matrix(0, 1)
-    return tuple(
-        tuple((c, x) for c, x in enumerate(v) if x) for v in block.kernel_basis()
-    )
+    masks = subset_masks(d0, i0)
+    column = {m: c for c, m in enumerate(masks)}
+    reduced: dict[int, dict[int, int]] = {}
+    for lead, mask in enumerate(masks):
+        if (arcs := _ballot_arcs(mask, d0)) is None:
+            continue
+        terms = {mask: 1}
+        for a, b in arcs:
+            terms.update([(m + (1 << a) - (1 << b), -x) for m, x in terms.items()])
+        vector = {column[m]: x for m, x in terms.items()}
+        for free in sorted(vector.keys() & reduced.keys(), reverse=True):
+            x = vector[free]
+            for c, y in reduced[free].items():
+                vector[c] = vector.get(c, 0) - x * y
+        reduced[lead] = {c: x for c, x in vector.items() if x}
+    # one Fraction per distinct value; one per entry took most of (14, 8)
+    fraction = {x: Fraction(x) for x in set().union(*(v.values() for v in reduced.values()))}
+    return tuple(tuple((c, fraction[x]) for c, x in sorted(v.items())) for v in reduced.values())
 
 
 @lru_cache(maxsize=_BLOCK_CACHE_SIZE)
 def _cokernel_block(d0: int, i0: int) -> tuple[int, ...]:
     """Greedy representatives of one block's cokernel: the positions k among
     the i0-subsets of a d0-set whose unit vectors, taken in order, extend the
-    span of the raised (i0 - 1)-subsets.
-
-    A unit vector e_k extends that span plus e_0 .. e_{k-1} exactly when
-    column k is no pivot of the image once its columns are reversed. Up to
-    its rows, that reversed image is the raising block from the
+    span of the raised (i0 - 1)-subsets.  The unit vector e_k extends that
+    span plus e_0 .. e_{k-1} exactly when column k is no pivot of the image
+    with its columns reversed, which up to rows is the raising block from the
     (d0 - i0)-subsets, transposed, since complements list the subsets of one
-    size in reverse lexicographic order; so the representatives are the
-    reversed free columns of that block's kernel.
+    size in reverse order: they are the subsets with a ballot complement.
     """
-    size = math.comb(d0, i0)
-    return tuple(sorted(size - 1 - v[-1][0] for v in _kernel_block(d0, d0 - i0)))
+    full = (1 << (d0 + 1)) - 2
+    masks = subset_masks(d0, i0)
+    return tuple(k for k, m in enumerate(masks) if _ballot_arcs(full ^ m, d0) is not None)
 
 
 class _KernelVector(NamedTuple):

@@ -115,6 +115,34 @@ def skipped_back_substitution(monkeypatch):
 
 
 @pytest.fixture
+def dropped_ballot_vector(monkeypatch):
+    """``cohomology._kernel_block`` with one change: each block loses its
+    last vector, the one at its lexicographically last ballot subset."""
+    mutant = _mutant(co, "_kernel_block", "for v in reduced.values())",
+                     "for v in list(reduced.values())[:-1])")
+    monkeypatch.setattr(co, "_kernel_block", mutant)
+
+
+@pytest.fixture
+def swapped_arc_signs(monkeypatch):
+    """``cohomology._kernel_block`` with one change: the first arc's factor
+    is e_left - e_right, so each product with an arc starts at -1 on its
+    lead and the whole product is negated."""
+    mutant = _mutant(co, "_kernel_block", "terms = {mask: 1}",
+                     "terms = {mask: -1 if arcs else 1}")
+    monkeypatch.setattr(co, "_kernel_block", mutant)
+
+
+@pytest.fixture
+def skipped_ballot_step(monkeypatch):
+    """``cohomology._kernel_block`` with one change: back-substitution skips
+    its first step, at the largest earlier lead a product touches."""
+    mutant = _mutant(co, "_kernel_block", "reduced.keys(), reverse=True):",
+                     "reduced.keys(), reverse=True)[1:]:")
+    monkeypatch.setattr(co, "_kernel_block", mutant)
+
+
+@pytest.fixture
 def dropped_incidence(monkeypatch):
     """``boolean_incidence`` with one change: the block (12, 4, 8) loses the
     last incidence of its last row."""

@@ -371,6 +371,16 @@ def test_block_bytes_are_pinned(d0):
     assert digest.hexdigest() == BLOCK_DIGESTS[d0]
 
 
+def test_cokernel_picks_are_the_reversed_free_columns():
+    # the cokernel's former definition: the reversed leads of the kernel of
+    # the complementary block, now derived without reading that kernel
+    for d0 in range(13):
+        for i0 in range(d0 + 1):
+            size = math.comb(d0, i0)
+            leads = [v[-1][0] for v in co._kernel_block(d0, d0 - i0)]
+            assert co._cokernel_block(d0, i0) == tuple(sorted(size - 1 - c for c in leads))
+
+
 # ---------------------------------------------------------------------------
 # coordinate matrices against the dense route they replace: one coefficient
 # list per element over the whole monomial list, read back as rows

@@ -499,18 +499,76 @@ def test_engine_matches_gauss_jordan_oracle():
     assert all(any(kind[k] for kind in kinds) for k in range(4))
 
 
+def engine_blocks():
+    """The kernel and cokernel block routes that ``cohomology``'s ballot
+    rule replaced, as its oracle, with a fresh kernel cache: the canonical
+    kernel basis of the transposed Boolean block by the elimination engine,
+    and the cokernel picks as the reversed free columns of the complementary
+    block's kernel, so each block is eliminated once."""
+    @functools.cache
+    def kernel_block(d0, i0):
+        # With i0 = d0 there is no larger subset: one column and no rows.
+        block = la.boolean_incidence(d0, i0, i0 + 1).transpose() if i0 < d0 else la.Matrix(0, 1)
+        return tuple(
+            tuple((c, x) for c, x in enumerate(v) if x) for v in block.kernel_basis()
+        )
+
+    def cokernel_block(d0, i0):
+        size = math.comb(d0, i0)
+        return tuple(sorted(size - 1 - v[-1][0] for v in kernel_block(d0, d0 - i0)))
+
+    return kernel_block, cokernel_block
+
+
+def built_blocks(kernel_block, cokernel_block, d0):
+    return [(kernel_block(d0, i0), cokernel_block(d0, i0)) for i0 in range(d0 + 1)]
+
+
 @pytest.mark.parametrize("d0", range(11))
 def test_blocks_match_gauss_jordan_oracle(d0):
-    # the kernel and cokernel blocks of cohomology, built afresh by the
-    # engine and by the oracle
-    kernel_block = co._kernel_block.__wrapped__
-    cokernel_block = co._cokernel_block.__wrapped__
-    with patch.object(co, "_kernel_block", kernel_block):
-        got = [(kernel_block(d0, i0), cokernel_block(d0, i0)) for i0 in range(d0 + 1)]
-    with patch.object(la, "_integer_rref", gauss_jordan), \
-            patch.object(co, "_kernel_block", functools.cache(kernel_block)):
-        want = [(kernel_block(d0, i0), cokernel_block(d0, i0)) for i0 in range(d0 + 1)]
-    assert got == want
+    # the kernel and cokernel blocks of cohomology, built afresh, byte for
+    # byte against the engine route, and that route against itself with the
+    # Gauss-Jordan oracle as its engine
+    got = built_blocks(co._kernel_block.__wrapped__, co._cokernel_block.__wrapped__, d0)
+    want = built_blocks(*engine_blocks(), d0)
+    assert repr(got) == repr(want)
+    with patch.object(la, "_integer_rref", gauss_jordan):
+        assert built_blocks(*engine_blocks(), d0) == want
+
+
+@pytest.mark.parametrize("fault", ["dropped_ballot_vector", "swapped_arc_signs",
+                                   "skipped_ballot_step"])
+def test_block_oracle_sees_a_faulty_ballot_rule(fault, request):
+    request.getfixturevalue(fault)
+    with pytest.raises(AssertionError):
+        for d0 in range(7):
+            test_blocks_match_gauss_jordan_oracle(d0)
+
+
+def test_a_dropped_ballot_vector_fails_the_dimension_check(dropped_ballot_vector):
+    with pytest.raises(AssertionError, match="disagrees with formula"):
+        co.invariants_basis(4, (2, 2))
+
+
+def test_blocks_run_no_elimination():
+    # every bidegree with n <= 6 from cleared block caches; the stand-in
+    # fires on the engine route, so it is live
+    calls = []
+    forward = la._forward
+    co._kernel_block.cache_clear()
+    co._cokernel_block.cache_clear()
+    with patch.object(la, "_forward", lambda rows: calls.append(rows) or forward(rows)):
+        for n in range(7):
+            for i in range(n + 1):
+                for j in range(n + 1):
+                    co.invariants_basis(n, (i, j))
+                    co.coinvariants_representatives(n, (i, j))
+                    co.duality_gram(n, i, j)
+                    if i + j <= n:
+                        co.lefschetz_matrix(n, i, j)
+        assert calls == []
+        built_blocks(*engine_blocks(), 3)
+    assert len(calls) == 4
 
 
 def test_oracle_sees_a_skipped_back_substitution(skipped_back_substitution):
@@ -545,15 +603,11 @@ def test_forward_matches_scan_oracle():
 
 @pytest.mark.parametrize("d0", range(11))
 def test_forward_matches_scan_oracle_on_blocks(d0):
-    # the kernel and cokernel blocks of cohomology, built afresh; the
+    # the engine route to the kernel and cokernel blocks, built afresh; the
     # cokernel blocks read the kernel blocks, so each block is eliminated once
-    kernel_block = functools.cache(co._kernel_block.__wrapped__)
     calls = []
-    with patch.object(la, "_forward", checked_forward(la._forward, calls)), \
-            patch.object(co, "_kernel_block", kernel_block):
-        for i0 in range(d0 + 1):
-            kernel_block(d0, i0)
-            co._cokernel_block.__wrapped__(d0, i0)
+    with patch.object(la, "_forward", checked_forward(la._forward, calls)):
+        built_blocks(*engine_blocks(), d0)
     assert len(calls) == d0 + 1
 
 
