@@ -21,11 +21,11 @@ to the (i0 + 1)-subsets of a d0 = |D - I| element set.  Blocks have disjoint
 row supports, so pivots, free columns and greedy choices all split block by
 block: ``invariants_basis`` and ``coinvariants_representatives`` relabel one
 cached result per block shape (d0, i0) into each class, and match a reduction
-of the whole matrix vector for vector.  No block is reduced: a stack scan
-reads its free columns, the ballot subsets, and its greedy picks, the subsets
-with a ballot complement.  ``raising_matrix`` builds the whole matrix from
-the operator, by ``coordinate_matrix`` like every matrix of elements here; it
-is the dense oracle the tests and ``verify`` compare against.
+of the whole matrix vector for vector.  No block is reduced: the bracket
+scan ``linalg._bracket_scan`` reads its free columns, the ballot subsets,
+and its greedy picks, those with a ballot complement.  ``raising_matrix``
+builds the whole matrix from the operator, by ``coordinate_matrix`` like
+every matrix of elements here: the dense oracle of the tests and ``verify``.
 
 Every kernel vector has an own monomial, its free column: it is nonzero there
 and every other kernel vector is zero.  So the coordinates of any x in their
@@ -67,7 +67,7 @@ from .exterior import (
     raising,
     volume_form,
 )
-from .linalg import Matrix, _comb, subset_masks
+from .linalg import Matrix, _bracket_scan, _comb, subset_masks
 
 
 def catalan(n: int) -> int:
@@ -183,39 +183,29 @@ def _block_classes(masks: list[int], i: int) -> list[tuple[int, int, int, int, l
     ]
 
 
-def _ballot_arcs(mask: int, d0: int) -> list[tuple[int, int]] | None:
-    """The arcs of a subset of 1..d0, bit x of ``mask`` set for member x, read
-    left to right: a non-member opens an arc, and a member closes the nearest
-    open arc or stays uncovered; None when an arc stays open (not ballot)."""
-    opened, arcs = [], []
-    for x in range(1, d0 + 1):
-        if not mask >> x & 1:
-            opened.append(x)
-        elif opened:
-            arcs.append((opened.pop(), x))
-    return None if opened else arcs
-
-
 @lru_cache(maxsize=_BLOCK_CACHE_SIZE)
 def _kernel_block(d0: int, i0: int) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
     """Canonical kernel basis of one raising block, from the i0-subsets of a
     d0-set to the (i0 + 1)-subsets, as sparse (column, value) vectors in
     free-column order, each 1 at its last entry, its own free column.
 
-    Raising kills the product over the arcs (a, b) of a ballot subset R of
-    (e_R - e_R'), R' being R with b moved to a.  Moving members left makes a
-    subset lexicographically smaller, so R is its last column, coefficient
-    +1.  A kernel vector's last column is free, and there are as many ballot
+    R is ballot when ``_bracket_scan(non-members, members)`` leaves no arc
+    open; raising kills the product over its arcs (a, b) of (e_R - e_R'),
+    R' being R with b moved to a.  Moving members left makes a subset
+    lexicographically smaller, so R is its last column, coefficient +1.  A
+    kernel vector's last column is free, and there are as many ballot
     subsets as the kernel's dimension, so they are the free columns.  Taking
     off, largest first, its entry at each earlier lead times the reduced
     vector there leaves R's reduced vector, with integer entries: reduced
     vectors are 0 on each other's leads, so no step changes another's.
     """
+    full = (1 << d0 + 1) - 2
     masks = subset_masks(d0, i0)
     column = {m: c for c, m in enumerate(masks)}
     reduced: dict[int, dict[int, int]] = {}
     for lead, mask in enumerate(masks):
-        if (arcs := _ballot_arcs(mask, d0)) is None:
+        arcs, _, opened = _bracket_scan(full ^ mask, mask)
+        if opened:
             continue
         terms = {mask: 1}
         for a, b in arcs:
@@ -241,9 +231,9 @@ def _cokernel_block(d0: int, i0: int) -> tuple[int, ...]:
     (d0 - i0)-subsets, transposed, since complements list the subsets of one
     size in reverse order: they are the subsets with a ballot complement.
     """
-    full = (1 << (d0 + 1)) - 2
+    full = (1 << d0 + 1) - 2
     masks = subset_masks(d0, i0)
-    return tuple(k for k, m in enumerate(masks) if _ballot_arcs(full ^ m, d0) is not None)
+    return tuple(k for k, m in enumerate(masks) if not _bracket_scan(m, full ^ m)[2])
 
 
 class _KernelVector(NamedTuple):

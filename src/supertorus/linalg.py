@@ -338,6 +338,25 @@ def subset_masks(n: int, k: int) -> list[int]:
     return masks[k]
 
 
+def _bracket_scan(opens: int, closes: int) -> tuple[list[tuple[int, int]], list[int], list[int]]:
+    """The ballot bracketing of two disjoint masks, from bit 0 up: a bit of
+    ``opens`` opens an arc and one of ``closes`` closes the nearest open arc.
+    Returns the arcs (open, close), the closers that found none, the openers left."""
+    arcs, stray, opened = [], [], []
+    rest = opens | closes
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        x = low.bit_length() - 1
+        if opens & low:
+            opened.append(x)
+        elif opened:
+            arcs.append((opened.pop(), x))
+        else:
+            stray.append(x)
+    return arcs, stray, opened
+
+
 def boolean_incidence(n: int, i: int, j: int) -> Matrix:
     """Containment matrix between size-i and size-j subsets of 1..n.
 

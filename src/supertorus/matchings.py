@@ -12,6 +12,7 @@ rewrite any such product into the span of the noncrossing matchings with no
 nested 'a' label; those index a linear basis of the invariant ring.
 ``normal_form`` finds the coordinates in that basis by straightening on
 leading terms instead; the rewriting rules serve as its oracle in ``verify``.
+Its leads and the subset-pair bijection pair arcs by ``linalg._bracket_scan``.
 A ``LabelledMatching`` is a frozen record (``exterior._Record``).
 """
 
@@ -25,6 +26,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 from .exterior import (
+    _ALPHA_BITS,
     MAX_RANK,
     Element,
     _Reader,
@@ -33,7 +35,7 @@ from .exterior import (
     _check_int,
     _check_rank,
 )
-from .linalg import _rational
+from .linalg import _bracket_scan, _rational
 
 Rational = Fraction | int
 
@@ -420,21 +422,17 @@ def _lead_key(n: int) -> Callable[[int], int]:
 
 
 def _lead_matching(mask: int, n: int) -> LabelledMatching:
-    """The reduced matching on 1..n that the monomial ``mask`` leads: 'a'
+    """The reduced matching on 1..n that the monomial ``mask`` leads, by
+    ``linalg._bracket_scan`` over the even bits, bit 2v - 2 for vertex v: 'a'
     alone opens an arc, 't' alone closes the nearest open one, both make an
     'at' label, and the vertices left open carry 'a' labels."""
-    arcs, opened, at = [], [], []
-    for v in range(1, n + 1):
-        bits = mask >> (2 * v - 2) & 3  # a_v is the low bit, t_v the high one
-        if bits == 1:
-            opened.append(v)
-        elif bits == 3:
-            at.append(v)
-        elif bits:
-            if not opened:
-                raise AssertionError(f"monomial {mask:#x} on 1..{n} leads no reduced matching")
-            arcs.append((opened.pop(), v))
-    return LabelledMatching._trusted(n, tuple(sorted(arcs)), tuple(opened), tuple(at))
+    a, t = mask & _ALPHA_BITS, mask >> 1 & _ALPHA_BITS
+    arcs, stray, opened = _bracket_scan(a & ~t, t & ~a)
+    if stray:
+        raise AssertionError(f"monomial {mask:#x} on 1..{n} leads no reduced matching")
+    arcs = tuple(sorted((i // 2 + 1, j // 2 + 1) for i, j in arcs))
+    at = tuple((x + 1) // 2 for x in _vertices(a & t))
+    return LabelledMatching._trusted(n, arcs, tuple(x // 2 + 1 for x in opened), at)
 
 
 def normal_form(m: LabelledMatching) -> MatchingCombination:
@@ -632,25 +630,13 @@ def _matching_from_masks(a: int, b: int, n: int) -> LabelledMatching:
     1..n, with |B| - 1 <= |A| <= |B|."""
     # A - B opens an arc, B - A closes the nearest open one, A & B is
     # neutral: equally many A and B elements lie between the two ends.
-    arcs = []
-    alphas = []
-    opened: list[int] = []
-    rest = a ^ b
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        v = low.bit_length()
-        if a & low:
-            opened.append(v)
-        elif opened:
-            arcs.append((opened.pop(), v))
-        else:
-            alphas.append(v)
+    # Shifted, the scan reads vertex v at bit v.
+    arcs, alphas, opened = _bracket_scan((a & ~b) << 1, (b & ~a) << 1)
+    arcs.sort()
     split = len(alphas)  # labels from B - A, then the arcs left open in A - B
     alphas.extend(opened)
     if 2 * len(arcs) + len(alphas) != (a ^ b).bit_count():
         raise AssertionError(f"subset pair {_pair_text(a, b)} produced a clash in {arcs}")
-    arcs.sort()
     m = LabelledMatching._trusted(n, tuple(arcs), tuple(alphas), _vertices(a & b))
     if crossing_quadruples(m) or nested_alpha_patterns(m):
         raise AssertionError(
@@ -665,11 +651,11 @@ def _pair_matchings(n: int) -> Callable[[int, int], tuple[LabelledMatching, str]
     """``_matching_from_masks`` on 1..n with the matching's literal, for many
     mask pairs (a, b) that the caller has checked.
 
-    The stack scan and its four assertions read only A - B and B - A, so the
-    returned function runs them once per pair of those, keeping the arcs, the
-    'a' labels and the literal up to its 'at' section; A & B adds the 'at'
-    labels and the literal's tail.  Both memos belong to the one function,
-    and a failed assertion names the pair (A - B, B - A) that it scanned.
+    ``_bracket_scan`` and the four assertions read only A - B and B - A, so
+    the returned function runs them once per such pair, keeping the arcs,
+    the 'a' labels and the literal up to its 'at' section; A & B adds the
+    'at' labels and the literal's tail.  Both memos belong to the one
+    function, and a failed assertion names the pair (A - B, B - A) it read.
     """
     scans: dict[tuple[int, int], tuple] = {}
     tails: dict[int, tuple] = {}

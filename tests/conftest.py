@@ -17,17 +17,19 @@ from supertorus import matchings as ma
 from matrices import from_rows
 
 
-def _mutant(module, name, old, new):
+def _mutant(module, name, old="", new="", **swapped):
     """``module.name`` rebuilt from its own source with ``old`` replaced by
-    ``new``, so every other line of it, its checks too, stays; ``name`` may
-    be a dotted method name such as ``Matrix.rank``."""
+    ``new``, or with the module globals in ``swapped`` rebound for it alone,
+    so every other line of it, its checks too, stays and no other function
+    sees the change; ``name`` may be a dotted method name such as
+    ``Matrix.rank``."""
     target = module
     for part in name.split("."):
         target = getattr(target, part)
     source = textwrap.dedent(inspect.getsource(target))
-    mutated = source.replace(old, new)
-    assert mutated != source
-    namespace = dict(vars(module))
+    mutated = source.replace(old, new) if old else source
+    assert mutated != source or swapped
+    namespace = dict(vars(module)) | swapped
     exec(compile(mutated, module.__file__, "exec"), namespace)
     return namespace[part]
 
@@ -43,9 +45,11 @@ def negated_raising(monkeypatch):
 
 @pytest.fixture
 def oldest_arc_first(monkeypatch):
-    """The bijection's mask core with one change: a B element closes the
-    oldest open arc instead of the newest."""
-    mutant = _mutant(ma, "_matching_from_masks", "opened.pop()", "opened.pop(0)")
+    """The bijection's mask core with one change: its bracket scan closes
+    the oldest open arc instead of the newest.  The scan's other callers
+    keep the right one."""
+    scan = _mutant(la, "_bracket_scan", "opened.pop()", "opened.pop(0)")
+    mutant = _mutant(ma, "_matching_from_masks", _bracket_scan=scan)
     monkeypatch.setattr(ma, "_matching_from_masks", mutant)
 
 
@@ -53,9 +57,32 @@ def oldest_arc_first(monkeypatch):
 def right_end_lead(monkeypatch):
     """``matchings._lead_matching`` with one change: it reads an arc's 'a'
     at the arc's right end, so a vertex with 't' alone opens an arc and one
-    with 'a' alone closes the nearest open one."""
-    mutant = _mutant(ma, "_lead_matching", "if bits == 1:", "if bits == 2:")
+    with 'a' alone closes the nearest open one; the scan's two masks swap
+    for it alone."""
+    scan = la._bracket_scan
+    mutant = _mutant(ma, "_lead_matching",
+                     _bracket_scan=lambda opens, closes: scan(closes, opens))
     monkeypatch.setattr(ma, "_lead_matching", mutant)
+
+
+@pytest.fixture
+def two_open_arcs_to_close(monkeypatch):
+    """``linalg._bracket_scan`` with one change: a closing bit closes an arc
+    only when at least two are open, bound in ``cohomology`` and
+    ``matchings`` both, so every user of the shared scan gets it.
+
+    A pop-order fault cannot serve here: a scan that closes the oldest open
+    arc finds the same ballot subsets, and the product over its crossing
+    arcs is still a kernel vector with the same lead, so back-substitution
+    returns the same reduced basis, which is unique, and no block sees it.
+    """
+    scan = _mutant(la, "_bracket_scan", "elif opened:", "elif len(opened) > 1:")
+    monkeypatch.setattr(co, "_bracket_scan", scan)
+    monkeypatch.setattr(ma, "_bracket_scan", scan)
+    yield
+    # a block built meanwhile holds the fault
+    co._kernel_block.cache_clear()
+    co._cokernel_block.cache_clear()
 
 
 @pytest.fixture

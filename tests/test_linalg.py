@@ -536,8 +536,36 @@ def test_blocks_match_gauss_jordan_oracle(d0):
         assert built_blocks(*engine_blocks(), d0) == want
 
 
+def ballot_arcs(mask, d0):
+    """The scan ``cohomology._ballot_arcs`` that ``linalg._bracket_scan``
+    replaced, as its oracle: a subset of 1..d0, bit x of ``mask`` set for
+    member x, read left to right, where a non-member opens an arc and a
+    member closes the nearest open arc or stays uncovered; None when an arc
+    stays open (not ballot)."""
+    opened, arcs = [], []
+    for x in range(1, d0 + 1):
+        if not mask >> x & 1:
+            opened.append(x)
+        elif opened:
+            arcs.append((opened.pop(), x))
+    return None if opened else arcs
+
+
+def test_block_scans_match_the_ballot_oracle():
+    # every subset of 1..d0, d0 <= 12, scanned as _kernel_block scans it
+    # (its arcs, or that it is not ballot) and as _cokernel_block does
+    # (whether its complement is ballot)
+    for d0 in range(13):
+        full = (1 << d0 + 1) - 2
+        for mask in range(0, full + 1, 2):
+            arcs, _, opened = la._bracket_scan(full ^ mask, mask)
+            assert (None if opened else arcs) == ballot_arcs(mask, d0)
+            complement_ballot = not la._bracket_scan(mask, full ^ mask)[2]
+            assert complement_ballot == (ballot_arcs(full ^ mask, d0) is not None)
+
+
 @pytest.mark.parametrize("fault", ["dropped_ballot_vector", "swapped_arc_signs",
-                                   "skipped_ballot_step"])
+                                   "skipped_ballot_step", "two_open_arcs_to_close"])
 def test_block_oracle_sees_a_faulty_ballot_rule(fault, request):
     request.getfixturevalue(fault)
     with pytest.raises(AssertionError):

@@ -290,6 +290,40 @@ def test_normal_form_equals_skein_oracle():
             assert ma.normal_form(m).items() == vf.skein_normal_form(m, memo).items(), m
 
 
+def loop_lead_matching(mask, n):
+    """The loop ``matchings._lead_matching`` ran before it called
+    ``linalg._bracket_scan``, as its oracle: one vertex at a time, 'a' alone
+    opens an arc, 't' alone closes the nearest open one, both make an 'at'
+    label."""
+    arcs, opened, at = [], [], []
+    for v in range(1, n + 1):
+        bits = mask >> (2 * v - 2) & 3
+        if bits == 1:
+            opened.append(v)
+        elif bits == 3:
+            at.append(v)
+        elif bits:
+            if not opened:
+                raise AssertionError(f"monomial {mask:#x} on 1..{n} leads no reduced matching")
+            arcs.append((opened.pop(), v))
+    return ma.LabelledMatching._trusted(n, tuple(sorted(arcs)), tuple(opened), tuple(at))
+
+
+def test_lead_matching_matches_the_loop_oracle():
+    # every monomial mask with n <= 6: the matching it leads, field types
+    # too, or the same AssertionError
+    def outcome(lead, mask, n):
+        try:
+            m = lead(mask, n)
+        except AssertionError as err:
+            return str(err)
+        return repr(m), (m.arcs, m.alpha, m.alphatheta)
+
+    for n in range(7):
+        for mask in range(4**n):
+            assert outcome(ma._lead_matching, mask, n) == outcome(loop_lead_matching, mask, n)
+
+
 def test_matchings_holds_no_module_state():
     # independent normal forms may run in parallel threads, so no module
     # value may be a mutable container; the tracer's name stays, empty
@@ -867,6 +901,37 @@ def test_bijection_mask_core_matches_set_routes(n):
                 assert ma._masks_from_matching(m) == (a, b)
                 pair = ma.subsets_from_matching(m)
                 assert pair == set_subsets_from_matching(m) == ma.SubsetPair(A, B)
+
+
+def scanned_matching(a, b, n):
+    """The stack scan ``matchings._matching_from_masks`` ran before it called
+    ``linalg._bracket_scan``, as its oracle: A - B opens an arc, B - A closes
+    the nearest open one or takes an 'a' label, and the arcs left open take
+    'a' labels after those."""
+    arcs, alphas, opened = [], [], []
+    rest = a ^ b
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        v = low.bit_length()
+        if a & low:
+            opened.append(v)
+        elif opened:
+            arcs.append((opened.pop(), v))
+        else:
+            alphas.append(v)
+    return ma.LabelledMatching._trusted(
+        n, tuple(sorted(arcs)), tuple(alphas + opened), ma._vertices(a & b))
+
+
+def test_bijection_mask_core_matches_the_scan_oracle():
+    # every mask pair the core accepts with n <= 8; equal fields are equal
+    # tuples of ints
+    for n in range(9):
+        for k in range(2 * n + 1):
+            for a in map(ma._mask, itertools.combinations(range(1, n + 1), k // 2)):
+                for b in map(ma._mask, itertools.combinations(range(1, n + 1), (k + 1) // 2)):
+                    assert ma._matching_from_masks(a, b, n) == scanned_matching(a, b, n)
 
 
 def test_bijection_errors_match_set_routes():

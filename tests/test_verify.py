@@ -82,6 +82,18 @@ def test_bijection_mutant_fails_through_the_pool(pooled, oldest_arc_first):
     assert failed == ["bijection round trip"]
 
 
+def test_a_faulty_shared_scan_fails_the_matching_checks(two_open_arcs_to_close):
+    # the scan's third user, the block oracle, sees it in test_linalg.py
+    def fails(check, n_max):
+        try:
+            return not check(n_max, random.Random(0))
+        except AssertionError:
+            return True
+
+    assert fails(vf.check_normal_form, 3)
+    assert fails(vf.check_bijection_round_trip, 4)
+
+
 def boom(n_max, rng):
     raise ZeroDivisionError(f"at n_max={n_max}, draw {rng.randint(0, 99)}")
 
