@@ -58,6 +58,7 @@ from .exterior import (
     Element,
     Monomial,
     Permutation,
+    Rational,
     _Record,
     _check_bidegree,
     _check_int,
@@ -121,7 +122,7 @@ def raising_matrix(n: int, d: tuple[int, int]) -> Matrix:
     bidegree (i+1, j-1); every entry is 0 or 1.
     """
     i, j = d
-    images = [raising(Element._make(n, {m: Fraction(1)})) for m in _bidegree_masks(n, d)]
+    images = [raising(Element._make(n, {m: 1})) for m in _bidegree_masks(n, d)]
     if any(c != 1 for f in images for c in f._terms.values()):
         raise AssertionError("raising is not sign free in this basis")
     return coordinate_matrix(images, bidegree_monomials(n, (i + 1, j - 1)))
@@ -271,11 +272,13 @@ def _kernel_vectors(n: int, d: Bidegree) -> tuple[list[int], list[_KernelVector]
 
 
 def invariants_basis(n: int, d: tuple[int, int]) -> BidegreeBasis:
-    """Canonical kernel basis of raising on bidegree d, one per free column."""
+    """Canonical kernel basis of raising on bidegree d, one per free column,
+    with the blocks' integer entries as ``int`` coefficients."""
     d = Bidegree(*d)
     source, kernel = _kernel_vectors(n, d)
     vectors = tuple(
-        Element._make(n, {source[k.cols[c]]: x for c, x in k.vector}) for k in kernel
+        Element._make(n, {source[k.cols[c]]: x.numerator for c, x in k.vector})
+        for k in kernel
     )
     return BidegreeBasis(n, d, vectors)
 
@@ -306,7 +309,7 @@ def coinvariants_representatives(n: int, d: tuple[int, int]) -> BidegreeBasis:
     span until the whole component is covered.
     """
     d = Bidegree(*d)
-    reps = tuple(Element._make(n, {m: Fraction(1)}) for m in _cokernel_masks(n, d))
+    reps = tuple(Element._make(n, {m: 1}) for m in _cokernel_masks(n, d))
     return BidegreeBasis(n, d, reps)
 
 
@@ -326,15 +329,17 @@ def _own_monomials(vectors: Sequence[Element]) -> dict[int, int] | None:
 
 def _coordinates(
     vectors: Sequence[Element], own: dict[int, int], x: Element
-) -> dict[int, Fraction] | None:
+) -> dict[int, Rational] | None:
     """The nonzero coordinates of x over the vectors, by index, read off
     their own monomials; None when x minus that combination is not exactly
-    zero, that is, when x is outside the span."""
+    zero, that is, when x is outside the span.  An own coefficient of +1 or
+    -1 divides exactly, so integer vectors give integer coordinates."""
     coords = {}
     for m, c in x._terms.items():
         k = own.get(m)
         if k is not None:
-            coords[k] = Fraction(c, vectors[k]._terms[m])
+            a = vectors[k]._terms[m]
+            coords[k] = c * a if a == 1 or a == -1 else Fraction(c, a)
     rest = dict(x._terms)
     for k, c in coords.items():
         for m, a in vectors[k]._terms.items():

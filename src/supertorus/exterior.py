@@ -7,8 +7,11 @@ the canonical generator order
     a_1 < t_1 < a_2 < t_2 < ... < a_n < t_n
 
 and every sign is an inversion count against that order.  Elements are sparse
-maps from monomials to ``Fraction`` coefficients, so every operator identity
-in the test suite is an exact equality, never a tolerance.
+maps from monomials to exact rational coefficients, so every operator
+identity in the test suite is an exact equality, never a tolerance.  An
+integer coefficient stays an ``int`` (int in, int out): a ``Fraction``
+appears only from a ``Fraction`` input or a true division, such as the 1/k
+of ``exp_raising``, and results are never normalised from one to the other.
 
 The two gradings track alpha-degree and theta-degree separately.  The key
 operators are the algebra map ``translate`` (t_i -> t_i + a_i), its
@@ -35,8 +38,8 @@ from .linalg import _rational
 
 Rational = Fraction | int
 
-# Fractions are immutable, so every absent coefficient can share one zero.
-_ZERO = Fraction(0)
+# Every absent coefficient reads as the int zero, so sums of ints stay ints.
+_ZERO = 0
 
 # Largest rank n accepted; the algebra has 4**n monomials.
 MAX_RANK = 14
@@ -266,16 +269,17 @@ def _merge_sign(a_mask: int, b_mask: int) -> int:
 
 
 class Element:
-    """A finitely supported map from monomials to nonzero Fractions.
+    """A finitely supported map from monomials to nonzero ``Rational``s.
 
     Not frozen, but no operation mutates one: all allocate fresh results.
     Internally terms are keyed by monomial masks.  Coefficients must be
-    exact: a float is refused, as ``Matrix`` refuses it.
+    exact: a float is refused, as ``Matrix`` refuses it.  An ``int`` is kept
+    as an ``int`` and a ``Fraction`` as a ``Fraction``.
     """
 
     __slots__ = ("n", "_terms")
 
-    def __init__(self, n: int, terms: dict[int, Fraction] | None = None):
+    def __init__(self, n: int, terms: dict[int, Rational] | None = None):
         _check_rank(n)
         self.n = n
         self._terms = {}
@@ -287,7 +291,7 @@ class Element:
                 self._terms[m] = c
 
     @classmethod
-    def _make(cls, n: int, terms: dict[int, Fraction]) -> "Element":
+    def _make(cls, n: int, terms: dict[int, Rational]) -> "Element":
         out = cls.__new__(cls)
         out.n = n
         out._terms = {m: c for m, c in terms.items() if c}
@@ -299,11 +303,11 @@ class Element:
 
     @classmethod
     def one(cls, n: int) -> "Element":
-        return cls(n, {0: Fraction(1)})
+        return cls(n, {0: 1})
 
     @classmethod
     def from_monomial(cls, m: Monomial, coeff: Rational = 1) -> "Element":
-        c = Fraction(_rational(coeff))
+        c = _rational(coeff)
         return cls(m.n, {m.mask: c} if c else {})
 
     def is_zero(self) -> bool:
@@ -315,10 +319,10 @@ class Element:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def coefficient(self, m: Monomial) -> Fraction:
+    def coefficient(self, m: Monomial) -> Rational:
         return self._terms.get(m.mask, _ZERO)
 
-    def terms(self) -> list[tuple[Monomial, Fraction]]:
+    def terms(self) -> list[tuple[Monomial, Rational]]:
         """Terms sorted by (degree, generator positions)."""
         out = [(Monomial(self.n, mask), c) for mask, c in self._terms.items()]
         out.sort(key=lambda t: t[0].sort_key())
@@ -363,7 +367,7 @@ class Element:
         return Element._make(self.n, {m: -c for m, c in self._terms.items()})
 
     def scale(self, c: Rational) -> "Element":
-        c = Fraction(_rational(c))
+        c = _rational(c)
         if not c:
             return Element.zero(self.n)
         return Element._make(self.n, {m: c * v for m, v in self._terms.items()})
@@ -374,7 +378,7 @@ class Element:
                 return self.scale(other)
             return NotImplemented
         self._require_same_rank(other)
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, Rational] = {}
         for ma, ca in self._terms.items():
             for mb, cb in other._terms.items():
                 if ma & mb:
@@ -432,7 +436,7 @@ def generator_product(n: int, gens: Iterable[Generator]) -> Element:
             return Element.zero(n)
         sign *= _merge_sign(mask, bit)
         mask |= bit
-    return Element(n, {mask: Fraction(sign)})
+    return Element(n, {mask: sign})
 
 
 def derivative(f: Element, g: Generator) -> Element:
@@ -441,7 +445,7 @@ def derivative(f: Element, g: Generator) -> Element:
     if not 1 <= g.index <= f.n:
         raise ValueError(f"generator {g} out of range for rank {f.n}")
     bit = 1 << g.position
-    acc: dict[int, Fraction] = {}
+    acc: dict[int, Rational] = {}
     for mask, c in f._terms.items():
         if not mask & bit:
             continue
@@ -456,7 +460,7 @@ def _pair_move(f: Element, source: int) -> Element:
     """Sum over the pairs (a_i, t_i) of each term holding only the one at
     bit ``source`` (0 for a_i, 1 for t_i) of the term with it swapped for the
     other; the two are adjacent, so the swap adds no sign."""
-    acc: dict[int, Fraction] = {}
+    acc: dict[int, Rational] = {}
     for mask, c in f._terms.items():
         lone = (mask >> source) & ~(mask >> (1 - source)) & _ALPHA_BITS
         while lone:
@@ -482,7 +486,7 @@ def lowering(f: Element) -> Element:
 
 def weight(f: Element) -> Element:
     """Scale each bidegree (i, j) component by i - j."""
-    acc: dict[int, Fraction] = {}
+    acc: dict[int, Rational] = {}
     for mask, c in f._terms.items():
         i, j = _bidegree(mask)
         if i != j:
@@ -498,7 +502,7 @@ def translate(f: Element) -> Element:
     alpha bit just below it.  It is deliberately independent of ``raising``
     so the two can be compared.
     """
-    out: dict[int, Fraction] = {}
+    out: dict[int, Rational] = {}
     for mask, coeff in f._terms.items():
         acc = {0: coeff}
         m = mask
@@ -506,7 +510,7 @@ def translate(f: Element) -> Element:
             low = m & -m
             m ^= low
             images = (low,) if low & _ALPHA_BITS else (low, low >> 1)
-            step: dict[int, Fraction] = {}
+            step: dict[int, Rational] = {}
             for part, c in acc.items():
                 for bit in images:
                     if part & bit:
@@ -536,9 +540,9 @@ def exp_raising(f: Element) -> Element:
 
 def lefschetz_element(n: int) -> Element:
     """The sum of a_i t_i over all i; annihilated by ``raising``."""
-    acc: dict[int, Fraction] = {}
+    acc: dict[int, Rational] = {}
     for i in range(1, n + 1):
-        acc[0b11 << (2 * (i - 1))] = Fraction(1)
+        acc[0b11 << (2 * (i - 1))] = 1
     return Element(n, acc)
 
 
@@ -588,7 +592,7 @@ def permute(w: Permutation, f: Element) -> Element:
     # the same kind at index w((p >> 1) + 1).  Placing the images in the
     # old order, the sign flips once for every set bit above each new bit.
     target = [2 * v - 2 + kind for v in w.images for kind in (0, 1)]
-    acc: dict[int, Fraction] = {}
+    acc: dict[int, Rational] = {}
     for mask, c in f._terms.items():
         new, odd = 0, 0
         while mask:
@@ -602,16 +606,17 @@ def permute(w: Permutation, f: Element) -> Element:
 
 
 def pairing(f: Element, g: Element) -> Fraction:
-    """Coefficient of the volume form in f * g; a perfect bilinear pairing."""
+    """Coefficient of the volume form in f * g; a perfect bilinear pairing.
+    Summed in the coefficients' own types, returned as a ``Fraction``."""
     f._require_same_rank(g)
     vol = (1 << (2 * f.n)) - 1
-    total = Fraction(0)
+    total = _ZERO
     for mask, c in f._terms.items():
         comp = vol ^ mask
         cg = g._terms.get(comp)
         if cg:
             total += c * cg * _merge_sign(mask, comp)
-    return total
+    return Fraction(total)
 
 
 def all_monomials(n: int) -> Iterator[Monomial]:
@@ -703,21 +708,22 @@ _GEN_RE = re.compile(r"[at](?=\d)", re.ASCII)
 def parse_element(text: str, n: int | None = None) -> Element:
     """Parse an element literal; generator order in each term is respected."""
     r = _Reader(text)
-    terms: list[tuple[int, Fraction, list[Generator]]] = []
+    terms: list[tuple[int, Rational, list[Generator]]] = []
     while r.more():
         sign = r.take("+-")
         if terms and not sign:
             r.fail("expected '+' or '-' between terms")
         r.more()
         start = r.pos
-        coeff = Fraction(-1 if sign == "-" else 1)
+        coeff = -1 if sign == "-" else 1
         star = False
         if r.match(_COEFF_RE):
-            num = r.integer()
-            den = r.integer() if r.match(_SLASH_RE) else 1
-            if den == 0:
-                r.fail("zero denominator", start)
-            coeff *= Fraction(num, den)
+            coeff *= r.integer()
+            if r.match(_SLASH_RE):
+                den = r.integer()
+                if den == 0:
+                    r.fail("zero denominator", start)
+                coeff = Fraction(coeff, den)
             star = bool(r.take("*"))
         gens: list[Generator] = []
         while r.more() and (letter := r.match(_GEN_RE)):

@@ -206,9 +206,6 @@ class MatchingCombination:
         ]
 
 
-_ONE, _MINUS_ONE = Fraction(1), Fraction(-1)
-
-
 def matching_invariant(m: LabelledMatching) -> Element:
     """Product of basic invariants indexed by the matching.
 
@@ -219,8 +216,7 @@ def matching_invariant(m: LabelledMatching) -> Element:
     +1 or -1.  Works for crossing and nested matchings too.  The result is
     annihilated by the raising operator.
     """
-    terms = _invariant_terms(m)
-    return Element._make(m.n, {mask: _ONE if s > 0 else _MINUS_ONE for mask, s in terms.items()})
+    return Element._make(m.n, _invariant_terms(m))
 
 
 def _invariant_terms(m: LabelledMatching) -> dict[int, int]:

@@ -311,10 +311,79 @@ def test_element_keeps_exact_coefficient_types():
     m = ex.Monomial(2, 0b1001)
     assert type(ex.Element(2, {m.mask: 3}).coefficient(m)) is int
     assert type(ex.Element(2, {m.mask: Fraction(1, 2)}).coefficient(m)) is Fraction
-    assert type(ex.Element.from_monomial(m, 3).coefficient(m)) is Fraction
-    assert type(ex.Element.from_monomial(m).scale(2).coefficient(m)) is Fraction
+    assert type(ex.Element.from_monomial(m, 3).coefficient(m)) is int
+    assert type(ex.Element.from_monomial(m).scale(2).coefficient(m)) is int
+    assert type(ex.Element.from_monomial(m, Fraction(1, 2)).coefficient(m)) is Fraction
+    assert type(ex.Element.from_monomial(m).scale(Fraction(1, 2)).coefficient(m)) is Fraction
     assert ex.Element(2, {15: Fraction(1)}) == ex.Element.from_monomial(ex.Monomial(2, 15))
     assert 2 * ex.Element.one(2) == ex.Element.one(2) * Fraction(2) == ex.Element.one(2).scale(2)
+
+
+def coefficient_types(*elements):
+    return {type(c) for f in elements for c in f._terms.values()}
+
+
+def test_integer_producers_hold_int_coefficients():
+    """The integral objects of the calculus carry ``int`` coefficients."""
+    n = 5
+    assert coefficient_types(*co.invariants_basis(n, (3, 2)).vectors) == {int}
+    assert coefficient_types(*co.coinvariants_representatives(n, (2, 3)).vectors) == {int}
+    m = ma.parse_matching("n=5; arcs=(2,4),(3,5); at=1")
+    assert coefficient_types(ma.matching_invariant(m)) == {int}
+    assert coefficient_types(ex.lefschetz_element(n)) == {int}
+    gens = [ex.theta(2), ex.alpha(1), ex.theta(1)]
+    assert coefficient_types(ex.generator_product(n, gens)) == {int}
+    assert coefficient_types(ex.Element.one(n)) == {int}
+    assert coefficient_types(elem("2*a1 t2 - 3*a2 t1")) == {int}
+    assert coefficient_types(elem("1/2*a1 t2 - 3*a2 t1")) == {Fraction, int}
+
+
+def as_fractions(f):
+    return ex.Element._make(f.n, {m: Fraction(c) for m, c in f._terms.items()})
+
+
+def test_int_route_matches_fraction_route():
+    """Every operator gives the same terms on int coefficients as on the
+    same values held as Fractions, and keeps ints ints, except the 1/k of
+    ``exp_raising``; the scalar results stay Fractions either way."""
+    rng = random.Random(34)
+    for n in range(6):
+        for _ in range(6):
+            f, g = (ex.Element(n, {rng.getrandbits(2 * n): rng.randint(-3, 3)
+                                   for _ in range(5)}) for _ in range(2))
+            ff, gf = as_fractions(f), as_fractions(g)
+            w = ex.Permutation(rng.sample(range(1, n + 1), n))
+            gen = ex.Generator(rng.choice(["alpha", "theta"]), rng.randint(1, max(n, 1)))
+            d = (rng.randint(0, n), rng.randint(0, n))
+            k = rng.randint(-3, 3)
+            ops = [
+                lambda a, b: a + b,
+                lambda a, b: a - b,
+                lambda a, b: -a,
+                lambda a, b: a * b,
+                lambda a, b: a.scale(k),
+                lambda a, b: ex.raising(a),
+                lambda a, b: ex.lowering(a),
+                lambda a, b: ex.weight(a),
+                lambda a, b: ex.translate(a),
+                lambda a, b: ex.permute(w, a),
+                lambda a, b: a.bidegree_component(d),
+            ]
+            if n:
+                ops.append(lambda a, b: ex.derivative(a, gen))
+            for op in ops:
+                out = op(f, g)
+                assert out._terms == op(ff, gf)._terms
+                assert coefficient_types(out) <= {int}
+            assert ex.exp_raising(f)._terms == ex.exp_raising(ff)._terms
+            assert type(ex.pairing(f, g)) is Fraction
+            assert ex.pairing(f, g) == ex.pairing(ff, gf)
+        for i in range((n + 1) // 2, n + 1):
+            basis = co.invariants_basis(n, (i, n - i))
+            twin = co.BidegreeBasis(n, basis.bidegree, tuple(map(as_fractions, basis)))
+            trace = co.trace_on_basis(w, basis)
+            assert type(trace) is Fraction
+            assert trace == co.trace_on_basis(w, twin)
 
 
 # ---------------------------------------------------------------------------
