@@ -1,11 +1,11 @@
 """Sparse exact rational linear algebra and Boolean-poset incidence matrices.
 
-A matrix stores each row as its nonzeros, a dict from column to integer,
-over one denominator: row r is kept as its entries times the lcm of their
-reduced denominators, together with that lcm, and its entries read back as
-Fractions.  One exact elimination engine works on copies of those integer
-rows: forward elimination, which finds each column's candidate rows through
-a column-to-rows index, pivots on the candidate with the fewest nonzeros and
+A matrix stores each row as its nonzeros, a dict from column to the entry
+as given, an int or a Fraction, and its entries read back as Fractions.  One
+exact elimination engine works on integer copies of those rows, each times
+the lcm of its denominators (fraction-free, after Bareiss): forward
+elimination, which finds each column's candidate rows through a
+column-to-rows index, pivots on the candidate with the fewest nonzeros and
 updates only the rows that gave no pivot yet.  The rank is forward
 elimination alone; reduced echelon forms, kernels and solves add back
 substitution.  Rows in different diagonal blocks share no column, so no
@@ -30,12 +30,11 @@ class Matrix:
     mutates one.
 
     Row r is stored as the dict ``_rows[r]`` from each column where the row
-    is nonzero to an integer, over the positive denominator ``_dens[r]``, the
-    lcm of the row's reduced denominators, so equal matrices store equal
-    rows.  Only this module reads the storage.
+    is nonzero to its entry, an int or a Fraction as given, so an integral
+    matrix stores ints.  Only this module reads the storage.
     """
 
-    __slots__ = ("nrows", "ncols", "_rows", "_dens")
+    __slots__ = ("nrows", "ncols", "_rows")
 
     def __init__(self, nrows: int, ncols: int, entries: Iterable[Fraction] | None = None):
         if nrows < 0 or ncols < 0:
@@ -44,20 +43,20 @@ class Matrix:
         self.ncols = ncols
         if entries is None:
             self._rows = [{} for _ in range(nrows)]
-            self._dens = [1] * nrows
             return
         flat = [_rational(e) for e in entries]
         if len(flat) != nrows * ncols:
             raise ValueError(f"expected {nrows * ncols} entries, got {len(flat)}")
-        self._rows, self._dens = _scaled_rows(
-            dict(enumerate(flat[r * ncols : (r + 1) * ncols])) for r in range(nrows)
-        )
+        self._rows = [
+            {c: x for c, x in enumerate(flat[r * ncols : (r + 1) * ncols]) if x}
+            for r in range(nrows)
+        ]
 
     @classmethod
-    def _make(cls, ncols: int, rows: list[dict[int, int]], dens: list[int]) -> "Matrix":
-        """The matrix of stored rows and their denominators, taken as given."""
+    def _make(cls, ncols: int, rows: list[dict[int, int | Fraction]]) -> "Matrix":
+        """The matrix of stored rows, taken as given."""
         out = cls.__new__(cls)
-        out.nrows, out.ncols, out._rows, out._dens = len(rows), ncols, rows, dens
+        out.nrows, out.ncols, out._rows = len(rows), ncols, rows
         return out
 
     @classmethod
@@ -72,7 +71,7 @@ class Matrix:
             if not 0 <= c < ncols:
                 raise IndexError(f"column {c} out of range for {ncols} columns")
             spread[r][c] = x
-        return cls._make(ncols, *_scaled_rows(spread))
+        return cls._make(ncols, [{c: x for c, x in row.items() if x} for row in spread])
 
     def _column_index(self, c: int) -> int:
         """c as a list index into a dense row: negative counts from the end."""
@@ -82,17 +81,20 @@ class Matrix:
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         r, c = key
-        return Fraction(self._rows[r].get(self._column_index(c), 0), self._dens[r])
+        return Fraction(self._rows[r].get(self._column_index(c), 0))
 
     def row(self, r: int) -> list[Fraction]:
-        return _fractions(self._rows[r], self._dens[r], self.ncols)
+        out = [_ZERO] * self.ncols
+        for c, x in self._rows[r].items():
+            out[c] = Fraction(x)
+        return out
 
     def column(self, c: int) -> list[Fraction]:
         c = self._column_index(c)
-        return [Fraction(row.get(c, 0), den) for row, den in zip(self._rows, self._dens)]
+        return [Fraction(row.get(c, 0)) for row in self._rows]
 
     def rows(self) -> list[list[Fraction]]:
-        return [_fractions(row, den, self.ncols) for row, den in zip(self._rows, self._dens)]
+        return [self.row(r) for r in range(self.nrows)]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -102,7 +104,6 @@ class Matrix:
         return (
             isinstance(other, Matrix)
             and self.shape == other.shape
-            and self._dens == other._dens
             and self._rows == other._rows
         )
 
@@ -111,30 +112,27 @@ class Matrix:
 
     def __reduce__(self):
         # _make takes its rows as given, so it gets copies
-        return (Matrix._make, (self.ncols, [dict(row) for row in self._rows], self._dens[:]))
+        return (Matrix._make, (self.ncols, [dict(row) for row in self._rows]))
 
     def __repr__(self) -> str:
         return f"Matrix({self.nrows}x{self.ncols})"
 
     def transpose(self) -> "Matrix":
-        return Matrix._from_nonzeros(self.ncols, self.nrows, (
-            (c, r, x if den == 1 else Fraction(x, den))
-            for r, (row, den) in enumerate(zip(self._rows, self._dens))
-            for c, x in row.items()
-        ))
+        out = [{} for _ in range(self.ncols)]
+        for r, row in enumerate(self._rows):
+            for c, x in row.items():
+                out[c][r] = x
+        return Matrix._make(self.nrows, out)
 
     def mat_vec(self, v: Sequence) -> list[Fraction]:
         if len(v) != self.ncols:
             raise ValueError("vector length mismatch")
         vv = [_rational(x) for x in v]
-        return [
-            sum((vv[c] * x for c, x in row.items()), _ZERO) / den
-            for row, den in zip(self._rows, self._dens)
-        ]
+        return [sum((vv[c] * x for c, x in row.items()), _ZERO) for row in self._rows]
 
     def rank(self) -> int:
-        """The number of pivots forward elimination finds in copies of the
-        stored rows."""
+        """The number of pivots forward elimination finds in integer copies
+        of the stored rows."""
         return _bareiss_rank(self._rows)
 
     def is_invertible(self) -> bool:
@@ -143,21 +141,16 @@ class Matrix:
         return self.rank() == self.nrows
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        rows = [dict(row) for row in self._rows]
+        rows = _integer_rows(self._rows)
         pivots = _integer_rref(rows)
-        dens = [1] * self.nrows
         for r, p in enumerate(pivots):
-            # row r over its pivot entry, which the gcd of the row divides
-            g = math.gcd(*rows[r].values())
-            if rows[r][p] < 0:
-                g = -g
-            rows[r] = {c: x // g for c, x in rows[r].items()}
-            dens[r] = rows[r][p]
-        return Matrix._make(self.ncols, rows, dens), tuple(pivots)
+            lead = rows[r][p]
+            rows[r] = {c: Fraction(x, lead) for c, x in rows[r].items()}
+        return Matrix._make(self.ncols, rows), tuple(pivots)
 
     def kernel_basis(self) -> list[list[Fraction]]:
         """Canonical basis of the right null space, one vector per free column."""
-        rows = [dict(row) for row in self._rows]
+        rows = _integer_rows(self._rows)
         pivots = _integer_rref(rows)
         pivot_set = set(pivots)
         basis = {c: [_ZERO] * self.ncols for c in range(self.ncols) if c not in pivot_set}
@@ -176,15 +169,11 @@ class Matrix:
         for v in vectors:
             if len(v) != self.nrows:
                 raise ValueError("vector length mismatch")
-        rhs_rows, rhs_dens = _scaled_rows(
-            {k: _rational(v[r]) for k, v in enumerate(vectors)} for r in range(self.nrows)
-        )
         n = self.ncols
-        aug = []
-        for row, den, rhs, rhs_den in zip(self._rows, self._dens, rhs_rows, rhs_dens):
-            scale = math.lcm(den, rhs_den)
-            a, b = scale // den, scale // rhs_den
-            aug.append({c: x * a for c, x in row.items()} | {n + k: x * b for k, x in rhs.items()})
+        aug = _integer_rows(
+            row | {n + k: _rational(v[r]) for k, v in enumerate(vectors)}
+            for r, row in enumerate(self._rows)
+        )
         pivots = _integer_rref(aug)
         results: list[list[Fraction] | None] = [[_ZERO] * n for _ in vectors]
         # the rows with a pivot among the vectors come last
@@ -214,27 +203,16 @@ def _rational(x) -> int | Fraction:
     return Fraction(x)
 
 
-def _scaled_rows(
-    spread: Iterable[dict[int, int | Fraction]]
-) -> tuple[list[dict[int, int]], list[int]]:
-    """The stored rows and denominators of rows given as dicts from column to
-    int or Fraction: each row's nonzeros times the lcm of their
-    denominators, and that lcm."""
-    rows, dens = [], []
-    for entries in spread:
-        den = math.lcm(*(x.denominator for x in entries.values()))
+def _integer_rows(rows: Iterable[dict[int, int | Fraction]]) -> list[dict[int, int]]:
+    """The engine's integer copies of rows given as dicts from column to int
+    or Fraction: each row's nonzeros times the lcm of their denominators."""
+    out = []
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row.values()))
         if den == 1:
-            rows.append({c: x.numerator for c, x in entries.items() if x})
+            out.append({c: x.numerator for c, x in row.items() if x})
         else:
-            rows.append({c: x.numerator * (den // x.denominator) for c, x in entries.items() if x})
-        dens.append(den)
-    return rows, dens
-
-
-def _fractions(row: dict[int, int], den: int, ncols: int) -> list[Fraction]:
-    out = [_ZERO] * ncols
-    for c, x in row.items():
-        out[c] = Fraction(x, den) if den != 1 else Fraction(x)
+            out.append({c: x.numerator * (den // x.denominator) for c, x in row.items() if x})
     return out
 
 
@@ -314,11 +292,11 @@ def _integer_rref(rows: list[dict[int, int]]) -> list[int]:
     return pivots
 
 
-def _bareiss_rank(rows: list[dict[int, int]]) -> int:
-    """Exact rank of integer rows stored as their nonzeros, by forward
-    elimination on copies, since it works in place; every rank runs it
-    once, and ``perfbench/tracing.py`` rebinds the name to count them."""
-    return len(_forward([dict(row) for row in rows])[0])
+def _bareiss_rank(rows: list[dict[int, int | Fraction]]) -> int:
+    """Exact rank of stored rows, by forward elimination on their integer
+    copies, since it works in place; every rank runs it once, and
+    ``perfbench/tracing.py`` rebinds the name to count them."""
+    return len(_forward(_integer_rows(rows))[0])
 
 
 def subsets_lex(n: int, k: int) -> list[tuple[int, ...]]:
@@ -393,8 +371,7 @@ def boolean_incidence(n: int, i: int, j: int) -> Matrix:
             memo[m, a, b] = got
         return got
 
-    out = [dict.fromkeys(row, 1) for row in columns(n, i, j)]
-    return Matrix._make(math.comb(n, j), out, [1] * len(out))
+    return Matrix._make(math.comb(n, j), [dict.fromkeys(row, 1) for row in columns(n, i, j)])
 
 
 def _comb(n: int, k: int) -> int:
@@ -440,7 +417,7 @@ def certify_complementary_block(w: Matrix, n: int, i: int) -> bool:
         raise ValueError(f"need 0 <= 2i <= n <= 15, got i={i}, n={n}")
     small, large = subset_masks(n, i), subset_masks(n, n - i)
     size = len(small)
-    if w.shape != (size, size) or set(w._dens) != {1} or not all(w._rows):
+    if w.shape != (size, size) or not all(w._rows):
         return False
     if set().union(*map(dict.values, w._rows)) != {1}:
         return False

@@ -133,27 +133,27 @@ class MatchingCombination:
 
     __slots__ = ("n", "_terms")
 
-    def __init__(self, n: int, terms: dict[LabelledMatching, Fraction] | None = None):
+    def __init__(self, n: int, terms: dict[LabelledMatching, Rational] | None = None):
         _check_rank(n)
         self.n = n
-        self._terms: dict[LabelledMatching, Fraction] = {}
+        self._terms: dict[LabelledMatching, Rational] = {}
         if terms:
             for m, c in terms.items():
                 if m.n != n:
                     raise ValueError("matching size mismatch")
-                c = Fraction(_rational(c))
+                c = _rational(c)
                 if c:
                     self._terms[m] = c
 
     @classmethod
     def single(cls, m: LabelledMatching, coeff: Rational = 1) -> "MatchingCombination":
-        return cls(m.n, {m: Fraction(_rational(coeff))})
+        return cls(m.n, {m: _rational(coeff)})
 
-    def items(self) -> list[tuple[LabelledMatching, Fraction]]:
+    def items(self) -> list[tuple[LabelledMatching, Rational]]:
         return sorted(self._terms.items(), key=lambda t: t[0].sort_key())
 
-    def coefficient(self, m: LabelledMatching) -> Fraction:
-        return self._terms.get(m, Fraction(0))
+    def coefficient(self, m: LabelledMatching) -> Rational:
+        return self._terms.get(m, 0)
 
     def support(self) -> list[LabelledMatching]:
         return [m for m, _ in self.items()]
@@ -171,11 +171,11 @@ class MatchingCombination:
             raise ValueError("matching size mismatch")
         acc = dict(self._terms)
         for m, c in other._terms.items():
-            acc[m] = acc.get(m, Fraction(0)) + c
+            acc[m] = acc.get(m, 0) + c
         return MatchingCombination(self.n, acc)
 
     def scale(self, c: Rational) -> "MatchingCombination":
-        c = Fraction(_rational(c))
+        c = _rational(c)
         return MatchingCombination(self.n, {m: c * v for m, v in self._terms.items()})
 
     def __eq__(self, other) -> bool:
@@ -370,7 +370,7 @@ def skein_uncross(
     rest = tuple(a for a in m.arcs if a not in ((i, k), (j, l)))
     m0 = LabelledMatching(m.n, rest + ((i, j), (k, l)), m.alpha, m.alphatheta)
     m1 = LabelledMatching(m.n, rest + ((i, l), (j, k)), m.alpha, m.alphatheta)
-    return MatchingCombination(m.n, {m0: Fraction(-1), m1: Fraction(-1)})
+    return MatchingCombination(m.n, {m0: -1, m1: -1})
 
 
 def skein_move_alpha(
@@ -402,7 +402,7 @@ def skein_move_alpha(
     sign1 = -1 if sum(1 for s in others if i < s < j) % 2 == 0 else 1
     m0 = LabelledMatching(m.n, rest + ((i, j),), labels0, m.alphatheta)
     m1 = LabelledMatching(m.n, rest + ((j, k),), labels1, m.alphatheta)
-    return MatchingCombination(m.n, {m0: Fraction(sign0), m1: Fraction(sign1)})
+    return MatchingCombination(m.n, {m0: sign0, m1: sign1})
 
 
 # Only the benchmark tracer reads this name (``in`` and ``len``): normal

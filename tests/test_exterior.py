@@ -89,7 +89,7 @@ _VALUES = {
 # The containers that hold the unfrozen types' values.
 _STORAGE = {
     ex.Element: lambda v: [v._terms],
-    la.Matrix: lambda v: [v._rows, v._dens, *v._rows],
+    la.Matrix: lambda v: [v._rows, *v._rows],
     ma.MatchingCombination: lambda v: [v._terms],
 }
 

@@ -85,6 +85,22 @@ def gauss_jordan(rows):
     return pivots
 
 
+def scaled_rows(spread):
+    """The storage ``linalg._integer_rows`` replaced, as its oracle: the
+    stored rows and denominators of rows given as dicts from column to int
+    or Fraction, each row's nonzeros times the lcm of their denominators,
+    and that lcm."""
+    rows, dens = [], []
+    for entries in spread:
+        den = math.lcm(*(x.denominator for x in entries.values()))
+        if den == 1:
+            rows.append({c: x.numerator for c, x in entries.items() if x})
+        else:
+            rows.append({c: x.numerator * (den // x.denominator) for c, x in entries.items() if x})
+        dens.append(den)
+    return rows, dens
+
+
 def scan_forward(rows):
     """The forward elimination ``linalg._forward`` replaced, as its oracle:
     the same pivot rule, with each column's candidates found by scanning
@@ -289,7 +305,8 @@ def test_boolean_incidence_matches_the_summing_oracle(n):
         for j in range(i, n + 1):
             m = la.boolean_incidence(n, i, j)
             rows, ncols = _summed_incidence(n, i, j)
-            assert (m.nrows, m.ncols, m._dens) == (len(rows), ncols, [1] * len(rows))
+            assert (m.nrows, m.ncols) == (len(rows), ncols)
+            assert all(type(x) is int and x == 1 for row in m._rows for x in row.values())
             assert [list(r.items()) for r in m._rows] == [list(r.items()) for r in rows]
 
 
@@ -435,7 +452,7 @@ def engine_outputs(m, vectors):
     its pivots, read as stored rows and as Fractions, the kernel basis, the
     solves and the rank."""
     reduced, pivots = m.rref()
-    yield reduced, reduced._rows, reduced._dens, pivots, reduced.rows(), reduced.to_csv()
+    yield reduced, reduced._rows, pivots, reduced.rows(), reduced.to_csv()
     yield m.kernel_basis()
     yield m.solve_many(vectors)
     yield m.rank()
@@ -444,9 +461,10 @@ def engine_outputs(m, vectors):
 def oracle_outputs(m, vectors):
     """``engine_outputs`` with the Gauss-Jordan oracle in the engine's place."""
     def rank(rows):
-        return len(gauss_jordan([dict(row) for row in rows]))
+        return len(gauss_jordan(la._integer_rows(rows)))
 
-    with patch.object(la, "_integer_rref", gauss_jordan), patch.object(la, "_bareiss_rank", rank):
+    with patch.object(la, "_integer_rref", gauss_jordan), patch.object(la, "_bareiss_rank", rank), \
+            patch.object(la, "_integer_rows", lambda rows: scaled_rows(rows)[0]):
         return list(engine_outputs(m, vectors))
 
 
@@ -492,7 +510,7 @@ def test_engine_matches_gauss_jordan_oracle():
         kinds.add((
             not m.nrows or not m.ncols,
             got[-1] < min(m.nrows, m.ncols),
-            any(d > 1 for d in m._dens),
+            any(x.denominator > 1 for row in m._rows for x in row.values()),
             any(abs(x) >= 2**64 for row in m._rows for x in row.values()),
         ))
     # empty, rank-deficient, fractional and huge-entry cases all occur
@@ -851,6 +869,54 @@ def test_transpose_matches_fraction_reference():
         assert t == la.Matrix(m.ncols, m.nrows, [x for row in want for x in row])
         assert t.to_csv() == reference_csv(m.ncols, m.nrows, want)
         assert t.transpose() == m
+
+
+def test_integer_rows_match_the_scaling_oracle():
+    # seeded int, fractional, huge and empty rows, zeros among them
+    rng = random.Random(31)
+    huge = (2**64, -(2**64) - 1, 2**70 + 3, 3**45)
+    draws = (
+        lambda: rng.randint(-3, 3),
+        lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 6)),
+        lambda: rng.choice(huge) * rng.choice((1, -1)),
+        lambda: Fraction(rng.choice(huge), rng.choice((1, 3, 2**65 + 1))),
+    )
+    rows = [{}, {0: 0, 3: Fraction(0)}, {2: Fraction(6, 3)}]
+    rows += [{c: draws[k % 4]() for c in rng.sample(range(9), rng.randint(0, 6))}
+             for k in range(400)]
+    before = [dict(row) for row in rows]
+    got = la._integer_rows(rows)
+    want, dens = scaled_rows(rows)
+    assert [list(row.items()) for row in got] == [list(row.items()) for row in want]
+    assert all(type(x) is int for row in got for x in row.values())
+    assert all(a is not b for a, b in zip(got, rows)) and rows == before
+    assert got[:3] == [{}, {}, {2: 2}] and max(dens) > 2**64
+    assert any(abs(x) >= 2**64 for row in got for x in row.values())
+
+
+def test_integral_builders_store_ints():
+    f = co.invariants_basis(5, (3, 2)).vectors
+    built = [
+        la.boolean_incidence(6, 2, 4),
+        co.raising_matrix(5, (2, 1)),
+        co.lefschetz_matrix(5, 2, 1),
+        co.coordinate_matrix(f, co.bidegree_monomials(5, (3, 2))),
+    ]
+    for m in built:
+        assert any(m._rows)
+        assert all(type(x) is int for row in m._rows for x in row.values())
+
+
+def test_matrix_keeps_given_fractions_and_reads_fractions():
+    m = la.Matrix(2, 3, [Fraction(2, 3), 4, Fraction(6, 3), 0, Fraction(0), -1])
+    assert [[type(x) for x in row.values()] for row in m._rows] == [[Fraction, int, Fraction], [int]]
+    assert m._rows == [{0: Fraction(2, 3), 1: 4, 2: 2}, {2: -1}]
+    t, (reduced, _) = m.transpose(), m.rref()
+    reads = [m[0, 1], m[1, 0], *m.row(0), *m.column(1), *sum(m.rows(), []), *m.mat_vec([1, 1, 1]),
+             *sum(t.rows(), []), *sum(reduced.rows(), []), *m.kernel_basis()[0],
+             *m.solve_many([[1, 0]])[0]]
+    assert all(type(x) is Fraction for x in reads)
+    assert m.to_csv() == "2,3\n2/3,4,2\n0,0,-1\n"
 
 
 def test_only_linalg_reads_the_matrix_storage():

@@ -244,6 +244,24 @@ def test_normal_form_uncross_frozen():
     }
 
 
+def coefficient_types(*combos):
+    return {type(c) for combo in combos for _, c in combo.items()}
+
+
+def test_normal_forms_and_skein_rules_hold_int_coefficients():
+    forms = [ma.normal_form(m) for n in range(1, 6) for m in ma.labelled_matchings(n)]
+    assert coefficient_types(*forms) == {int} and max(map(len, forms)) > 2
+    rules = [ma.skein_uncross(m, quad) for m in ma.labelled_matchings(5)
+             for quad in ma.crossing_quadruples(m)]
+    rules += [ma.skein_move_alpha(m, arc, v) for m in ma.labelled_matchings(5)
+              for arc, v in ma.nested_alpha_patterns(m)]
+    assert coefficient_types(*rules) == {int} and {c for r in rules for _, c in r.items()} == {1, -1}
+    m = ma.LabelledMatching(4, arcs=((1, 3), (2, 4)))
+    assert coefficient_types(ma.MatchingCombination(4, {m: Fraction(2, 3)})) == {Fraction}
+    assert coefficient_types(ma.MatchingCombination.single(m).scale(Fraction(1, 2))) == {Fraction}
+    assert type(ma.MatchingCombination(4).coefficient(m)) is int
+
+
 def test_normal_form_lands_in_reduced_support():
     for m in ma.labelled_matchings(4):
         combo = ma.normal_form(m)
