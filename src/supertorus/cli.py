@@ -219,13 +219,11 @@ def cmd_basis(args) -> Table:
         {"command": "basis", "n": n, "bidegree": [i, j]},
         "rows",
         ma._element_rows(n, ma.noncrossing_matchings(n, bidegree=(i, j))),
-        record=lambda r: {
-            "matching": r[0].to_json_dict(), "literal": r[0].literal(), "element": r[1]
-        },
+        record=lambda r: {"matching": r[0].to_json_dict(), "literal": r[1], "element": r[2]},
         header=["literal", "element"],
-        cells=lambda r: [r[0].literal(), r[1]],
+        cells=lambda r: [r[1], r[2]],
         title=f"noncrossing basis of the invariants, n={n}, bidegree ({i}, {j})",
-        line=lambda r: f"[{r[0].literal()}]  ->  {r[1]}",
+        line=lambda r: f"[{r[1]}]  ->  {r[2]}",
         footer=lambda count: [f"count {count} (formula {dim})"],
     )
 
@@ -258,19 +256,15 @@ def cmd_bijection(args) -> Table:
                for S in itertools.combinations(range(1, n + 1), size)]
         for size in {k // 2, (k + 1) // 2}
     }
-    matching = ma._pair_matchings(n)
-
-    def rows():
-        for A in subsets[k // 2]:
-            for B in subsets[(k + 1) // 2]:
-                m, literal = matching(A[0], B[0])
-                yield A, B, m, literal, ma._masks_from_matching(m) == (A[0], B[0])
-
+    row = ma._pair_matchings(n)
+    # (A, B, the matching's fields, its literal, its round trip)
+    rows = ((A, B, *row(A[0], B[0])) for A in subsets[k // 2] for B in subsets[(k + 1) // 2])
     return Table(
         {"command": "bijection", "n": n, "k": k},
         "rows",
-        rows(),
-        record=lambda r: {"A": list(r[0][1]), "B": list(r[1][1]), "matching": r[2].to_json_dict(),
+        rows,
+        record=lambda r: {"A": list(r[0][1]), "B": list(r[1][1]),
+                          "matching": ma.LabelledMatching._trusted(n, *r[2]).to_json_dict(),
                           "literal": r[3], "round_trip": r[4]},
         header=["A", "B", "literal", "round_trip"],
         cells=lambda r: [r[0][2], r[1][2], r[3], r[4]],

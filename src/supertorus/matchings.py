@@ -101,11 +101,7 @@ class LabelledMatching(_Record):
         text = "n=" + _VERTEX_TEXT[self.n]
         if self.arcs:
             text += "; arcs=" + ",".join([_ARC_TEXT[i][j] for i, j in self.arcs])
-        if self.alpha:
-            text += "; a=" + ",".join(map(_VERTEX_TEXT.__getitem__, self.alpha))
-        if self.alphatheta:
-            text += "; at=" + ",".join(map(_VERTEX_TEXT.__getitem__, self.alphatheta))
-        return text
+        return text + _label_text(self.alpha, self.alphatheta)
 
     def to_json_dict(self) -> dict:
         return {
@@ -126,6 +122,14 @@ class LabelledMatching(_Record):
 
     def __str__(self) -> str:
         return self.literal()
+
+
+def _label_text(alpha: tuple[int, ...], alphatheta: tuple[int, ...]) -> str:
+    """A literal's tail: its 'a' and its 'at' section, each left out if empty."""
+    text = "; a=" + ",".join(map(_VERTEX_TEXT.__getitem__, alpha)) if alpha else ""
+    if alphatheta:
+        text += "; at=" + ",".join(map(_VERTEX_TEXT.__getitem__, alphatheta))
+    return text
 
 
 class MatchingCombination:
@@ -252,9 +256,10 @@ _ARCS = operator.attrgetter("arcs")
 
 def _element_rows(
     n: int, matchings: Iterable[LabelledMatching]
-) -> Iterator[tuple[LabelledMatching, str]]:
-    """Each matching on 1..n with ``format_element(matching_invariant(m))``,
-    made by one ``str.format`` call from a template built once per arc set.
+) -> Iterator[tuple[LabelledMatching, str, str]]:
+    """Each matching on 1..n with its literal, a head built once per arc set
+    plus the row's ``_label_text``, and ``format_element(matching_invariant(m))``,
+    one ``str.format`` call on a template built once per arc set.
 
     The matchings must be reduced (noncrossing, no 'a' label under an arc)
     and come grouped by arc set, as ``noncrossing_matchings`` returns them.
@@ -276,6 +281,7 @@ def _element_rows(
     for arcs, group in itertools.groupby(matchings, key=_ARCS):
         template, slot, a_text, at_text = _element_template(n, arcs)
         blank = [""] * (n - 2 * len(arcs))
+        head = LabelledMatching._trusted(n, arcs, (), ()).literal()
         for m in group:
             fields = blank.copy()
             for v in m.alpha:
@@ -285,7 +291,7 @@ def _element_rows(
             text = template.format(*fields)
             if not arcs:  # "1*" and the labels' names, each followed by a space
                 text = text[:-1] if len(text) > 2 else "1"
-            yield m, text
+            yield m, head + _label_text(m.alpha, m.alphatheta), text
 
 
 def _element_template(n: int, arcs: tuple[tuple[int, int], ...]):
@@ -631,8 +637,6 @@ def _matching_from_masks(a: int, b: int, n: int) -> LabelledMatching:
     arcs.sort()
     split = len(alphas)  # labels from B - A, then the arcs left open in A - B
     alphas.extend(opened)
-    if 2 * len(arcs) + len(alphas) != (a ^ b).bit_count():
-        raise AssertionError(f"subset pair {_pair_text(a, b)} produced a clash in {arcs}")
     m = LabelledMatching._trusted(n, tuple(arcs), tuple(alphas), _vertices(a & b))
     if crossing_quadruples(m) or nested_alpha_patterns(m):
         raise AssertionError(
@@ -643,35 +647,37 @@ def _matching_from_masks(a: int, b: int, n: int) -> LabelledMatching:
     return m
 
 
-def _pair_matchings(n: int) -> Callable[[int, int], tuple[LabelledMatching, str]]:
-    """``_matching_from_masks`` on 1..n with the matching's literal, for many
-    mask pairs (a, b) that the caller has checked.
+def _pair_matchings(n: int) -> Callable[[int, int], tuple[tuple, str, bool]]:
+    """For many checked mask pairs (a, b) on 1..n: the fields (arcs, alpha,
+    alphatheta) of ``_matching_from_masks(a, b, n)``, its literal, and whether
+    ``_masks_from_matching`` takes it back to (a, b).
 
-    ``_bracket_scan`` and the four assertions read only A - B and B - A, so
-    the returned function runs them once per such pair, keeping the arcs,
-    the 'a' labels and the literal up to its 'at' section; A & B adds the
-    'at' labels and the literal's tail.  Both memos belong to the one
-    function, and a failed assertion names the pair (A - B, B - A) it read.
+    Core and inverse run once per (A - B, B - A), on the arcs and 'a' labels,
+    and the inverse once per A & B, on the 'at' labels alone: those add the
+    same vertices to both subsets and change neither the label split nor the
+    size checks.  Both memos belong to the one function, and a failed
+    assertion names the pair (A - B, B - A) it read.
     """
     scans: dict[tuple[int, int], tuple] = {}
     tails: dict[int, tuple] = {}
 
-    def matching(a: int, b: int) -> tuple[LabelledMatching, str]:
+    def row(a: int, b: int) -> tuple[tuple, str, bool]:
         key = (a & ~b, b & ~a)
         scan = scans.get(key)
         if scan is None:
             core = _matching_from_masks(*key, n)
-            scan = scans[key] = (core.arcs, core.alpha, core.literal())
+            scan = scans[key] = (core.arcs, core.alpha, core.literal(), *_masks_from_matching(core))
         both = a & b
         tail = tails.get(both)
         if tail is None:
             at = _vertices(both)
-            tail = tails[both] = (at, "; at=" + ",".join(map(_VERTEX_TEXT.__getitem__, at))
-                                  if at else "")
-        arcs, alpha, head = scan
-        return LabelledMatching._trusted(n, arcs, alpha, tail[0]), head + tail[1]
+            tail = tails[both] = (at, _label_text((), at),
+                                  *_masks_from_matching(LabelledMatching._trusted(n, (), (), at)))
+        arcs, alpha, head, core_a, core_b = scan
+        at, text, at_a, at_b = tail
+        return (arcs, alpha, at), head + text, core_a | at_a == a and core_b | at_b == b
 
-    return matching
+    return row
 
 
 def _masks_from_matching(m: LabelledMatching) -> tuple[int, int]:

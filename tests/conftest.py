@@ -54,6 +54,17 @@ def oldest_arc_first(monkeypatch):
 
 
 @pytest.fixture
+def top_at_label_dropped(monkeypatch):
+    """``matchings._pair_matchings`` with one change: the vertex list it
+    reads from A & B lacks the highest vertex, so each row whose A and B
+    meet gets one 'at' label too few.  No other caller of ``_vertices``
+    sees it."""
+    vertices = ma._vertices
+    mutant = _mutant(ma, "_pair_matchings", _vertices=lambda mask: vertices(mask)[:-1])
+    monkeypatch.setattr(ma, "_pair_matchings", mutant)
+
+
+@pytest.fixture
 def right_end_lead(monkeypatch):
     """``matchings._lead_matching`` with one change: it reads an arc's 'a'
     at the arc's right end, so a vertex with 't' alone opens an arc and one

@@ -1,11 +1,13 @@
 """End-to-end tests of the command line interface."""
 
 import contextlib
+import csv
 import functools
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -371,6 +373,26 @@ def test_round_trip_failure_in_the_last_row_exits_1(capsys, monkeypatch, fmt):
     assert passed == [True] * 399 + [False]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_round_trip_reads_each_rows_at_labels(capsys, top_at_label_dropped, fmt):
+    # the negative control for the 'at' half of the shared round trip: a row
+    # fails exactly when A and B meet, 90 of the 100 rows
+    code, out, err = run(capsys, "bijection", "--n", "5", "--k", "5", "--format", fmt)
+    assert (code, err) == (1, "")
+    if fmt == "json":
+        rows = [(set(row["A"]) & set(row["B"]), row["round_trip"])
+                for row in json.loads(out)["rows"]]
+    elif fmt == "csv":
+        rows = [(set(a.split()) & set(b.split()), ok == "True")
+                for a, b, _, ok in list(csv.reader(io.StringIO(out)))[1:]]
+    else:
+        pairs = [re.match(r"A=\{(.*)\} B=\{(.*)\}  ->", line) for line in out.splitlines()[1:-1]]
+        rows = [(set(p[1].split(",")) & set(p[2].split(",")), "ROUND TRIP FAILED" not in p.string)
+                for p in pairs]
+    assert len(rows) == 100 and all(bool(meet) != ok for meet, ok in rows)
+    assert sum(not ok for _, ok in rows) == 90
+
+
 def test_parser_is_built_once_and_shared_by_threads():
     # more threads than cores, switching often, each parsing its own command
     # line through the one parser: every parse must get a namespace of its own
@@ -419,19 +441,20 @@ def per_row_element(m):
 
 
 def per_row_element_rows(n, matchings):
-    """The basis rows as they were made before the per-arc-set templates;
-    each element once, as the three formats share it."""
+    """The basis rows as they were made before the per-arc-set templates and
+    literal heads; each element once, as the three formats share it."""
     for m in matchings:
-        yield m, per_row_element(m)
+        yield m, m.literal(), per_row_element(m)
 
 
 def per_row_pair_matchings(n):
-    """The bijection's matchings as they were made before the per-key scans."""
-    def matching(a, b):
+    """The bijection's rows as they were made before the per-key scans: the
+    whole matching, its literal and its inverse, with no memo, every row."""
+    def row(a, b):
         m = ma._matching_from_masks(a, b, n)
-        return m, m.literal()
+        return (m.arcs, m.alpha, m.alphatheta), m.literal(), ma._masks_from_matching(m) == (a, b)
 
-    return matching
+    return row
 
 
 def outputs(capsys, argvs):

@@ -1075,14 +1075,15 @@ def test_element_rows_match_the_invariant_route(n):
     # every reduced matching on n vertices, every bidegree in one pass
     matchings = ma.noncrossing_matchings(n)
     rows = list(ma._element_rows(n, matchings))
-    assert [m for m, _ in rows] == matchings
-    for m, text in rows:
+    assert [m for m, _, _ in rows] == matchings
+    for m, literal, text in rows:
+        assert literal == old_literal(m), m
         assert text == ex.format_element(ma.matching_invariant(m)), m
 
 
 def test_element_rows_frozen_examples():
     def text(*args):
-        [(_, out)] = ma._element_rows(args[0], [ma.LabelledMatching(*args)])
+        [(_, _, out)] = ma._element_rows(args[0], [ma.LabelledMatching(*args)])
         return out
 
     assert text(0) == "1"
@@ -1101,10 +1102,12 @@ def test_pair_matchings_match_the_mask_core(n):
         for A in itertools.combinations(vertices, k // 2):
             for B in itertools.combinations(vertices, (k + 1) // 2):
                 a, b = ma._mask(A), ma._mask(B)
-                m, literal = matching(a, b)
+                fields, literal, round_trip = matching(a, b)
                 expected = ma._matching_from_masks(a, b, n)
+                m = ma.LabelledMatching._trusted(n, *fields)
                 assert m == expected and same_as_public(m)
                 assert literal == old_literal(expected)
+                assert round_trip is (ma._masks_from_matching(expected) == (a, b))
 
 
 def test_pair_matchings_keep_their_memo_to_themselves():
@@ -1112,3 +1115,14 @@ def test_pair_matchings_keep_their_memo_to_themselves():
     a, b = ma._mask((1, 2)), ma._mask((2, 3))
     assert ma._pair_matchings(4)(a, b)[1] == "n=4; arcs=(1,3); at=2"
     assert ma._pair_matchings(5)(a, b)[1] == "n=5; arcs=(1,3); at=2"
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(subset_pairs(8, 14))
+def test_pair_matchings_match_the_public_bijection_property(case):
+    # past the exhaustive sweeps, which stop at n = 7
+    n, A, B = case
+    m = ma.matching_from_subsets(A, B, n)
+    expected = ((m.arcs, m.alpha, m.alphatheta), m.literal(),
+                ma.subsets_from_matching(m) == ma.SubsetPair(A, B))
+    assert ma._pair_matchings(n)(ma._mask(A), ma._mask(B)) == expected
