@@ -32,16 +32,20 @@ certified invertible by ``linalg.certify_complementary_block``, not by a
 rank: it builds an integer matrix N from a triangular counting system and
 checks every entry of W N = L I exactly, which alone proves det W != 0.
 
-``run_suite`` runs its checks in forked worker processes, one per usable
-CPU, and reads their results back in suite order, so the order and bytes of
-the output are those of a run in one process.  It runs them in-process
-instead when fewer than two CPUs are usable, when the platform cannot fork,
+``run_suite`` runs its checks in worker processes made by ``os.fork``, one
+per usable CPU, and returns their results in suite order, so the order and
+bytes of the output are those of a run in one process.  The workers take
+the checks' indices one byte at a time from one shared pipe, so a faster
+worker takes more checks, and send each pickled result back on a pipe of
+their own; the parent runs no check.  A worker ends with ``os._exit`` and
+flushes none of the parent's buffers.  The checks run in-process instead
+when fewer than two CPUs are usable, when the platform has no ``os.fork``,
 or when the process has other Python threads, which a fork would copy
-mid-lock.  Peak memory can reach one check's peak in every worker at once,
-and a pool costs about 20 ms to start (40 ms for a process's first, which
-imports the pool modules), which a suite of tiny checks notices.
-A worker that dies fails each check it did not finish, with the pool's
-error as the detail.
+mid-lock.  Peak memory can reach one check's peak in every worker at once.
+Starting the workers costs about 4 ms a call, 15 ms for a process's first.
+A worker that dies fails the check it held, with a detail naming its exit
+status or signal; the checks still queued run on the workers left, or fail
+with the same kind of detail when none is left.
 """
 
 from __future__ import annotations
@@ -727,9 +731,7 @@ def _run_check(suite: str, index: int, n_max: int, seed: int) -> CheckResult:
 
 def _pool_size(tasks: int) -> int:
     """Worker processes for ``tasks`` checks; below 2 they run in-process."""
-    import multiprocessing
-
-    if threading.active_count() > 1 or "fork" not in multiprocessing.get_all_start_methods():
+    if threading.active_count() > 1 or not hasattr(os, "fork"):
         return 0
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -745,17 +747,87 @@ def run_suite(suite: str, n_max: int = 4, seed: int = 0) -> list[CheckResult]:
     workers = _pool_size(len(tasks))
     if workers < 2:
         return [_run_check(*task) for task in tasks]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    return _run_forked(tasks, workers)
 
-    results = []
-    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
-        futures = [pool.submit(_run_check, *task) for task in tasks]
-        for (name, index, _, _), future in zip(tasks, futures):
-            try:
-                results.append(future.result())
-            except BrokenProcessPool as exc:
-                detail = f"{type(exc).__name__}: {exc}"
-                results.append(CheckResult(name, SUITES[name][index][0], False, detail))
-    return results
+
+def _serve(tasks: list, queue: int, out: int) -> None:
+    """A worker's loop: take the next check's index from ``queue``, write
+    it to ``out``, run the check, then write the pickled result's length in
+    8 bytes and the result; stop when the queue is empty."""
+    import pickle
+
+    while taken := os.read(queue, 1):
+        os.write(out, taken)
+        result = pickle.dumps(_run_check(*tasks[taken[0]]))
+        view = memoryview(len(result).to_bytes(8, "little") + result)
+        while view:
+            view = view[os.write(out, view):]
+
+
+def _gather(stream, results: list) -> int | None:
+    """Read one worker's results from ``stream`` into ``results`` by index;
+    the index of the check it held when its stream ended, else None."""
+    import pickle
+
+    while taken := stream.read(1):
+        size = int.from_bytes(stream.read(8), "little")
+        payload = stream.read(size)
+        if not size or len(payload) < size:
+            return taken[0]
+        results[taken[0]] = pickle.loads(payload)
+    return None
+
+
+def _death(status: int) -> str:
+    code = os.waitstatus_to_exitcode(status)
+    return f"worker exited with status {code}" if code >= 0 else f"worker killed by signal {-code}"
+
+
+def _failed(task: tuple, detail: str) -> CheckResult:
+    name, index, _, _ = task
+    return CheckResult(name, SUITES[name][index][0], False, detail)
+
+
+def _run_forked(tasks: list, workers: int) -> list[CheckResult]:
+    """``tasks`` on ``workers`` forked processes, which take the checks'
+    indices one byte at a time from one pipe and send their results back on
+    a pipe each; the parent runs none.  A worker that dies fails the check
+    it held and, when it was the last one, every check still queued."""
+    queue, feed = os.pipe()
+    os.write(feed, bytes(range(len(tasks))))  # one byte an index: at most 256 checks
+    os.close(feed)
+    results: list = [None] * len(tasks)
+    pids, streams = [], []
+    try:
+        for _ in range(workers):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # a worker never returns into the caller's frames
+                status = 1
+                try:
+                    _serve(tasks, queue, write)
+                    status = 0
+                finally:
+                    os._exit(status)  # flushes none of the parent's buffers
+            pids.append(pid)
+            os.close(write)
+            streams.append(open(read, "rb"))
+        for k, stream in enumerate(streams):
+            index = _gather(stream, results)
+            death = _death(os.waitpid(pids[k], 0)[1])
+            pids[k] = None
+            if index is not None:  # the check it held when it died
+                results[index] = _failed(tasks[index], death)
+    finally:
+        os.close(queue)
+        for stream in streams:
+            stream.close()
+        live = [pid for pid in pids if pid is not None]
+        if live:
+            import signal
+
+            for pid in live:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    # still queued when the last worker died
+    return [result or _failed(task, death) for result, task in zip(results, tasks)]

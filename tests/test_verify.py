@@ -2,13 +2,15 @@
 usable CPU, or in-process, with the same results either way; and the
 noncrossing-independence check against the rank route it replaced."""
 
-import multiprocessing
+import contextlib
 import os
+import pickle
 import random
 import signal
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,8 +22,7 @@ from supertorus import linalg as la
 from supertorus import matchings as ma
 from supertorus import verify as vf
 
-pytestmark = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(), reason="the pool needs fork")
+pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool needs fork")
 
 
 @pytest.fixture
@@ -32,6 +33,27 @@ def pooled(monkeypatch):
 
 def outcomes(results):
     return [(r.suite, r.name, r.passed, r.detail) for r in results]
+
+
+def assert_no_children():
+    """Every child this process started has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Turn a hang of longer than ``seconds`` into a TimeoutError."""
+    def hung(signum, frame):
+        raise TimeoutError("run_suite hung")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def run_both(monkeypatch, suite, n_max, seed):
@@ -103,40 +125,89 @@ def test_a_raising_check_reads_the_same_in_a_worker(monkeypatch):
     pooled, local = run_both(monkeypatch, "core", 3, 7)
     assert outcomes(pooled) == outcomes(local)
     assert pooled[1].detail == "ZeroDivisionError: at n_max=3, draw 41"
-    assert multiprocessing.active_children() == []
+    assert_no_children()
 
 
 def test_no_worker_outlives_the_call(monkeypatch, pooled):
     vf.run_suite("matchings", 1)
-    assert multiprocessing.active_children() == []
+    assert_no_children()
+
+
+def dies_in_a_worker(end):
+    """A check that calls ``end`` in a worker and passes in-process."""
+    parent = os.getpid()
+
+    def check(n_max, rng):
+        if os.getpid() != parent:
+            end()
+        return True
+
+    return check
 
 
 def test_a_dead_worker_fails_its_checks_without_hanging(monkeypatch, pooled):
-    parent = os.getpid()
+    checks = [("fine", fine), ("die", dies_in_a_worker(lambda: os._exit(1)))]
+    checks += vf.SUITES["matchings"]
+    monkeypatch.setitem(vf.SUITES, "matchings", checks)
+    with deadline(60):
+        results = vf.run_suite("matchings", 2)
+    assert [r.name for r in results] == [name for name, _ in checks]
+    # only the check the dead worker held fails; the survivor runs the rest
+    assert [r.passed for r in results] == [True, False] + [True] * (len(checks) - 2)
+    assert results[1].detail == "worker exited with status 1"
+    assert_no_children()
 
-    def die(n_max, rng):
-        if os.getpid() != parent:
-            os._exit(1)
+
+def fine(n_max, rng):
+    return True
+
+
+def test_when_every_worker_dies_the_queued_checks_fail(monkeypatch, pooled):
+    # each worker takes one of the first two checks and dies on it, so the
+    # last two never run and fail with how the last worker died
+    monkeypatch.setitem(vf.SUITES, "core", [
+        ("exit", dies_in_a_worker(lambda: os._exit(3))),
+        ("signal", dies_in_a_worker(lambda: os.kill(os.getpid(), signal.SIGKILL))),
+        ("fine", fine), ("fine too", fine)])
+    with deadline(60):
+        results = vf.run_suite("core")
+    exited, killed = "worker exited with status 3", f"worker killed by signal {int(signal.SIGKILL)}"
+    assert outcomes(results[:2]) == [("core", "exit", False, exited),
+                                     ("core", "signal", False, killed)]
+    assert not results[2].passed and results[2].detail in (exited, killed)
+    assert outcomes(results[3:]) == [("core", "fine too", False, results[2].detail)]
+    assert_no_children()
+
+
+def huge(n_max, rng):
+    raise ValueError("x" * (2 << 20))
+
+
+def test_a_detail_larger_than_a_pipe_comes_back_whole(monkeypatch):
+    # two of them, so one worker blocks on a full pipe while the parent reads the other
+    monkeypatch.setitem(vf.SUITES, "core", [("huge", huge), ("huge too", huge), ("fine", fine)])
+    with deadline(60):
+        pooled, local = run_both(monkeypatch, "core", 1, 0)
+    assert outcomes(pooled) == outcomes(local)
+    assert pooled[0].detail == pooled[1].detail == "ValueError: " + "x" * (2 << 20)
+    assert_no_children()
+
+
+def test_an_error_while_gathering_kills_and_reaps_every_worker(monkeypatch, pooled):
+    # whichever worker took a check first took a quick one, so the parent
+    # meets the error while the stall still runs
+    def stall(n_max, rng):
+        time.sleep(120)
         return True
 
-    def hung(signum, frame):
-        raise TimeoutError("run_suite hung on a dead worker")
+    def unreadable(data):
+        raise pickle.UnpicklingError("an unreadable result")
 
-    checks = [("fine", lambda n, rng: True), ("die", die)] + vf.SUITES["matchings"]
-    monkeypatch.setitem(vf.SUITES, "matchings", checks)
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(60)
-    try:
-        results = vf.run_suite("matchings", 2)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert [r.name for r in results] == [name for name, _ in checks]
-    assert not results[1].passed
-    assert results[1].detail.startswith("BrokenProcessPool: ")
-    # a check the dead pool did not finish fails with the pool's error
-    assert all(r.passed or r.detail == results[1].detail for r in results)
-    assert multiprocessing.active_children() == []
+    monkeypatch.setitem(vf.SUITES, "core", [("fine", fine), ("fine too", fine), ("stall", stall)])
+    monkeypatch.setattr(pickle, "loads", unreadable)
+    with deadline(60), pytest.raises(pickle.UnpicklingError, match="an unreadable result"):
+        vf.run_suite("core")
+    assert_no_children()
 
 
 def test_other_threads_keep_the_checks_in_process(monkeypatch):
@@ -152,6 +223,11 @@ def test_other_threads_keep_the_checks_in_process(monkeypatch):
         release.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+def test_no_fork_keeps_the_checks_in_process(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    assert vf._pool_size(27) == 0
 
 
 def test_pool_size_follows_the_usable_cpus(monkeypatch):
@@ -173,6 +249,31 @@ def test_import_and_parser_leave_numpy_pool_dataclasses_json_and_csv_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
     assert out.stdout == "[]\n"
+
+
+# A line left in stdout's buffer, then a verify through two workers; prints
+# the pool modules that loaded.
+POOLED_VERIFY = """
+import io, sys
+from supertorus import cli, verify as vf
+vf._pool_size = lambda tasks: 2
+assert isinstance(sys.stdout.buffer, io.BufferedWriter) and not sys.stdout.write_through
+sys.stdout.write("written before the suite\\n")
+code = cli.main(["verify", "--suite", "matchings", "--n-max", "2"])
+print(code, sorted({"concurrent.futures", "multiprocessing"} & set(sys.modules)))
+"""
+
+
+def test_a_pooled_verify_loads_no_pool_module_and_flushes_stdout_once():
+    # workers end with os._exit, so the buffered line is written by the parent alone
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # block-buffered
+    env["PYTHONPATH"] = str(Path(vf.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", POOLED_VERIFY], capture_output=True,
+                         text=True, env=env, check=True, timeout=60)
+    lines = out.stdout.splitlines()
+    assert lines[0] == "written before the suite"
+    assert out.stdout.count("written before the suite") == 1
+    assert lines[-2:] == ["6/6 checks passed", "0 []"]
 
 
 # Ranks a singular and a nonsingular component, takes a kernel and a solve,
