@@ -185,7 +185,7 @@ def _block_classes(masks: list[int], i: int) -> list[tuple[int, int, int, int, l
 
 
 @lru_cache(maxsize=_BLOCK_CACHE_SIZE)
-def _kernel_block(d0: int, i0: int) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+def _kernel_block(d0: int, i0: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Canonical kernel basis of one raising block, from the i0-subsets of a
     d0-set to the (i0 + 1)-subsets, as sparse (column, value) vectors in
     free-column order, each 1 at its last entry, its own free column.
@@ -217,9 +217,7 @@ def _kernel_block(d0: int, i0: int) -> tuple[tuple[tuple[int, Fraction], ...], .
             for c, y in reduced[free].items():
                 vector[c] = vector.get(c, 0) - x * y
         reduced[lead] = {c: x for c, x in vector.items() if x}
-    # one Fraction per distinct value; one per entry took most of (14, 8)
-    fraction = {x: Fraction(x) for x in set().union(*(v.values() for v in reduced.values()))}
-    return tuple(tuple((c, fraction[x]) for c, x in sorted(v.items())) for v in reduced.values())
+    return tuple(tuple(sorted(v.items())) for v in reduced.values())
 
 
 @lru_cache(maxsize=_BLOCK_CACHE_SIZE)
@@ -247,7 +245,7 @@ class _KernelVector(NamedTuple):
     meet: int
     t: int
     cols: list[int]
-    vector: tuple[tuple[int, Fraction], ...]
+    vector: tuple[tuple[int, int], ...]
 
 
 def _kernel_vectors(n: int, d: Bidegree) -> tuple[list[int], list[_KernelVector]]:
@@ -277,7 +275,7 @@ def invariants_basis(n: int, d: tuple[int, int]) -> BidegreeBasis:
     d = Bidegree(*d)
     source, kernel = _kernel_vectors(n, d)
     vectors = tuple(
-        Element._make(n, {source[k.cols[c]]: x.numerator for c, x in k.vector})
+        Element._make(n, {source[k.cols[c]]: x for c, x in k.vector})
         for k in kernel
     )
     return BidegreeBasis(n, d, vectors)

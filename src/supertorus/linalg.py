@@ -4,17 +4,15 @@ A matrix stores each row as its nonzeros, a dict from column to the entry
 as given, an int or a Fraction, and its entries read back as Fractions.  One
 exact elimination engine works on integer copies of those rows, each times
 the lcm of its denominators (fraction-free, after Bareiss): forward
-elimination, which finds each column's candidate rows through a
-column-to-rows index, pivots on the candidate with the fewest nonzeros and
-updates only the rows that gave no pivot yet.  The rank is forward
+elimination by insertion, which takes the rows in turn and clears each at
+its lowest column by the row kept there until it is kept under a column of
+its own or is empty, so finding a pivot is one lookup.  The rank is forward
 elimination alone; reduced echelon forms, kernels and solves add back
-substitution.  Rows in different diagonal blocks share no column, so no
-update crosses a block and the index never visits another block's rows.
+substitution.
 """
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 from fractions import Fraction
@@ -216,11 +214,10 @@ def _integer_rows(rows: Iterable[dict[int, int | Fraction]]) -> list[dict[int, i
     return out
 
 
-def _clear(rows: list[dict[int, int]], k: int, prow: dict[int, int], c: int) -> None:
-    """Row k less the multiple of the pivot row ``prow`` that clears column c,
+def _cleared(row: dict[int, int], prow: dict[int, int], c: int) -> dict[int, int]:
+    """Row less the multiple of the pivot row ``prow`` that clears column c,
     both times the least factors that keep them integral, and then divided
-    by the gcd of its entries."""
-    row = rows[k]
+    by the gcd of its entries; may update ``row`` in place."""
     p, f = prow[c], row[c]
     g = math.gcd(p, f)
     a, b = p // g, f // g
@@ -231,64 +228,44 @@ def _clear(rows: list[dict[int, int]], k: int, prow: dict[int, int], c: int) -> 
         if not x:
             del row[col]
     g = math.gcd(*row.values())
-    rows[k] = {col: x // g for col, x in row.items()} if g > 1 else row
+    return {col: x // g for col, x in row.items()} if g > 1 else row
 
 
-def _forward(rows: list[dict[int, int]]) -> tuple[list[int], list[int]]:
-    """Forward elimination in place of integer rows stored as their
-    nonzeros; returns the pivot columns, in increasing order, and the rows
-    that gave them, in the same order.
-
-    Only columns where some row is nonzero are visited, in order.  A
-    column's pivot is the candidate row, among those that gave no pivot yet,
-    with the fewest nonzeros, the lowest index on a tie, which keeps the
-    fill-in low; only the other candidates are updated, and no row that
-    gave a pivot.  The rows that gave none end as zero rows.  The candidates
-    come from an index of the rows that may be nonzero in each column: an
-    update fills in only the pivot row's columns, so the updated rows join
-    theirs, and a row that gave a pivot or whose entry cancelled is skipped.
-    """
-    index: dict[int, set[int]] = collections.defaultdict(set)
-    for r, row in enumerate(rows):
-        for c in row:
-            index[c].add(r)
-    done: set[int] = set()  # the rows that gave a pivot
-    pivots: list[int] = []
-    order: list[int] = []
-    for c in sorted(index):
-        cand = [k for k in index[c] if k not in done and c in rows[k]]
-        if not cand:
-            continue
-        piv = min(cand, key=lambda k: (len(rows[k]), k)) if len(cand) > 1 else cand[0]
-        done.add(piv)
-        prow = rows[piv]
-        cand.remove(piv)
-        if cand:
-            for k in cand:
-                _clear(rows, k, prow, c)
-            for col in prow:
-                index[col].update(cand)
-        pivots.append(c)
-        order.append(piv)
-    return pivots, order
+def _echelon(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Forward elimination by insertion, in place, of integer rows stored as
+    their nonzeros: each row in turn is cleared at its lowest column by the
+    row kept there until it is kept under that column, its pivot, or is
+    empty.  Returns the kept rows by pivot; none is updated once kept."""
+    kept: dict[int, dict[int, int]] = {}
+    for row in rows:
+        while row:
+            c = min(row)
+            prow = kept.get(c)
+            if prow is None:
+                kept[c] = row
+                break
+            row = _cleared(row, prow, c)
+    return kept
 
 
 def _integer_rref(rows: list[dict[int, int]]) -> list[int]:
     """The exact elimination engine: forward elimination, then back
-    substitution, which clears each pivot column from the pivot rows above
-    it, last pivot first; in place, and returns the pivots.
+    substitution, which clears each pivot column from the kept rows with
+    smaller pivots, last pivot first; in place, and returns the pivots in
+    increasing order.
 
     Row r below the rank ends as the rational reduced echelon row r times
-    its pivot entry.  That form is unique, so the pivot order leaves it
-    unchanged.
+    its pivot entry.  That form is unique, so the order in which the rows
+    are taken leaves it unchanged.
     """
-    pivots, order = _forward(rows)
-    for t in range(len(order) - 1, 0, -1):
-        prow, c = rows[order[t]], pivots[t]
-        for k in order[:t]:
-            if c in rows[k]:
-                _clear(rows, k, prow, c)
-    rows[:] = [rows[k] for k in order] + [{} for _ in range(len(rows) - len(order))]
+    kept = _echelon(rows)
+    pivots = sorted(kept)
+    for t in range(len(pivots) - 1, 0, -1):
+        c = pivots[t]
+        for p in pivots[:t]:
+            if c in kept[p]:
+                kept[p] = _cleared(kept[p], kept[c], c)
+    rows[:] = [kept[p] for p in pivots] + [{} for _ in range(len(rows) - len(pivots))]
     return pivots
 
 
@@ -296,7 +273,7 @@ def _bareiss_rank(rows: list[dict[int, int | Fraction]]) -> int:
     """Exact rank of stored rows, by forward elimination on their integer
     copies, since it works in place; every rank runs it once, and
     ``perfbench/tracing.py`` rebinds the name to count them."""
-    return len(_forward(_integer_rows(rows))[0])
+    return len(_echelon(_integer_rows(rows)))
 
 
 def subsets_lex(n: int, k: int) -> list[tuple[int, ...]]:

@@ -135,19 +135,19 @@ def flipped_pair_sign(monkeypatch):
 
 
 @pytest.fixture
-def unindexed_fill_in(monkeypatch):
-    """``linalg._forward`` with one change: an update does not index the
-    pivot row's columns, so a row that an update fills in there is no
-    candidate in them."""
-    mutant = _mutant(la, "_forward", "index[col].update(cand)", "pass")
-    monkeypatch.setattr(la, "_forward", mutant)
+def first_stored_column(monkeypatch):
+    """``linalg._echelon`` with one change: a row is cleared at, and kept
+    under, its first stored column instead of its lowest, so an update that
+    cancels that column leaves the row under a column it filled in last."""
+    mutant = _mutant(la, "_echelon", "c = min(row)", "c = next(iter(row))")
+    monkeypatch.setattr(la, "_echelon", mutant)
 
 
 @pytest.fixture
 def skipped_back_substitution(monkeypatch):
     """``linalg._integer_rref`` with one change: it skips back substitution,
     so the rows above each pivot keep their entries in its column."""
-    mutant = _mutant(la, "_integer_rref", "for t in range(len(order) - 1, 0, -1):",
+    mutant = _mutant(la, "_integer_rref", "for t in range(len(pivots) - 1, 0, -1):",
                      "for t in ():")
     monkeypatch.setattr(la, "_integer_rref", mutant)
 

@@ -101,30 +101,6 @@ def scaled_rows(spread):
     return rows, dens
 
 
-def scan_forward(rows):
-    """The forward elimination ``linalg._forward`` replaced, as its oracle:
-    the same pivot rule, with each column's candidates found by scanning
-    every row that gave no pivot yet; in place, and returns the pivot
-    columns and the rows that gave them."""
-    live = list(range(len(rows)))
-    pivots, order = [], []
-    for c in sorted({c for row in rows for c in row}):
-        if not live:
-            break
-        cand = [k for k in live if c in rows[k]]
-        if not cand:
-            continue
-        piv = min(cand, key=lambda k: len(rows[k]))
-        live.remove(piv)
-        prow = rows[piv]
-        for k in cand:
-            if k != piv:
-                la._clear(rows, k, prow, c)
-        pivots.append(c)
-        order.append(piv)
-    return pivots, order
-
-
 def reference_kernel(m):
     rows, pivots = _rref(m.rows(), m.ncols)
     basis = []
@@ -499,20 +475,26 @@ def oracle_cases(rng):
 def test_engine_matches_gauss_jordan_oracle():
     rng = random.Random(29)
     kinds = set()
-    for m, vectors in oracle_cases(rng):
-        got = []
-        # each output is compared before the engine computes the next
-        for out, want in zip(engine_outputs(m, vectors), oracle_outputs(m, vectors), strict=True):
-            assert out == want
-            got.append(out)
-        assert all(type(x) is Fraction for v in got[1] for x in v)
-        assert all(type(x) is Fraction for v in got[2] if v is not None for x in v)
-        kinds.add((
-            not m.nrows or not m.ncols,
-            got[-1] < min(m.nrows, m.ncols),
-            any(x.denominator > 1 for row in m._rows for x in row.values()),
-            any(abs(x) >= 2**64 for row in m._rows for x in row.values()),
-        ))
+    for case in oracle_cases(rng):
+        # the engine keeps rows in the order it takes them, so each case
+        # runs a second time with its rows reversed
+        m, vectors = case
+        flipped = la.Matrix._make(m.ncols, m._rows[::-1]), [v[::-1] for v in vectors]
+        for m, vectors in (case, flipped):
+            got = []
+            # each output is compared before the engine computes the next
+            for out, want in zip(engine_outputs(m, vectors), oracle_outputs(m, vectors),
+                                 strict=True):
+                assert out == want
+                got.append(out)
+            assert all(type(x) is Fraction for v in got[1] for x in v)
+            assert all(type(x) is Fraction for v in got[2] if v is not None for x in v)
+            kinds.add((
+                not m.nrows or not m.ncols,
+                got[-1] < min(m.nrows, m.ncols),
+                any(x.denominator > 1 for row in m._rows for x in row.values()),
+                any(abs(x) >= 2**64 for row in m._rows for x in row.values()),
+            ))
     # empty, rank-deficient, fractional and huge-entry cases all occur
     assert all(any(kind[k] for kind in kinds) for k in range(4))
 
@@ -522,13 +504,15 @@ def engine_blocks():
     rule replaced, as its oracle, with a fresh kernel cache: the canonical
     kernel basis of the transposed Boolean block by the elimination engine,
     and the cokernel picks as the reversed free columns of the complementary
-    block's kernel, so each block is eliminated once."""
+    block's kernel, so each block is eliminated once.  Integral entries
+    come back as ints, as the blocks store them."""
     @functools.cache
     def kernel_block(d0, i0):
         # With i0 = d0 there is no larger subset: one column and no rows.
         block = la.boolean_incidence(d0, i0, i0 + 1).transpose() if i0 < d0 else la.Matrix(0, 1)
         return tuple(
-            tuple((c, x) for c, x in enumerate(v) if x) for v in block.kernel_basis()
+            tuple((c, x.numerator if x.denominator == 1 else x) for c, x in enumerate(v) if x)
+            for v in block.kernel_basis()
         )
 
     def cokernel_block(d0, i0):
@@ -600,10 +584,10 @@ def test_blocks_run_no_elimination():
     # every bidegree with n <= 6 from cleared block caches; the stand-in
     # fires on the engine route, so it is live
     calls = []
-    forward = la._forward
+    echelon = la._echelon
     co._kernel_block.cache_clear()
     co._cokernel_block.cache_clear()
-    with patch.object(la, "_forward", lambda rows: calls.append(rows) or forward(rows)):
+    with patch.object(la, "_echelon", lambda rows: calls.append(rows) or echelon(rows)):
         for n in range(7):
             for i in range(n + 1):
                 for j in range(n + 1):
@@ -622,17 +606,17 @@ def test_oracle_sees_a_skipped_back_substitution(skipped_back_substitution):
         test_engine_matches_gauss_jordan_oracle()
 
 
-def checked_forward(forward, calls):
-    """``forward`` that asserts, on each call, the pivots, the rows that gave
-    them and the eliminated rows that ``scan_forward`` gives on a copy, and
-    appends the call's rows to ``calls``."""
+def checked_echelon(echelon, calls):
+    """``echelon`` that asserts, on each call, that it keeps rows under
+    exactly the pivots ``gauss_jordan`` finds on a copy, each row under its
+    lowest column, and appends the call's rows to ``calls``."""
     def checked(rows):
         calls.append(rows)
-        want_rows = [dict(row) for row in rows]
-        want = scan_forward(want_rows)
-        got = forward(rows)
-        assert got == want and rows == want_rows
-        return got
+        want = gauss_jordan([dict(row) for row in rows])
+        kept = echelon(rows)
+        assert sorted(kept) == want
+        assert all(min(row) == c for c, row in kept.items())
+        return kept
 
     return checked
 
@@ -641,7 +625,7 @@ def test_forward_matches_scan_oracle():
     # every elimination that the Gauss-Jordan oracle test's matrices run:
     # one each for rref, kernel_basis, solve_many and rank
     calls = []
-    with patch.object(la, "_forward", checked_forward(la._forward, calls)):
+    with patch.object(la, "_echelon", checked_echelon(la._echelon, calls)):
         for m, vectors in oracle_cases(random.Random(29)):
             list(engine_outputs(m, vectors))
     assert len(calls) == 4 * 400
@@ -652,12 +636,12 @@ def test_forward_matches_scan_oracle_on_blocks(d0):
     # the engine route to the kernel and cokernel blocks, built afresh; the
     # cokernel blocks read the kernel blocks, so each block is eliminated once
     calls = []
-    with patch.object(la, "_forward", checked_forward(la._forward, calls)):
+    with patch.object(la, "_echelon", checked_echelon(la._echelon, calls)):
         built_blocks(*engine_blocks(), d0)
     assert len(calls) == d0 + 1
 
 
-def test_oracles_see_unindexed_fill_in(unindexed_fill_in):
+def test_oracles_see_a_row_kept_under_its_first_column(first_stored_column):
     with pytest.raises(AssertionError):
         test_engine_matches_gauss_jordan_oracle()
     with pytest.raises(AssertionError):
@@ -901,6 +885,7 @@ def test_integral_builders_store_ints():
         co.raising_matrix(5, (2, 1)),
         co.lefschetz_matrix(5, 2, 1),
         co.coordinate_matrix(f, co.bidegree_monomials(5, (3, 2))),
+        co.duality_gram(5, 3, 2),
     ]
     for m in built:
         assert any(m._rows)
@@ -1016,9 +1001,10 @@ def test_fallback_counts_per_component():
     _check_block_rank(dense)
 
 
-def test_block_rank_sees_a_rank_taken_as_full(unindexed_fill_in):
-    # the first row less the second is minus the third, but the second
-    # row's fill-in in the third column goes unindexed
+def test_block_rank_sees_a_rank_taken_as_full(first_stored_column):
+    # the first row less the second is minus the third, but the third row,
+    # cleared at column 0 by the first, is kept under the column 2 it
+    # stored first, not under column 1, where the second row is kept
     assert from_rows([[1, 1, 0], [0, 1, 1], [-1, 0, 1]]).rank() == 3
     with pytest.raises(AssertionError):
         test_block_rank_matches_exact_rank()

@@ -399,12 +399,12 @@ def test_a_negated_invariant_fails_the_check(monkeypatch):
 
 def test_the_check_neither_eliminates_nor_builds_coordinates(monkeypatch):
     calls = []
-    forward, coordinate_matrix = la._forward, co.coordinate_matrix
-    monkeypatch.setattr(la, "_forward",
-                        lambda *args: calls.append("_forward") or forward(*args))
+    echelon, coordinate_matrix = la._echelon, co.coordinate_matrix
+    monkeypatch.setattr(la, "_echelon",
+                        lambda *args: calls.append("_echelon") or echelon(*args))
     monkeypatch.setattr(co, "coordinate_matrix",
                         lambda *args: calls.append("coordinate_matrix") or coordinate_matrix(*args))
     assert vf.check_nc_independence(5, random.Random(0)) and calls == []
     # the stand-ins see the rank oracle's eliminations and coordinates
     assert rank_nc_independence(5)
-    assert {"_forward", "coordinate_matrix"} == set(calls)
+    assert {"_echelon", "coordinate_matrix"} == set(calls)
