@@ -12,7 +12,9 @@ rewrite any such product into the span of the noncrossing matchings with no
 nested 'a' label; those index a linear basis of the invariant ring.
 ``normal_form`` finds the coordinates in that basis by straightening on
 leading terms instead; the rewriting rules serve as its oracle in ``verify``.
-Its leads and the subset-pair bijection pair arcs by ``linalg._bracket_scan``.
+Its leads, the smallest masks, put each arc's 'a' at its right end, as the
+ballot basis in ``cohomology`` does, with coefficient (-1)**arcs; they and
+the subset-pair bijection pair arcs by ``linalg._bracket_scan``.
 A ``LabelledMatching`` is a frozen record (``exterior._Record``).
 """
 
@@ -416,54 +418,48 @@ def skein_move_alpha(
 _normal_form_cache = types.MappingProxyType({})
 
 
-def _lead_key(n: int) -> Callable[[int], int]:
-    """Bit reversal over 2n bits, which undoes itself: monomial x comes before
-    y, when the lowest set bit of x ^ y is x's, exactly when its key is larger."""
-    width = f"0{2 * n}b"
-    return lambda mask: int(format(mask, width)[::-1], 2)
-
-
 def _lead_matching(mask: int, n: int) -> LabelledMatching:
-    """The reduced matching on 1..n that the monomial ``mask`` leads, by
-    ``linalg._bracket_scan`` over the even bits, bit 2v - 2 for vertex v: 'a'
-    alone opens an arc, 't' alone closes the nearest open one, both make an
-    'at' label, and the vertices left open carry 'a' labels."""
+    """The reduced matching on 1..n that the monomial ``mask`` leads, read
+    as ``cohomology._kernel_block`` reads a ballot subset: over the even bits,
+    bit 2v - 2 for vertex v, 't' alone opens an arc, 'a' alone closes the
+    nearest open one or else is an 'a' label, and both make an 'at' label."""
     a, t = mask & _ALPHA_BITS, mask >> 1 & _ALPHA_BITS
-    arcs, stray, opened = _bracket_scan(a & ~t, t & ~a)
-    if stray:
+    arcs, stray, opened = _bracket_scan(t & ~a, a & ~t)
+    if opened:
         raise AssertionError(f"monomial {mask:#x} on 1..{n} leads no reduced matching")
     arcs = tuple(sorted((i // 2 + 1, j // 2 + 1) for i, j in arcs))
     at = tuple((x + 1) // 2 for x in _vertices(a & t))
-    return LabelledMatching._trusted(n, arcs, tuple(x // 2 + 1 for x in opened), at)
+    return LabelledMatching._trusted(n, arcs, tuple(x // 2 + 1 for x in stray), at)
 
 
 def normal_form(m: LabelledMatching) -> MatchingCombination:
     """Rewrite the matching's invariant into the noncrossing span by
-    straightening on leading terms.  In ``_lead_key``'s order a reduced
-    matching's lead, with each arc's 'a' at its left end, comes first in its
-    invariant, with coefficient +1.  So the loop pops the first monomial left
-    (the heap holds negated keys), keeps its integer coefficient c for the
-    matching it leads, and subtracts c times that matching's invariant,
-    until nothing is left.
+    straightening on leading terms.  A reduced matching's lead, each arc's
+    'a' at its right end, is the smallest mask of its invariant, with
+    coefficient (-1)**arcs: at the highest vertex where two terms differ,
+    a_j t_i lies below a_i t_j.  So the loop pops the smallest mask left,
+    keeps its coefficient c, times that sign, for the matching it leads, and
+    subtracts c times that matching's invariant, until nothing is left.
     """
     import heapq
 
-    key = _lead_key(m.n)
     rest = _invariant_terms(m)
-    heap = [-key(mask) for mask in rest]
+    heap = list(rest)
     heapq.heapify(heap)
     out = {}
     while heap:
-        mask = key(-heapq.heappop(heap))
+        mask = heapq.heappop(heap)
         c = rest[mask]
         if not c:
             continue
         lead = _lead_matching(mask, m.n)
+        if len(lead.arcs) & 1:
+            c = -c
         out[lead] = c
         for mono, s in _invariant_terms(lead).items():
             if mono not in rest:  # a mask stays in rest once seen, so it is pushed once
                 rest[mono] = 0
-                heapq.heappush(heap, -key(mono))
+                heapq.heappush(heap, mono)
             rest[mono] -= c * s
     return MatchingCombination(m.n, out)
 

@@ -604,21 +604,22 @@ def check_normal_form(n_max: int, rng: random.Random) -> bool:
 
 
 def check_nc_independence(n_max: int, rng: random.Random) -> bool:
-    """Raising kills each noncrossing invariant; their first monomials in
-    ``matchings._lead_key``'s order have coefficient +1 and are distinct, so
-    they are independent, and in each degree as many as the kernel's dimension."""
+    """Raising kills each noncrossing invariant, whose smallest mask, its
+    right-end lead, has coefficient (-1)**arcs; in each bidegree the leads are
+    distinct and are the free monomials of ``cohomology._kernel_vectors``, as
+    many as the kernel's dimension, so the invariants are a basis of it."""
     for n in range(1, min(8, n_max) + 1):
-        key, leads, counts = ma._lead_key(n), set(), [0] * (2 * n + 1)
-        for m in ma.noncrossing_matchings(n):
-            f = ma.matching_invariant(m)
-            lead = max(f._terms, key=key)
-            if f._terms[lead] != 1 or lead in leads or ex.raising(f):
+        for d in (ex.Bidegree(i, j) for i in range(n + 1) for j in range(i + 1)):
+            source, kernel = co._kernel_vectors(n, d)
+            leads = set()
+            for m in ma.noncrossing_matchings(n, bidegree=d):
+                f = ma.matching_invariant(m)
+                lead = min(f._terms)
+                if f._terms[lead] != (-1) ** len(m.arcs) or lead in leads or ex.raising(f):
+                    return False
+                leads.add(lead)
+            if leads != {source[k.free] for k in kernel}:
                 return False
-            leads.add(lead)
-            counts[m.degree] += 1
-        if counts != [sum(co.invariants_dimension(n, i, k - i)
-                          for i in range(max(0, k - n), min(n, k) + 1)) for k in range(2 * n + 1)]:
-            return False
     return True
 
 

@@ -65,15 +65,24 @@ def top_at_label_dropped(monkeypatch):
 
 
 @pytest.fixture
-def right_end_lead(monkeypatch):
+def left_end_lead(monkeypatch):
     """``matchings._lead_matching`` with one change: it reads an arc's 'a'
-    at the arc's right end, so a vertex with 't' alone opens an arc and one
-    with 'a' alone closes the nearest open one; the scan's two masks swap
+    at the arc's left end, so a vertex with 'a' alone opens an arc and one
+    with 't' alone closes the nearest open one; the scan's two masks swap
     for it alone."""
     scan = la._bracket_scan
     mutant = _mutant(ma, "_lead_matching",
                      _bracket_scan=lambda opens, closes: scan(closes, opens))
     monkeypatch.setattr(ma, "_lead_matching", mutant)
+
+
+@pytest.fixture
+def dropped_lead_sign(monkeypatch):
+    """``matchings.normal_form`` with one change: it keeps the coefficient
+    of each lead as popped, without the sign (-1)**arcs of the lead in its
+    matching's invariant."""
+    mutant = _mutant(ma, "normal_form", "if len(lead.arcs) & 1:", "if False:")
+    monkeypatch.setattr(ma, "normal_form", mutant)
 
 
 @pytest.fixture
@@ -178,6 +187,16 @@ def skipped_ballot_step(monkeypatch):
     mutant = _mutant(co, "_kernel_block", "reduced.keys(), reverse=True):",
                      "reduced.keys(), reverse=True)[1:]:")
     monkeypatch.setattr(co, "_kernel_block", mutant)
+
+
+@pytest.fixture
+def first_column_free(monkeypatch):
+    """``cohomology._kernel_vectors`` with one change: each kernel vector's
+    free column is its first column instead of its last, so the free
+    monomials are no longer the ballot leads.  The vectors stay a basis of
+    the kernel, as many as its dimension."""
+    mutant = _mutant(co, "_kernel_vectors", "cols[v[-1][0]]", "cols[v[0][0]]")
+    monkeypatch.setattr(co, "_kernel_vectors", mutant)
 
 
 @pytest.fixture

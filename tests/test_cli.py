@@ -211,7 +211,7 @@ def test_bijection_tie_break_fault_is_caught(capsys, oldest_arc_first):
     assert code != 0
 
 
-def test_right_end_lead_fault_is_caught(capsys, right_end_lead):
+def test_left_end_lead_fault_is_caught(capsys, left_end_lead):
     code, out, _ = run(capsys, "verify", "--suite", "matchings", "--n-max", "4")
     assert code == 1
     assert "FAIL [matchings] normal form sound and matches oracle" in out
@@ -219,6 +219,23 @@ def test_right_end_lead_fault_is_caught(capsys, right_end_lead):
     code, out, err = run(capsys, "reduce", "n=4; arcs=(1,3),(2,4)")
     assert (code, out) == (3, "")
     assert err.startswith("internal error: AssertionError: monomial")
+
+
+_SLID = "n=3; arcs=(1,3); a=2"  # one 'a' label slid out from under one arc
+_SLID_FORM = "-1 * [n=3; arcs=(1,2); a=3]\n-1 * [n=3; arcs=(2,3); a=1]\n"
+
+
+def test_reduce_signs_each_lead_by_its_arcs(capsys):
+    assert run(capsys, "reduce", _SLID) == (0, _SLID_FORM, "")
+
+
+def test_dropped_lead_sign_is_caught(capsys, dropped_lead_sign):
+    code, out, _ = run(capsys, "verify", "--suite", "matchings", "--n-max", "4")
+    assert code == 1
+    assert "FAIL [matchings] normal form sound and matches oracle" in out
+    # reduce itself reports nothing: it prints wrong coefficients
+    code, out, err = run(capsys, "reduce", _SLID)
+    assert (code, err) == (0, "") and out != _SLID_FORM
 
 
 def test_closed_stdout_pipe_ends_output_quietly():

@@ -1,5 +1,6 @@
 """Tests for labelled matchings, skein rewriting, and the bijection."""
 
+import heapq
 import itertools
 import json
 import math
@@ -308,23 +309,74 @@ def test_normal_form_equals_skein_oracle():
             assert ma.normal_form(m).items() == vf.skein_normal_form(m, memo).items(), m
 
 
-def loop_lead_matching(mask, n):
+def loop_lead_matching(mask, n, right_end=True):
     """The loop ``matchings._lead_matching`` ran before it called
-    ``linalg._bracket_scan``, as its oracle: one vertex at a time, 'a' alone
-    opens an arc, 't' alone closes the nearest open one, both make an 'at'
-    label."""
-    arcs, opened, at = [], [], []
+    ``linalg._bracket_scan``, as its oracle: one vertex at a time, both bits
+    make an 'at' label.  On right-end leads 't' alone opens an arc and 'a'
+    alone closes the nearest open one or, with none open, is an 'a' label;
+    an arc left open raises.  On left-end leads, the rule ``normal_form``
+    once straightened on, 'a' and 't' trade places, the arcs left open carry
+    the 'a' labels, and a 't' with no open arc raises."""
+    opener, closer = (2, 1) if right_end else (1, 2)
+    arcs, opened, stray, at = [], [], [], []
     for v in range(1, n + 1):
         bits = mask >> (2 * v - 2) & 3
-        if bits == 1:
+        if bits == opener:
             opened.append(v)
         elif bits == 3:
             at.append(v)
-        elif bits:
-            if not opened:
-                raise AssertionError(f"monomial {mask:#x} on 1..{n} leads no reduced matching")
-            arcs.append((opened.pop(), v))
-    return ma.LabelledMatching._trusted(n, tuple(sorted(arcs)), tuple(opened), tuple(at))
+        elif bits == closer:
+            if opened:
+                arcs.append((opened.pop(), v))
+            else:
+                stray.append(v)
+    alpha, unmatched = (stray, opened) if right_end else (opened, stray)
+    if unmatched:
+        raise AssertionError(f"monomial {mask:#x} on 1..{n} leads no reduced matching")
+    return ma.LabelledMatching._trusted(n, tuple(sorted(arcs)), tuple(alpha), tuple(at))
+
+
+def left_end_normal_form(m):
+    """The straightening ``matchings.normal_form`` ran on left-end leads, as
+    its oracle.  Monomial x comes before y when the lowest set bit of x ^ y
+    is x's, which is a larger bit reversal over 2n bits; there a reduced
+    matching's lead, each arc's 'a' at its left end, comes first in its
+    invariant with coefficient +1.  The heap pops the largest key first."""
+    width = f"0{2 * m.n}b"
+
+    def key(mask):  # undoes itself
+        return int(format(mask, width)[::-1], 2)
+
+    rest = ma._invariant_terms(m)
+    heap = [-key(mask) for mask in rest]
+    heapq.heapify(heap)
+    out = {}
+    while heap:
+        mask = key(-heapq.heappop(heap))
+        c = rest[mask]
+        if not c:
+            continue
+        lead = loop_lead_matching(mask, m.n, right_end=False)
+        out[lead] = c
+        for mono, s in ma._invariant_terms(lead).items():
+            if mono not in rest:
+                rest[mono] = 0
+                heapq.heappush(heap, -key(mono))
+            rest[mono] -= c * s
+    return ma.MatchingCombination(m.n, out)
+
+
+def typed_items(combo):
+    return [(m, c, type(c)) for m, c in combo.items()]
+
+
+def test_normal_form_matches_the_left_end_oracle():
+    # every labelled matching with n <= 6: the same combination on the other
+    # lead rule, bit for bit, coefficient types too; crossing ones with
+    # n = 7..12 in test_normal_form_equals_skein_oracle_property
+    for n in range(7):
+        for m in ma.labelled_matchings(n):
+            assert typed_items(ma.normal_form(m)) == typed_items(left_end_normal_form(m)), m
 
 
 def test_lead_matching_matches_the_loop_oracle():
@@ -1015,6 +1067,7 @@ def test_normal_form_expands_to_the_invariant_property(m):
 @given(labelled_matchings(min_n=7, max_n=12).filter(ma.crossings))
 def test_normal_form_equals_skein_oracle_property(m):
     assert ma.normal_form(m).items() == vf.skein_normal_form(m, {}).items()
+    assert typed_items(ma.normal_form(m)) == typed_items(left_end_normal_form(m))
 
 
 @st.composite
